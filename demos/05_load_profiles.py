@@ -21,7 +21,7 @@ def run(protocol, messages, num_faulty=0, **kw):
                     message_spacing=1, stability=False, record_trace=False,
                     seed=7, **kw)
     report = build_world(cfg).run_to_quiescence()
-    return measured_load(report, params)
+    return measured_load(report)
 
 
 print(f"{'messages':>9} {'3T meas':>9} {'3T pred':>9} {'ACT meas':>9} {'ACT pred':>9}")

@@ -3,14 +3,14 @@ machines in a seeded discrete-event simulator, with Byzantine adversaries
 and an analysis engine for the failure-probability and load formulas."""
 
 from .core import (Ack, ForgeryAttemptError, KeyChain, MessageId,
-                   MulticastMessage, ProtocolKind, Signature, conflicts,
-                   digest, message_digest)
-from .quorum import (InvalidParamsError, QuorumParams, WitnessSet,
-                     check_dissemination_properties,
+                   MulticastMessage, ProtocolKind, Signature, digest,
+                   message_digest)
+from .quorum import (AckRule, InvalidParamsError, QuorumParams, accepts,
+                     ack_rules, check_dissemination_properties,
                      dissemination_quorum_size, w3t, w_active)
 from .protocols import (Broadcast, Deliver, ProcessEngine, RaiseAlert, Send,
-                        SetTimer, Timeouts, WireMessage, init_process)
-from .adversary import Adversary, adversary_act, bind_adversary
+                        SetTimer, Timeouts, WireMessage)
+from .adversary import Adversary
 from .simnet import (ConfigError, RunReport, SimConfig, SimWorld, build_world,
                      run_world)
 from .analysis import (AnalysisParams, bound_report, failure_free_load,

@@ -17,14 +17,16 @@ Strategies:
                   other faulty processes act honestly.
 * collusive     - the whole faulty team cooperates: witnesses acknowledge
                   anything (conflicts included) and verify every probe; a
-                  faulty ACT sender attacks ids whose active witness set is
-                  entirely faulty by fabricating both ack sets.
+                  faulty ACT sender attacks ids whose faulty active
+                  witnesses alone meet the delivery rule by fabricating
+                  both ack sets.
 * regime-split  - the cross-regime attack on ACT: one message runs the
                   active regime, a conflicting one runs recovery against a
                   2t+1 set disjoint from the active witnesses.
 * seq-burner    - experimental: multicasts filler traffic to advance its
-                  sequence number until it reaches an id with an all-faulty
-                  active witness set, then attacks it.
+                  sequence number until it reaches an id whose faulty
+                  active witnesses alone meet the delivery rule, then
+                  attacks it.
 """
 
 from __future__ import annotations
@@ -32,16 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .core import (ADVERSARY, PROTO_3T, PROTO_AV, PROTO_E, Ack, KeyChain,
-                   MessageId, MulticastMessage, ProtocolKind, build_ack,
-                   message_digest, sender_sig_data, valid_signers)
+from .core import (ADVERSARY, PROTO_3T, PROTO_AV, PROTO_E, PROTO_TAG, Ack,
+                   KeyChain, MessageId, MulticastMessage, ProtocolKind,
+                   build_ack, message_digest, sender_sig_data, valid_signers)
 from .protocols import (ACK, DELIVER, INFORM, REGULAR, VERIFY,
                         ProcessEngine, Send, WireMessage)
-from .quorum import QuorumParams, dissemination_quorum_size, w3t, w_active
-
-
-class TooManyFaultyError(ValueError):
-    pass
+from .quorum import QuorumParams, accepts, ack_rules, w3t, w_active
 
 
 @dataclass
@@ -50,6 +48,7 @@ class AdversaryContext:
     params: QuorumParams
     kappa: int
     delta: int
+    slack_c: int
     keychain: KeyChain
     faulty: frozenset[int]
     witness_seed: Optional[int]       # None when adversary_knows_r is off
@@ -61,11 +60,21 @@ class AdversaryContext:
 
     def w3t(self, mid: MessageId) -> frozenset[int]:
         assert self.witness_seed is not None
-        return w3t(mid, self.params, self.witness_seed).members
+        return w3t(mid, self.params, self.witness_seed)
 
     def w_active(self, mid: MessageId) -> frozenset[int]:
         assert self.witness_seed is not None
-        return w_active(mid, self.kappa, self.params, self.witness_seed).members
+        return w_active(mid, self.kappa, self.params, self.witness_seed)
+
+    def rules(self, mid: MessageId):
+        return ack_rules(self.kind, mid, self.params, self.witness_seed,
+                         self.kappa, self.slack_c)
+
+    def faulty_suffice(self, mid: MessageId) -> bool:
+        """The faulty team alone can sign an ack set that meets the
+        delivery rule for mid (for ACT: W_active ∩ F meets the active
+        count; the 3T alternative needs more than t signers)."""
+        return accepts(self.rules(mid), lambda tag: self.faulty)
 
 
 @dataclass
@@ -178,18 +187,21 @@ class Adversary:
         return []
 
     def _two_messages(self, mid: MessageId, payload: bytes) -> tuple[_Side, _Side]:
+        """Two conflicting messages for mid, both logged as multicast; mid
+        counts as attacked."""
         ma = MulticastMessage(mid, payload + b"/a")
         mb = MulticastMessage(mid, payload + b"/b")
-        return (_Side(ma, message_digest(ma), None),
-                _Side(mb, message_digest(mb), None))
+        a = _Side(ma, message_digest(ma), None)
+        b = _Side(mb, message_digest(mb), None)
+        self.mcast_log += [(mid, a.digest), (mid, b.digest)]
+        self.attacked_ids.append(mid)
+        return a, b
 
     def _equivocate(self, pid: int, mid: MessageId, payload: bytes) -> list:
         """Send two conflicting messages to everyone in the relevant range,
         alternating which one goes first per destination."""
         ctx = self.ctx
         a, b = self._two_messages(mid, payload)
-        self.mcast_log += [(mid, a.digest), (mid, b.digest)]
-        self.attacked_ids.append(mid)
 
         if ctx.kind is ProtocolKind.E:
             targets = range(ctx.n)
@@ -232,14 +244,17 @@ class Adversary:
         self.attacks[mid] = _Attack(a, b)
         return out
 
-    def _fabricate_case1(self, pid: int, mid: MessageId, a: _Side, b: _Side,
-                         wa: frozenset[int]) -> list:
-        """Every active witness is faulty: both ack sets can be minted
-        outright and conflicting delivers pushed to disjoint halves."""
+    def _fabricate_case1(self, pid: int, mid: MessageId,
+                         payload: bytes) -> list:
+        """The faulty active witnesses meet the delivery rule on their own:
+        both ack sets can be minted outright and conflicting delivers
+        pushed to disjoint halves."""
+        a, b = self._two_messages(mid, payload)
+        signers = sorted(self.ctx.w_active(mid) & self.ctx.faulty)
         for side in (a, b):
             side.sender_sig = self._sign_sender(pid, mid, side.digest)
             side.acks = [self._ack(PROTO_AV, w, mid, side.digest, side.sender_sig)
-                         for w in sorted(wa)]
+                         for w in signers]
             side.delivered = True
         da = WireMessage(PROTO_AV, DELIVER, mid, digest=a.digest,
                          body=a.message, acks=tuple(a.acks))
@@ -253,17 +268,10 @@ class Adversary:
     def _collusive_multicast(self, pid: int, mid: MessageId,
                              payload: bytes) -> list:
         ctx = self.ctx
-        if ctx.kind is ProtocolKind.ACT and ctx.witness_seed is not None:
-            wa = ctx.w_active(mid)
-            self.attacked_ids.append(mid)
-            a, b = self._two_messages(mid, payload)
-            self.mcast_log += [(mid, a.digest), (mid, b.digest)]
-            if wa <= ctx.faulty:
-                return self._fabricate_case1(pid, mid, a, b, wa)
-            # Fall back to an equivocation attempt with collusive helpers.
-            self.attacked_ids.pop()
-            del self.mcast_log[-2:]
-            return self._equivocate(pid, mid, payload)
+        if ctx.kind is ProtocolKind.ACT and ctx.witness_seed is not None \
+                and ctx.faulty_suffice(mid):
+            return self._fabricate_case1(pid, mid, payload)
+        # Otherwise an equivocation attempt with collusive helpers.
         return self._equivocate(pid, mid, payload)
 
     def _regime_split(self, pid: int, mid: MessageId, payload: bytes) -> list:
@@ -271,15 +279,10 @@ class Adversary:
         one, against a 2t+1 set disjoint from the active witnesses."""
         ctx = self.ctx
         assert ctx.kind is ProtocolKind.ACT and ctx.witness_seed is not None
-        t = ctx.params.t
-        wa = ctx.w_active(mid)
-        w3 = ctx.w3t(mid)
+        if ctx.faulty_suffice(mid):
+            return self._fabricate_case1(pid, mid, payload)
         a, b = self._two_messages(mid, payload)
-        self.mcast_log += [(mid, a.digest), (mid, b.digest)]
-        self.attacked_ids.append(mid)
-
-        if wa <= ctx.faulty:
-            return self._fabricate_case1(pid, mid, a, b, wa)
+        (_, wa, _), (_, w3, need) = ctx.rules(mid)
 
         a.sender_sig = self._sign_sender(pid, mid, a.digest)
         a.targets = wa
@@ -290,10 +293,10 @@ class Adversary:
                for dst in sorted(wa)]
 
         pool = w3 - wa
-        if len(pool) >= 2 * t + 1:
+        if len(pool) >= need:
             s_faulty = sorted(pool & ctx.faulty)
             s_correct = sorted(pool - ctx.faulty)
-            s = frozenset((s_faulty + s_correct)[:2 * t + 1])
+            s = frozenset((s_faulty + s_correct)[:need])
             b.targets = s
             b.acks = [self._ack(PROTO_3T, w, mid, b.digest)
                       for w in sorted(s & ctx.faulty)]
@@ -307,11 +310,8 @@ class Adversary:
     def _seq_burn(self, pid: int, mid: MessageId, payload: bytes) -> list:
         ctx = self.ctx
         if ctx.kind is ProtocolKind.ACT and ctx.witness_seed is not None \
-                and ctx.w_active(mid) <= ctx.faulty:
-            self.attacked_ids.append(mid)
-            a, b = self._two_messages(mid, payload)
-            self.mcast_log += [(mid, a.digest), (mid, b.digest)]
-            return self._fabricate_case1(pid, mid, a, b, ctx.w_active(mid))
+                and ctx.faulty_suffice(mid):
+            return self._fabricate_case1(pid, mid, payload)
         # Burn the sequence number with an honestly multicast filler.
         return self._honest_multicast(pid, mid, payload)
 
@@ -349,27 +349,13 @@ class Adversary:
         return out
 
     def _deliverable(self, mid: MessageId, side: _Side) -> bool:
-        ctx = self.ctx
-        kc = ctx.keychain
-        if ctx.kind is ProtocolKind.E:
-            need = dissemination_quorum_size(ctx.params)
-            return len(valid_signers(side.acks, PROTO_E, mid, side.digest,
-                                     kc)) >= need
-        if ctx.kind is ProtocolKind.THREE_T:
-            good = valid_signers(side.acks, PROTO_3T, mid, side.digest, kc)
-            return len(good & ctx.w3t(mid)) >= 2 * ctx.params.t + 1
-        wa = ctx.w_active(mid)
-        av = valid_signers(side.acks, PROTO_AV, mid, side.digest, kc)
-        if wa and av >= wa:
-            return True
-        t3 = valid_signers(side.acks, PROTO_3T, mid, side.digest, kc)
-        return len(t3 & ctx.w3t(mid)) >= 2 * ctx.params.t + 1
+        return accepts(self.ctx.rules(mid), lambda tag: valid_signers(
+            side.acks, tag, mid, side.digest, self.ctx.keychain))
 
     def _deliver_split(self, mid: MessageId, side: _Side, even: bool) -> list:
-        proto = {ProtocolKind.E: PROTO_E, ProtocolKind.THREE_T: PROTO_3T,
-                 ProtocolKind.ACT: PROTO_AV}[self.ctx.kind]
-        msg = WireMessage(proto, DELIVER, mid, digest=side.digest,
-                          body=side.message, acks=tuple(side.acks))
+        msg = WireMessage(PROTO_TAG[self.ctx.kind], DELIVER, mid,
+                          digest=side.digest, body=side.message,
+                          acks=tuple(side.acks))
         atk = self.attacks[mid]
         both = atk.b is not None
         out = []
@@ -379,25 +365,3 @@ class Adversary:
             out.append(Send(dst, msg))
         return out
 
-
-def adversary_act(adversary: Adversary, pid: int, event: tuple,
-                  now: int) -> list:
-    """Dispatch one event addressed to a faulty process to its strategy.
-
-    Events are ("message", src, msg), ("timer", timer_id) or
-    ("multicast", payload).
-    """
-    return adversary.act(pid, event, now)
-
-
-def bind_adversary(world, strategy: str, faulty) -> object:
-    """Install a strategy over an explicit faulty set on a freshly built
-    world.  The set must respect the resilience threshold."""
-    faulty = frozenset(faulty)
-    if len(faulty) > world.config.t:
-        raise TooManyFaultyError(
-            f"{len(faulty)} faulty processes exceeds t={world.config.t}")
-    if any(not 0 <= p < world.config.n for p in faulty):
-        raise TooManyFaultyError("faulty process id out of range")
-    world.rebind_adversary(strategy, faulty)
-    return world

@@ -7,6 +7,12 @@ Two worked guarantee levels quoted in the literature for these protocols
 kappa=4, delta=10) do not match the bound they accompany; the formulas
 below give detection probabilities of about 0.887 and 0.983 for those
 parameter choices.  This module reports the formula-derived values.
+
+With slack C the all-faulty term of the conflict bound is the exact chance
+that the faulty active witnesses alone meet the active count,
+P[|W_active ∩ F| >= max(|W_active| - C, 1)] over the sampler's kappa draws
+with replacement: (t/n)^kappa at C = 0, and above the binomial tail
+P[>= kappa - C faulty draws] otherwise, as repeats shrink W_active.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .quorum import InvalidParamsError
+from .quorum import (InvalidParamsError, dissemination_quorum_size,
+                     witness_quorum_size)
 
 
 @dataclass(frozen=True)
@@ -26,8 +33,10 @@ class AnalysisParams:
     kappa: int = 0
     delta: int = 0
     slack_c: int = 0
-    epsilon: Optional[float] = None
 
+    # A wider domain than the simulator's (SimConfig, check_act_params): the
+    # closed forms are defined at t = 0 and without n - t >= kappa*delta, and
+    # analyze and sweep report such points.
     def __post_init__(self):
         if self.t < 0:
             raise InvalidParamsError(f"t must be >= 0, got {self.t}")
@@ -53,8 +62,8 @@ class FaultyActiveSet(NamedTuple):
 
 
 class ConflictBound(NamedTuple):
-    specific: float    # (t/n)^k + (1-(t/n)^k) (2t/(3t+1))^d
-    worst_case: float  # (1/3)^k + (1-(1/3)^k) (2/3)^d
+    specific: float    # pf + (1-pf) (2t/(3t+1))^d, pf = (t/n)^k at C=0
+    worst_case: float  # the same with t/n = 1/3
 
 
 class PKappaC(NamedTuple):
@@ -100,13 +109,33 @@ def probe_miss_exact(params: AnalysisParams, exclude_self: bool = True) -> float
     return float(Fraction(math.comb(pool - correct, d), math.comb(pool, d)))
 
 
+def p_faulty_meet_active(n: int, rho: float, k: int, c: int) -> float:
+    """P[|W ∩ F| >= max(|W| - c, 1)] for W the distinct values of k uniform
+    draws from n processes, each faulty with probability rho: some draw is
+    faulty and at most c distinct correct ones are drawn."""
+    # p[j][f]: j distinct correct processes drawn so far, f = a faulty one was
+    p = [[1.0, 0.0]] + [[0.0, 0.0] for _ in range(c)]
+    for _ in range(k):
+        nxt = [[0.0, 0.0] for _ in range(c + 1)]
+        for j in range(c + 1):
+            for f in (0, 1):
+                x = p[j][f]
+                nxt[j][1] += x * rho
+                nxt[j][f] += x * j / n
+                if j < c:  # a new correct process; beyond c the event fails
+                    nxt[j + 1][f] += x * (1 - rho - j / n)
+        p = nxt
+    return rho ** k + sum(p[j][1] for j in range(1, c + 1))
+
+
 def overall_conflict_bound(params: AnalysisParams) -> ConflictBound:
     """Probability that a conflicting message pair is deliverable at all:
-    all-faulty active set, plus probe miss when some witness is correct."""
+    the faulty active witnesses meet the active count on their own, plus
+    probe miss when they do not."""
     n, t, k, d = params.n, params.t, params.kappa, params.delta
-    pf = (t / n) ** k
+    pf = p_faulty_meet_active(n, t / n, k, params.slack_c)
     miss = (2 * t / (3 * t + 1)) ** d if d > 0 else 1.0
-    worst_pf = (1 / 3) ** k
+    worst_pf = p_faulty_meet_active(n, 1 / 3, k, params.slack_c)
     worst_miss = (2 / 3) ** d if d > 0 else 1.0
     return ConflictBound(pf + (1 - pf) * miss,
                          worst_pf + (1 - worst_pf) * worst_miss)
@@ -143,14 +172,14 @@ def failure_free_load(protocol: str, params: AnalysisParams) -> float:
     the minimal contact set, while the E protocol as specified contacts
     every process. Callers should label it accordingly.
     """
-    n, t = params.n, params.t
+    n = params.n
     p = protocol.lower()
-    if p in ("3t", "three_t"):
-        return (2 * t + 1) / n
+    if p == "3t":
+        return witness_quorum_size(params) / n
     if p == "act":
         return params.kappa * (params.delta + 1) / n
     if p == "e":
-        return ((n + t + 2) // 2) / n
+        return dissemination_quorum_size(params) / n
     raise InvalidParamsError(f"unknown protocol {protocol!r}")
 
 
@@ -158,7 +187,7 @@ def failure_load_bound(protocol: str, params: AnalysisParams) -> float:
     """Busiest-process access fraction bound when failures occur."""
     n, t = params.n, params.t
     p = protocol.lower()
-    if p in ("3t", "three_t"):
+    if p == "3t":
         return (3 * t + 1) / n
     if p == "act":
         return (params.kappa * (params.delta + 1) + 3 * t + 1) / n
@@ -210,7 +239,7 @@ def monte_carlo_conflict_rate(config, trials: int, parallel: int = 1,
     return MonteCarloResult(est, lo, hi, attacked, conflicts, warning)
 
 
-def measured_load(report, params: AnalysisParams) -> float:
+def measured_load(report) -> float:
     """Busiest-process witness/peer access fraction from a run report.
 
     Counts receptions of regular and inform traffic; acknowledgment and

@@ -17,8 +17,6 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-DIGEST_WIDTH = 32
-
 # Wire protocol tags. ACT engines emit AV traffic in the no-failure regime
 # and 3T traffic in the recovery regime.
 PROTO_E = "E"
@@ -32,6 +30,11 @@ class ProtocolKind(Enum):
     E = "e"
     THREE_T = "3t"
     ACT = "act"
+
+
+# The wire tag each protocol's traffic carries (ACT recovery traffic is 3T).
+PROTO_TAG = {ProtocolKind.E: PROTO_E, ProtocolKind.THREE_T: PROTO_3T,
+             ProtocolKind.ACT: PROTO_AV}
 
 
 class MessageId(NamedTuple):
@@ -73,6 +76,15 @@ def _enc(*parts: bytes) -> bytes:
 
 def _u64(x: int) -> bytes:
     return x.to_bytes(8, "big")
+
+
+def keyed_seed(seed: int, label: bytes, *ints: int) -> int:
+    """A 64-bit seed hashed from (label, seed, ints): what every keyed
+    random stream of a world is seeded with."""
+    mask = 2**64 - 1
+    h = hashlib.sha256(_enc(label, _u64(seed & mask),
+                            *[_u64(i & mask) for i in ints])).digest()
+    return int.from_bytes(h[:8], "big")
 
 
 def digest(data: bytes) -> bytes:
@@ -139,11 +151,6 @@ class KeyChain:
             mac = hmac.new(self._keys[signer], data, hashlib.sha256).digest()
             self._verify_memo[key] = mac
         return hmac.compare_digest(mac, sig.mac)
-
-
-def conflicts(a: Ack, b: Ack) -> bool:
-    """Same subject, different digest. Symmetric and irreflexive."""
-    return a.subject == b.subject and a.digest != b.digest
 
 
 def build_ack(keychain: KeyChain, proto: str, signer: int, subject: MessageId,

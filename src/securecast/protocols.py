@@ -28,12 +28,16 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
-from .core import (PROTO_3T, PROTO_AV, PROTO_E, Ack, KeyChain, MessageId,
-                   MulticastMessage, ProtocolKind, Signature, ack_valid,
-                   build_ack, message_digest, sender_sig_data, valid_signers)
-from .quorum import (InvalidParamsError, QuorumParams,
-                     dissemination_quorum_size, sample_peers,
-                     sample_witness_subset, w3t, w_active)
+from .core import (PROTO_3T, PROTO_AV, PROTO_E, PROTO_TAG, Ack, KeyChain,
+                   MessageId, MulticastMessage, ProtocolKind, Signature,
+                   ack_valid, build_ack, message_digest, sender_sig_data,
+                   valid_signers)
+from .quorum import (AckRule, QuorumParams, accepts, ack_rules,
+                     check_act_params, sample_peers, sample_witness_subset,
+                     w3t)
+# Only reached through ack_rules here; bound anyway because the benchmark
+# tracer (bench/tracer.py) patches w_active in every module that imports it.
+from .quorum import w_active  # noqa: F401
 
 # Wire message roles.
 REGULAR = "regular"
@@ -43,10 +47,6 @@ INFORM = "inform"
 VERIFY = "verify"
 ALERT = "alert"
 SM_NOTIFY = "sm_notify"
-
-
-class SequenceGapError(Exception):
-    pass
 
 
 class EvidencePair(NamedTuple):
@@ -121,8 +121,7 @@ class _Pending:
     message: MulticastMessage
     digest: bytes
     regime: str                 # "e" | "3t" | "active" | "recovery"
-    required_count: int
-    range_members: frozenset[int]
+    rule: AckRule               # the acks this regime collects
     acks: dict = field(default_factory=dict)   # signer -> Ack
     contacted: frozenset[int] = frozenset()
     sender_sig: Optional[Signature] = None
@@ -146,17 +145,7 @@ class ProcessEngine:
                  kappa: int = 0, delta: int = 0, slack_c: int = 0,
                  timeouts: Timeouts = Timeouts(), holdback_cap: int = 64):
         if kind is ProtocolKind.ACT:
-            if kappa < 1 or delta < 1:
-                raise InvalidParamsError("ACT needs kappa >= 1 and delta >= 1")
-            if params.n - params.t < kappa * delta:
-                raise InvalidParamsError(
-                    f"ACT needs n-t >= kappa*delta, got "
-                    f"{params.n - params.t} < {kappa * delta}")
-            if delta > 3 * params.t:
-                raise InvalidParamsError(
-                    f"delta={delta} exceeds 3t={3 * params.t} probe candidates")
-            if slack_c > kappa:
-                raise InvalidParamsError("slack C must not exceed kappa")
+            check_act_params(params.n, params.t, kappa, delta, slack_c)
         self.me = me
         self.kind = kind
         self.params = params
@@ -168,7 +157,6 @@ class ProcessEngine:
         self.rng = rng
         self.timeouts = timeouts
         self.holdback_cap = holdback_cap
-        self.q = dissemination_quorum_size(params)
 
         self.own_seq = 0
         self.delivery: dict[int, int] = {}        # sender -> last delivered seq
@@ -183,11 +171,9 @@ class ProcessEngine:
 
     # -- helpers ----------------------------------------------------------
 
-    def _w3t(self, mid: MessageId) -> frozenset[int]:
-        return w3t(mid, self.params, self.witness_seed).members
-
-    def _w_active(self, mid: MessageId) -> frozenset[int]:
-        return w_active(mid, self.kappa, self.params, self.witness_seed).members
+    def _rules(self, mid: MessageId, kind: Optional[ProtocolKind] = None):
+        return ack_rules(kind or self.kind, mid, self.params,
+                         self.witness_seed, self.kappa, self.slack_c)
 
     def _ack_to(self, proto: str, dst: int, mid: MessageId, dig: bytes,
                 sender_sig: Optional[Signature] = None) -> Send:
@@ -217,33 +203,26 @@ class ProcessEngine:
 
     # -- sending ----------------------------------------------------------
 
-    def wan_multicast(self, payload: bytes, seq: Optional[int] = None
-                      ) -> list[Action]:
+    def wan_multicast(self, payload: bytes) -> list[Action]:
         """Initiate a multicast of the next message in sequence."""
-        if seq is None:
-            seq = self.own_seq + 1
-        if seq != self.own_seq + 1:
-            raise SequenceGapError(
-                f"next sequence is {self.own_seq + 1}, not {seq}")
-        self.own_seq = seq
-        mid = MessageId(self.me, seq)
+        self.own_seq += 1
+        mid = MessageId(self.me, self.own_seq)
         m = MulticastMessage(mid, payload)
         dig = message_digest(m)
+        rule = next(self._rules(mid))
         actions: list[Action] = []
 
         if self.kind is ProtocolKind.E:
             self.recorded.setdefault(mid, _Recorded(dig))
-            self.pending[mid] = _Pending(m, dig, "e", self.q, frozenset())
+            self.pending[mid] = _Pending(m, dig, "e", rule)
             msg = WireMessage(PROTO_E, REGULAR, mid, digest=dig)
             actions += [Send(p, msg) for p in range(self.params.n)]
 
         elif self.kind is ProtocolKind.THREE_T:
             self.recorded.setdefault(mid, _Recorded(dig))
-            rng_members = self._w3t(mid)
             first = frozenset(sample_witness_subset(
-                self.rng, rng_members, 2 * self.params.t + 1))
-            self.pending[mid] = _Pending(m, dig, "3t", 2 * self.params.t + 1,
-                                         rng_members, contacted=first)
+                self.rng, rule.members, rule.count))
+            self.pending[mid] = _Pending(m, dig, "3t", rule, contacted=first)
             msg = WireMessage(PROTO_3T, REGULAR, mid, digest=dig)
             actions += [Send(p, msg) for p in sorted(first)]
             actions.append(SetTimer(("expand", mid), self.timeouts.t3_expand))
@@ -251,12 +230,9 @@ class ProcessEngine:
         else:
             sig = self.keychain.sign(self.me, sender_sig_data(mid, dig))
             self.recorded.setdefault(mid, _Recorded(dig, sig))
-            wa = self._w_active(mid)
-            self.pending[mid] = _Pending(
-                m, dig, "active", max(len(wa) - self.slack_c, 1), wa,
-                sender_sig=sig)
+            self.pending[mid] = _Pending(m, dig, "active", rule, sender_sig=sig)
             msg = WireMessage(PROTO_AV, REGULAR, mid, digest=dig, sender_sig=sig)
-            actions += [Send(p, msg) for p in sorted(wa)]
+            actions += [Send(p, msg) for p in sorted(rule.members)]
             actions.append(SetTimer(("recovery", mid), self.timeouts.act_active))
 
         return actions
@@ -284,11 +260,8 @@ class ProcessEngine:
         return []
 
     def _proto_ok(self, proto: str) -> bool:
-        if self.kind is ProtocolKind.E:
-            return proto == PROTO_E
-        if self.kind is ProtocolKind.THREE_T:
-            return proto == PROTO_3T
-        return proto in (PROTO_AV, PROTO_3T)
+        return proto == PROTO_TAG[self.kind] or (
+            self.kind is ProtocolKind.ACT and proto == PROTO_3T)
 
     def on_regular(self, src: int, msg: WireMessage, now: int) -> list[Action]:
         mid = msg.subject
@@ -324,7 +297,9 @@ class ProcessEngine:
                 return [self._ack_to(PROTO_AV, src, mid, msg.digest,
                                      probe.sender_sig)]
             return []  # probe already in flight
-        targets = sample_peers(self.rng, self._w3t(mid), self.me, self.delta)
+        targets = sample_peers(
+            self.rng, w3t(mid, self.params, self.witness_seed), self.me,
+            self.delta)
         self.probes[mid] = _Probe(msg.digest, msg.sender_sig, targets)
         inform = WireMessage(PROTO_AV, INFORM, mid, digest=msg.digest,
                              sender_sig=msg.sender_sig)
@@ -374,30 +349,22 @@ class ProcessEngine:
             return []
         if ack.signer != src or ack.signer in pend.acks:
             return []
-        if ack.digest != pend.digest:
+        tag, members, count = pend.rule
+        if ack.digest != pend.digest or ack.proto != tag:
             return []
-        if pend.regime == "e":
-            if ack.proto != PROTO_E:
-                return []
-        elif pend.regime in ("3t", "recovery"):
-            if ack.proto != PROTO_3T or ack.signer not in pend.range_members:
-                return []
-        else:  # active
-            if ack.proto != PROTO_AV or ack.signer not in pend.range_members:
-                return []
-            if ack.sender_sig != pend.sender_sig:
-                return []
+        if members is not None and ack.signer not in members:
+            return []
+        if tag == PROTO_AV and ack.sender_sig != pend.sender_sig:
+            return []
         if not ack_valid(ack, self.keychain):
             return []
         pend.acks[ack.signer] = ack
-        if len(pend.acks) < pend.required_count:
+        if len(pend.acks) < count:  # acks holds eligible signers only
             return []
         pend.completed = True
-        proto = {ProtocolKind.E: PROTO_E, ProtocolKind.THREE_T: PROTO_3T,
-                 ProtocolKind.ACT: PROTO_AV}[self.kind]
         acks = tuple(pend.acks[s] for s in sorted(pend.acks))
-        deliver = WireMessage(proto, DELIVER, mid, digest=pend.digest,
-                              body=pend.message, acks=acks)
+        deliver = WireMessage(PROTO_TAG[self.kind], DELIVER, mid,
+                              digest=pend.digest, body=pend.message, acks=acks)
         return [Broadcast(deliver)]
 
     # -- delivery ---------------------------------------------------------
@@ -408,18 +375,8 @@ class ProcessEngine:
             return False
         mid = m.id
         dig = message_digest(m)
-        if self.kind is ProtocolKind.E:
-            signers = valid_signers(msg.acks, PROTO_E, mid, dig, self.keychain)
-            return len(signers) >= self.q
-        if self.kind is ProtocolKind.THREE_T:
-            signers = valid_signers(msg.acks, PROTO_3T, mid, dig, self.keychain)
-            return len(signers & self._w3t(mid)) >= 2 * self.params.t + 1
-        wa = self._w_active(mid)
-        av = valid_signers(msg.acks, PROTO_AV, mid, dig, self.keychain)
-        if len(av & wa) >= max(len(wa) - self.slack_c, 1):
-            return True
-        t3 = valid_signers(msg.acks, PROTO_3T, mid, dig, self.keychain)
-        return len(t3 & self._w3t(mid)) >= 2 * self.params.t + 1
+        return accepts(self._rules(mid), lambda tag: valid_signers(
+            msg.acks, tag, mid, dig, self.keychain))
 
     def on_deliver(self, src: int, msg: WireMessage, now: int) -> list[Action]:
         if not self._proto_ok(msg.proto) or msg.body is None:
@@ -501,20 +458,19 @@ class ProcessEngine:
             return []
         pend.regime = "recovery"
         pend.acks.clear()
-        pend.range_members = self._w3t(mid)
-        pend.required_count = 2 * self.params.t + 1
-        pend.contacted = pend.range_members
+        pend.rule = next(self._rules(mid, ProtocolKind.THREE_T))
+        pend.contacted = pend.rule.members
         msg = WireMessage(PROTO_3T, REGULAR, mid, digest=pend.digest)
-        return [Send(p, msg) for p in sorted(pend.range_members)]
+        return [Send(p, msg) for p in sorted(pend.contacted)]
 
     def _on_expand(self, mid: MessageId) -> list[Action]:
         pend = self.pending.get(mid)
         if pend is None or pend.completed or pend.regime != "3t":
             return []
-        rest = pend.range_members - pend.contacted
+        rest = pend.rule.members - pend.contacted
         if not rest:
             return []
-        pend.contacted = pend.range_members
+        pend.contacted = pend.rule.members
         msg = WireMessage(PROTO_3T, REGULAR, mid, digest=pend.digest)
         return [Send(p, msg) for p in sorted(rest)]
 
@@ -536,10 +492,3 @@ class ProcessEngine:
                 continue
             out.append(Send(p, msg))
         return out
-
-
-def init_process(me: int, kind: ProtocolKind, params: QuorumParams,
-                 keychain: KeyChain, witness_seed: int, rng: random.Random,
-                 **kwargs) -> ProcessEngine:
-    """Fresh engine with an all-zero delivery vector."""
-    return ProcessEngine(me, kind, params, keychain, witness_seed, rng, **kwargs)

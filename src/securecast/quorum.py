@@ -1,23 +1,31 @@
-"""Dissemination quorum arithmetic and witness-set selection.
+"""Dissemination quorum arithmetic, witness-set selection and the delivery
+rule of each protocol.
 
 Witness selection is a keyed pseudorandom function of (message id, seed):
 a SHA-256 of the inputs keys a Mersenne Twister stream, so every party
 holding the seed computes the same sets, and without the seed the map is
 indistinguishable from uniform for the purposes of the simulation.
+
+The delivery rule (ack_rules and accepts) is written here once; the
+engines, the adversary and the trace checker all ask it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import (Callable, Collection, Iterable, Iterator, NamedTuple,
+                    Optional)
 
-from .core import MessageId, _enc, _u64
+from .core import (PROTO_3T, PROTO_AV, PROTO_E, MessageId, ProtocolKind,
+                   keyed_seed)
 
 
 class InvalidParamsError(ValueError):
-    pass
+    def __init__(self, msg: str, field: str = ""):
+        super().__init__(msg)
+        self.field = field  # the offending parameter, when one is to blame
 
 
 @dataclass(frozen=True)
@@ -33,24 +41,28 @@ class QuorumParams:
                 f"need 3t+1 <= n for a witness range to exist, got n={self.n} t={self.t}")
 
 
-@dataclass(frozen=True)
-class WitnessSet:
-    members: frozenset[int]
-    kind: str  # e-quorum | w3t-range | w3t-quorum | w-active | peer-targets
-
-    def __contains__(self, pid: int) -> bool:
-        return pid in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def sorted(self) -> list[int]:
-        return sorted(self.members)
+def check_act_params(n: int, t: int, kappa: int, delta: int, slack_c: int):
+    """The ACT parameter domain shared by SimConfig and ProcessEngine."""
+    if kappa < 1 or delta < 1:
+        raise InvalidParamsError("act needs kappa >= 1 and delta >= 1", "kappa")
+    if n - t < kappa * delta:
+        raise InvalidParamsError(
+            f"n-t >= kappa*delta violated: {n - t} < {kappa * delta}", "kappa")
+    if delta > 3 * t:
+        raise InvalidParamsError(f"delta={delta} exceeds 3t={3 * t}", "delta")
+    if slack_c > kappa:
+        raise InvalidParamsError("slack C must not exceed kappa", "slack_c")
 
 
 def dissemination_quorum_size(params: QuorumParams) -> int:
     """Smallest q with 2q - n >= t+1 (Consistency) and q <= n - t (Availability)."""
     return (params.n + params.t + 2) // 2
+
+
+def witness_quorum_size(params: QuorumParams) -> int:
+    """Acks out of a 3t+1 witness range that validate a 3T delivery: any
+    two such sets share t+1 members, so a correct one."""
+    return 2 * params.t + 1
 
 
 def check_dissemination_properties(params: QuorumParams, q: int) -> bool:
@@ -59,32 +71,26 @@ def check_dissemination_properties(params: QuorumParams, q: int) -> bool:
     return 2 * q - params.n > params.t and q <= params.n - params.t
 
 
-def _keyed_rng(seed: int, label: bytes, *ints: int) -> random.Random:
-    h = hashlib.sha256(_enc(label, _u64(seed & (2**64 - 1)),
-                            *[_u64(i) for i in ints])).digest()
-    return random.Random(int.from_bytes(h[:8], "big"))
-
-
 @lru_cache(maxsize=1 << 16)
 def _w3t_members(sender: int, seq: int, n: int, t: int, seed: int) -> frozenset[int]:
-    rng = _keyed_rng(seed, b"w3t", sender, seq)
+    rng = random.Random(keyed_seed(seed, b"w3t", sender, seq))
     return frozenset(rng.sample(range(n), 3 * t + 1))
 
 
 @lru_cache(maxsize=1 << 16)
 def _w_active_members(sender: int, seq: int, n: int, kappa: int,
                       seed: int) -> frozenset[int]:
-    rng = _keyed_rng(seed, b"wactive", sender, seq)
+    rng = random.Random(keyed_seed(seed, b"wactive", sender, seq))
     return frozenset(rng.randrange(n) for _ in range(kappa))
 
 
-def w3t(mid: MessageId, params: QuorumParams, seed: int) -> WitnessSet:
+def w3t(mid: MessageId, params: QuorumParams, seed: int) -> frozenset[int]:
     """The 3t+1 distinct potential witnesses designated for a message id."""
-    return WitnessSet(_w3t_members(mid.sender, mid.seq, params.n, params.t,
-                                   seed), "w3t-range")
+    return _w3t_members(mid.sender, mid.seq, params.n, params.t, seed)
 
 
-def w_active(mid: MessageId, kappa: int, params: QuorumParams, seed: int) -> WitnessSet:
+def w_active(mid: MessageId, kappa: int, params: QuorumParams,
+             seed: int) -> frozenset[int]:
     """The kappa-process active witness set for a message id.
 
     kappa independent uniform draws, so the chance that every draw lands on
@@ -93,8 +99,43 @@ def w_active(mid: MessageId, kappa: int, params: QuorumParams, seed: int) -> Wit
     """
     if kappa > params.n:
         raise InvalidParamsError(f"kappa={kappa} exceeds n={params.n}")
-    return WitnessSet(_w_active_members(mid.sender, mid.seq, params.n, kappa,
-                                        seed), "w-active")
+    return _w_active_members(mid.sender, mid.seq, params.n, kappa, seed)
+
+
+class AckRule(NamedTuple):
+    tag: str                          # wire tag the acks must carry
+    members: Optional[frozenset[int]]  # eligible signers; None: anyone
+    count: int                        # distinct eligible signers needed
+
+
+def ack_rules(kind: ProtocolKind, mid: MessageId, params: QuorumParams,
+              seed: int, kappa: int = 0, slack_c: int = 0
+              ) -> Iterator[AckRule]:
+    """The delivery rule for mid as ordered alternatives, any one of which
+    validates delivery: E takes q acks from anyone; 3T 2t+1 from the 3t+1
+    witness range; ACT max(|W_active| - C, 1) AV acks from the active
+    witness set, else the 3T rule.  A generator, so an ACT message's 3T
+    range is only looked up when the active alternative fails."""
+    if kind is ProtocolKind.E:
+        yield AckRule(PROTO_E, None, dissemination_quorum_size(params))
+        return
+    if kind is ProtocolKind.ACT:
+        wa = w_active(mid, kappa, params, seed)
+        yield AckRule(PROTO_AV, wa, max(len(wa) - slack_c, 1))
+    yield AckRule(PROTO_3T, w3t(mid, params, seed), witness_quorum_size(params))
+
+
+def accepts(rules: Iterable[AckRule],
+            signers_of: Callable[[str], Collection[int]]) -> bool:
+    """True if some rule is met, where signers_of(tag) gives the distinct
+    valid signers of acks carrying that tag."""
+    for tag, members, count in rules:
+        signers = signers_of(tag)
+        if members is not None:
+            signers = members.intersection(signers)
+        if len(signers) >= count:
+            return True
+    return False
 
 
 def sample_peers(rng: random.Random, members: frozenset[int], exclude: int,

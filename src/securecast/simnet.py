@@ -24,21 +24,17 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .adversary import Adversary, AdversaryContext
-from .core import (KeyChain, MessageId, ProtocolKind, _enc, _u64,
-                   message_digest)
+from .core import (PROTO_TAG, KeyChain, MessageId, ProtocolKind, _enc, _u64,
+                   keyed_seed, message_digest)
 from .protocols import (ALERT, INFORM, REGULAR, SM_NOTIFY, Broadcast,
                         Deliver, ProcessEngine, RaiseAlert, Send, SetTimer,
                         Timeouts, WireMessage)
-from .quorum import QuorumParams
+from .quorum import InvalidParamsError, QuorumParams, check_act_params
 
 EV_MSG = 0
 EV_TIMER = 1
 EV_MCAST = 2
 EV_ORACLE = 3
-
-_PROTO_TAG = {"e": "E", "3t": "3T", "act": "AV"}
-_KIND = {"e": ProtocolKind.E, "3t": ProtocolKind.THREE_T,
-         "act": ProtocolKind.ACT}
 
 ATTACK_STRATEGIES = ("equivocate", "collusive", "regime-split", "seq-burner")
 
@@ -118,16 +114,11 @@ class SimConfig:
         if 3 * self.t + 1 > self.n:
             raise ConfigError("t", f"need 3t+1 <= n, got n={self.n} t={self.t}")
         if self.protocol == "act":
-            if self.kappa < 1 or self.delta < 1:
-                raise ConfigError("kappa", "act needs kappa >= 1 and delta >= 1")
-            if self.n - self.t < self.kappa * self.delta:
-                raise ConfigError(
-                    "kappa", f"n-t >= kappa*delta violated: "
-                    f"{self.n - self.t} < {self.kappa * self.delta}")
-            if self.delta > 3 * self.t:
-                raise ConfigError("delta", f"delta={self.delta} exceeds 3t={3 * self.t}")
-            if self.slack_c > self.kappa:
-                raise ConfigError("slack_c", "slack C must not exceed kappa")
+            try:
+                check_act_params(self.n, self.t, self.kappa, self.delta,
+                                 self.slack_c)
+            except InvalidParamsError as exc:
+                raise ConfigError(exc.field, str(exc)) from exc
         if self.adversary not in ("none", "silent", "crash") + ATTACK_STRATEGIES:
             raise ConfigError("adversary", f"unknown strategy {self.adversary!r}")
         if self.adversary in ("regime-split", "seq-burner") and self.protocol != "act":
@@ -170,8 +161,7 @@ class SimConfig:
         return self.t if self.adversary != "none" else 0
 
     def derived_seed(self, label: bytes) -> int:
-        h = hashlib.sha256(_enc(label, _u64(self.seed & (2**64 - 1)))).digest()
-        return int.from_bytes(h[:8], "big")
+        return keyed_seed(self.seed, label)
 
 
 @dataclass
@@ -199,12 +189,6 @@ class RunReport:
         return sum(self.deliveries.values())
 
 
-def _stream(seed: int, label: bytes, *ints: int) -> random.Random:
-    h = hashlib.sha256(_enc(label, _u64(seed & (2**64 - 1)),
-                            *[_u64(i & (2**64 - 1)) for i in ints])).digest()
-    return random.Random(int.from_bytes(h[:8], "big"))
-
-
 class SimWorld:
     """One simulated execution. Strictly single threaded."""
 
@@ -229,13 +213,13 @@ class SimWorld:
             self.faulty = frozenset(cfg.faulty_set)
         else:
             nf = cfg.effective_num_faulty()
-            rng = _stream(self.adversary_seed, b"faultyset")
+            rng = random.Random(keyed_seed(self.adversary_seed, b"faultyset"))
             self.faulty = frozenset(rng.sample(range(cfg.n), nf)) if nf else frozenset()
 
         self.keychain = KeyChain(cfg.n, secret, faulty=self.faulty,
                                  log_signs=cfg.record_trace)
         self.params = QuorumParams(cfg.n, cfg.t)
-        self.kind = _KIND[cfg.protocol]
+        self.kind = ProtocolKind(cfg.protocol)
         self._timeouts = Timeouts(
             act_active=cfg.act_active_timeout,
             t3_expand=cfg.t3_expand_timeout,
@@ -253,8 +237,10 @@ class SimWorld:
 
         self._chan_rng: dict[tuple[int, int], random.Random] = {}
         self._chan_last: dict[tuple[int, int], int] = {}
-        self._fast_rng = _stream(self.world_seed, b"fastplane")
-        self._oracle_rng = _stream(self.world_seed, b"oracleplane")
+        self._fast_rng = random.Random(
+            keyed_seed(self.world_seed, b"fastplane"))
+        self._oracle_rng = random.Random(
+            keyed_seed(self.world_seed, b"oracleplane"))
 
         # Aggregates, maintained whether or not the trace is kept.
         self.deliveries: dict[int, int] = {}
@@ -265,7 +251,7 @@ class SimWorld:
         self._notified: set[tuple[int, int, MessageId]] = set()
 
         self._schedule_workload()
-        self._log(0, "meta", None, None, _PROTO_TAG[cfg.protocol], "meta",
+        self._log(0, "meta", None, None, PROTO_TAG[self.kind], "meta",
                   None, None, self._meta_note())
 
     # -- construction -------------------------------------------------------
@@ -273,7 +259,7 @@ class SimWorld:
     def _make_engine(self, pid: int) -> ProcessEngine:
         return ProcessEngine(
             pid, self.kind, self.params, self.keychain, self.witness_seed,
-            _stream(self.world_seed, b"proc", pid),
+            random.Random(keyed_seed(self.world_seed, b"proc", pid)),
             kappa=self.config.kappa, delta=self.config.delta,
             slack_c=self.config.slack_c, timeouts=self._timeouts,
             holdback_cap=self.config.holdback_cap)
@@ -281,29 +267,19 @@ class SimWorld:
     def _make_adversary(self, strategy: str) -> Adversary:
         ctx = AdversaryContext(
             kind=self.kind, params=self.params, kappa=self.config.kappa,
-            delta=self.config.delta, keychain=self.keychain,
+            delta=self.config.delta, slack_c=self.config.slack_c,
+            keychain=self.keychain,
             faulty=self.faulty,
             witness_seed=self.witness_seed if self.config.adversary_knows_r else None,
             make_engine=self._make_engine)
         return Adversary(strategy, ctx, crash_after=self.config.crash_after)
-
-    def rebind_adversary(self, strategy: str, faulty: frozenset[int]):
-        """Swap in a strategy over an explicit faulty set before running."""
-        if self.clock != 0 or self.messages_multicast:
-            raise ConfigError("adversary", "rebinding requires a fresh world")
-        self.faulty = faulty
-        self.keychain.faulty = faulty
-        self.engines = [None if p in faulty else
-                        (self.engines[p] or self._make_engine(p))
-                        for p in range(self.config.n)]
-        self.adversary = self._make_adversary(strategy) if faulty else None
 
     def _schedule_workload(self):
         cfg = self.config
         mode = cfg.senders
         if mode == "auto":
             mode = "faulty" if cfg.adversary in ATTACK_STRATEGIES else "uniform"
-        rng = _stream(self.world_seed, b"workload")
+        rng = random.Random(keyed_seed(self.world_seed, b"workload"))
         correct = [p for p in range(cfg.n) if p not in self.faulty]
         flist = sorted(self.faulty)
         for i in range(cfg.messages):
@@ -349,7 +325,7 @@ class SimWorld:
         key = (src, dst)
         rng = self._chan_rng.get(key)
         if rng is None:
-            rng = _stream(self.world_seed, b"chan", src, dst)
+            rng = random.Random(keyed_seed(self.world_seed, b"chan", src, dst))
             self._chan_rng[key] = rng
         cfg = self.config
         latency = rng.randint(cfg.latency_lo, cfg.latency_hi)
@@ -392,8 +368,8 @@ class SimWorld:
                 self.alerts_raised += 1
                 self._log(now, "alert", pid, None, None, ALERT, ev.subject,
                           ev.digest_a, f"accused={ev.subject.sender}")
-                alert = WireMessage(_PROTO_TAG[self.config.protocol], ALERT,
-                                    ev.subject, evidence=ev)
+                alert = WireMessage(PROTO_TAG[self.kind], ALERT, ev.subject,
+                                    evidence=ev)
                 for dst in range(self.config.n):
                     if dst != pid:
                         self._fast_send(pid, dst, alert, now)
@@ -464,9 +440,8 @@ class SimWorld:
                 eng = self.engines[sender]
                 actions = eng.wan_multicast(payload)
                 mid = MessageId(sender, eng.own_seq)
-                self._log(time, "mcast", sender, None,
-                          _PROTO_TAG[self.config.protocol], "mcast", mid,
-                          eng.pending[mid].digest, None)
+                self._log(time, "mcast", sender, None, PROTO_TAG[self.kind],
+                          "mcast", mid, eng.pending[mid].digest, None)
                 self._apply(sender, actions, time)
 
         elif kind == EV_ORACLE:
@@ -476,8 +451,8 @@ class SimWorld:
         if self.adversary is None or not self.adversary.mcast_log:
             return
         for mid, dig in self.adversary.mcast_log:
-            self._log(time, "mcast", mid.sender, None,
-                      _PROTO_TAG[self.config.protocol], "mcast", mid, dig, "adv")
+            self._log(time, "mcast", mid.sender, None, PROTO_TAG[self.kind],
+                      "mcast", mid, dig, "adv")
         self.adversary.mcast_log.clear()
 
     def stability_oracle_tick(self, item: tuple):
@@ -485,7 +460,7 @@ class SimWorld:
         per-delivery wake-ups, so a quiesced world schedules nothing new."""
         _, deliverer, mid = item
         now = self.clock
-        msg = WireMessage(_PROTO_TAG[self.config.protocol], SM_NOTIFY, mid)
+        msg = WireMessage(PROTO_TAG[self.kind], SM_NOTIFY, mid)
         for p in range(self.config.n):
             if p == deliverer or p in self.faulty:
                 continue

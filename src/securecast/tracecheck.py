@@ -6,9 +6,9 @@ A trace is line-delimited, one event per line, nine space-separated fields:
 
 with "-" for absent fields.  Subjects are "sender:seq", digests are the
 first four bytes in hex.  The first line is a meta record carrying the run
-parameters (including the witness seed, so the checker can recompute the
-3t+1 witness ranges independently); the last line marks the end of the run
-and whether it quiesced.
+parameters (including kappa, the slack and the witness seed, so the checker
+can recompute the witness sets independently); the last line marks the end
+of the run and whether it quiesced.
 
 Checks performed:
 
@@ -17,8 +17,12 @@ Checks performed:
 * Agreement (E and 3T runs): all correct deliveries of one id carry the
   same digest.  ACT runs only count conflicts; they are reported, not
   failed.
-* Witness rule (3T runs): every delivery's ack set holds at least 2t+1
-  signers inside the recomputed witness range for its id.
+* Witness rule: every delivery's signer list meets the protocol's delivery
+  rule for its id (quorum.ack_rules): q signers for E; 2t+1 inside the
+  3t+1 witness range for 3T; for ACT max(|W_active| - C, 1) inside the
+  active witness set, else the 3T rule.  The trace does not record which
+  wire tag each ack carried, so every signer counts toward every
+  alternative.
 * No conflicting acks: no correct process signs acks for two different
   digests of one id.
 * SM integrity: every stability notification matches an earlier delivery
@@ -31,8 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import MessageId
-from .quorum import QuorumParams, w3t
+from .core import PROTO_TAG, MessageId
+from .quorum import QuorumParams, accepts, ack_rules
+# Bound here only so the benchmark tracer (bench/tracer.py) can patch it.
+from .quorum import w3t  # noqa: F401
 
 
 class TraceParseError(Exception):
@@ -118,13 +124,20 @@ def check_trace(text: str) -> CheckResult:
     records = parse_trace(text)
     meta = _parse_note(records[0].note)
     proto = records[0].proto  # E / 3T / AV
-    n = int(meta["n"])
-    t = int(meta["t"])
-    witness_seed = int(meta["witness_seed"])
-    faulty = (set() if meta.get("faulty", "none") == "none"
-              else {int(x) for x in meta["faulty"].split(":")})
+    kinds = {tag: k for k, tag in PROTO_TAG.items()}
+    try:
+        kind = kinds[proto]
+        n = int(meta["n"])
+        t = int(meta["t"])
+        kappa = int(meta["kappa"])
+        slack = int(meta["slack"])
+        witness_seed = int(meta["witness_seed"])
+        faulty = (set() if meta.get("faulty", "none") == "none"
+                  else {int(x) for x in meta["faulty"].split(":")})
+        params = QuorumParams(n, t)
+    except (KeyError, ValueError) as exc:
+        raise TraceParseError(f"line 1: bad meta record: {exc!r}") from exc
     correct = set(range(n)) - faulty
-    params = QuorumParams(n, t)
 
     result = CheckResult()
     bad = result.violations.append
@@ -169,16 +182,15 @@ def check_trace(text: str) -> CheckResult:
                         "Integrity", r.lineno,
                         f"delivery of {r.subject} does not match any "
                         f"multicast by correct sender {r.subject.sender}"))
-            if proto == "3T":
-                signers = _parse_note(r.note).get("signers")
-                members = w3t(r.subject, params, witness_seed).members
-                inside = ({int(s) for s in signers.split(":")} & members
-                          if signers else set())
-                if len(inside) < 2 * t + 1:
-                    bad(Violation(
-                        "WitnessRule", r.lineno,
-                        f"delivery of {r.subject} backed by "
-                        f"{len(inside)} in-range signers, need {2 * t + 1}"))
+            note = _parse_note(r.note).get("signers")
+            signers = {int(s) for s in note.split(":")} if note else set()
+            rules = ack_rules(kind, r.subject, params, witness_seed, kappa,
+                              slack)
+            if not accepts(rules, lambda tag: signers):
+                bad(Violation(
+                    "WitnessRule", r.lineno,
+                    f"delivery of {r.subject} backed by {len(signers)} "
+                    f"signers, which meet no {proto} ack rule"))
 
         elif r.kind == "send" and r.role == "sm_notify" and r.subject is not None:
             if r.src in correct and (r.src, r.subject) not in delivered:

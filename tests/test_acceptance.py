@@ -113,7 +113,7 @@ def test_c04_faulty_witness_set_frequency():
     hits = 0
     for i in range(trials):
         mid = MessageId(senders[i % len(senders)], i // len(senders) + 1)
-        if w_active(mid, kappa, params, seed).members <= faulty:
+        if w_active(mid, kappa, params, seed) <= faulty:
             hits += 1
     rate = hits / trials
     expect = (t / n) ** kappa
@@ -127,7 +127,7 @@ def test_c05_probe_miss_calibration():
     t, delta = 10, 5
     n = 3 * t + 1
     params = QuorumParams(n, t)
-    members = w3t(MessageId(0, 1), params, seed=5).members
+    members = w3t(MessageId(0, 1), params, seed=5)
     me = sorted(members)[0]
     pool = sorted(m for m in members if m != me)
     correct_s = frozenset(pool[:t + 1])  # the correct recovery-set members
@@ -177,8 +177,7 @@ def _load_run(protocol, messages, num_faulty=0, **kw):
     world = build_world(cfg)
     report = world.run_to_quiescence()
     assert report.quiescent
-    return measured_load(report, AnalysisParams(100, 10, kw.get("kappa", 0),
-                                                kw.get("delta", 0)))
+    return measured_load(report)
 
 
 def test_c07_load_convergence():

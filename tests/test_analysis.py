@@ -7,7 +7,8 @@ import pytest
 from securecast.analysis import (AnalysisParams, binomial_ci, bound_report,
                                  failure_free_load, failure_load_bound,
                                  overall_conflict_bound, p_faulty_active_set,
-                                 p_kappa_c, probe_miss_exact,
+                                 p_faulty_meet_active, p_kappa_c,
+                                 probe_miss_exact,
                                  probe_miss_probability,
                                  solve_min_cost_params)
 from securecast.quorum import InvalidParamsError
@@ -70,6 +71,26 @@ def test_overall_conflict_bound_examples():
     spec = overall_conflict_bound(AnalysisParams(100, 10, 3, 5)).specific
     assert spec == pytest.approx(0.001 + 0.999 * (20 / 31) ** 5)
     assert spec == pytest.approx(0.112662, abs=1e-6)
+    # With slack C the all-faulty term is P[|W_active ∩ F| >=
+    # max(|W_active| - C, 1)]; at C=1 it exceeds the binomial tail
+    # P[>= 2 of 3 faulty draws] = 0.245 because repeats shrink W_active.
+    for c, pf, bound in ((0, (10 / 31) ** 3, 0.141589),
+                         (1, 0.266188, 0.348209), (2, 0.689134, 0.723881)):
+        assert p_faulty_meet_active(31, 10 / 31, 3, c) == \
+            pytest.approx(pf, abs=1e-6)
+        assert overall_conflict_bound(
+            AnalysisParams(31, 10, 3, 5, c)).specific == \
+            pytest.approx(bound, abs=1e-6)
+    # Exhaustive oracle over every ordered draw of k witnesses.
+    n, t = 7, 2
+    for k in range(1, 5):
+        for c in range(k + 1):
+            hits = 0
+            for draw in itertools.product(range(n), repeat=k):
+                w = set(draw)
+                hits += len(w & set(range(t))) >= max(len(w) - c, 1)
+            assert p_faulty_meet_active(n, t / n, k, c) == \
+                pytest.approx(hits / n ** k, abs=1e-12), (k, c)
 
 
 def test_conflict_bound_monotone_in_kappa_and_delta():

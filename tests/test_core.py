@@ -5,7 +5,7 @@ import pytest
 from securecast.core import (ADVERSARY, PROTO_3T, PROTO_AV, PROTO_E,
                              ForgeryAttemptError, KeyChain, MessageId,
                              MulticastMessage, ack_sig_data, ack_valid,
-                             build_ack, conflicts, digest, message_digest,
+                             build_ack, digest, message_digest,
                              sender_sig_data, valid_signers)
 
 
@@ -79,30 +79,6 @@ def test_sign_log_attributes_every_call():
     for signer, caller in kc.sign_log:
         if signer not in kc.faulty:
             assert caller == signer
-
-
-def test_conflicts_symmetric_irreflexive():
-    kc = make_keychain()
-    mid = MessageId(1, 7)
-    other = MessageId(1, 8)
-    a = build_ack(kc, PROTO_E, 0, mid, digest(b"a"))
-    a2 = build_ack(kc, PROTO_E, 2, mid, digest(b"a"))
-    b = build_ack(kc, PROTO_E, 3, mid, digest(b"b"))
-    c = build_ack(kc, PROTO_E, 3, other, digest(b"b"))
-    assert not conflicts(a, a)
-    assert not conflicts(a, a2)       # same digest
-    assert conflicts(a, b) and conflicts(b, a)
-    assert not conflicts(a, c)        # different subject
-
-    rng = random.Random(0)
-    acks = [build_ack(kc, PROTO_E, rng.randrange(5),
-                      MessageId(rng.randrange(3), rng.randint(1, 3)),
-                      digest(bytes([rng.randrange(4)])))
-            for _ in range(40)]
-    for x in acks:
-        assert not conflicts(x, x)
-        for y in acks:
-            assert conflicts(x, y) == conflicts(y, x)
 
 
 def test_ack_valid_checks_embedded_sender_sig():

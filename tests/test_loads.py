@@ -12,8 +12,7 @@ def run_load(protocol, messages, **kw):
     world = build_world(cfg)
     report = world.run_to_quiescence()
     assert report.quiescent
-    return measured_load(report, AnalysisParams(100, 10, kw.get("kappa", 0),
-                                                kw.get("delta", 0)))
+    return measured_load(report)
 
 
 def band(p, messages):

@@ -7,8 +7,8 @@ from securecast.core import (PROTO_3T, PROTO_AV, PROTO_E, KeyChain, MessageId,
                              message_digest, sender_sig_data)
 from securecast.protocols import (ACK, DELIVER, INFORM, REGULAR, VERIFY,
                                   Broadcast, Deliver, EvidencePair,
-                                  RaiseAlert, Send, SequenceGapError,
-                                  SetTimer, WireMessage, init_process)
+                                  ProcessEngine, RaiseAlert, Send, SetTimer,
+                                  WireMessage)
 from securecast.quorum import (InvalidParamsError, QuorumParams, w3t,
                                w_active)
 
@@ -18,8 +18,8 @@ SEED = 11
 def make_engine(me=0, kind=ProtocolKind.E, n=4, t=1, kappa=0, delta=0,
                 keychain=None, **kw):
     kc = keychain or KeyChain(n, b"unit", faulty=frozenset())
-    return init_process(me, kind, QuorumParams(n, t), kc, SEED,
-                        random.Random(me), kappa=kappa, delta=delta, **kw)
+    return ProcessEngine(me, kind, QuorumParams(n, t), kc, SEED,
+                         random.Random(me), kappa=kappa, delta=delta, **kw)
 
 
 def sends(actions):
@@ -71,7 +71,7 @@ def test_3t_multicast_contacts_2t_plus_1_then_expands():
     eng = make_engine(kind=ProtocolKind.THREE_T, n=31, t=10)
     actions = eng.wan_multicast(b"m")
     mid = MessageId(0, 1)
-    members = w3t(mid, eng.params, SEED).members
+    members = w3t(mid, eng.params, SEED)
     first = {a.to for a in sends(actions)}
     assert len(first) == 21 and first <= members
     assert len(timers(actions)) == 1
@@ -84,19 +84,11 @@ def test_act_multicast_contacts_active_set_with_signature():
     eng = make_engine(kind=ProtocolKind.ACT, n=13, t=4, kappa=3, delta=3)
     actions = eng.wan_multicast(b"m")
     mid = MessageId(0, 1)
-    wa = w_active(mid, 3, eng.params, SEED).members
+    wa = w_active(mid, 3, eng.params, SEED)
     assert {a.to for a in sends(actions)} == wa
     assert all(a.msg.sender_sig is not None for a in sends(actions))
     assert timers(actions) == [SetTimer(("recovery", mid),
                                         eng.timeouts.act_active)]
-
-
-def test_multicast_sequence_gap_rejected():
-    eng = make_engine()
-    eng.wan_multicast(b"a")
-    with pytest.raises(SequenceGapError):
-        eng.wan_multicast(b"b", seq=3)
-    eng.wan_multicast(b"b", seq=2)
 
 
 # -- regulars and acks ---------------------------------------------------------
@@ -153,7 +145,7 @@ def test_act_regular_probes_delta_peers():
     out = witness.handle(1, reg, now=1)
     informs = [a for a in sends(out) if a.msg.role == INFORM]
     assert len(informs) == 5
-    members = w3t(mid, witness.params, SEED).members
+    members = w3t(mid, witness.params, SEED)
     assert all(a.to in members and a.to != 2 for a in informs)
     # No ack yet: all verifications outstanding.
     assert not any(a.msg.role == ACK for a in sends(out))
@@ -269,7 +261,7 @@ def test_ack_outside_3t_range_ignored():
     sender.wan_multicast(b"m")
     mid = MessageId(0, 1)
     dig = sender.pending[mid].digest
-    members = w3t(mid, sender.params, SEED).members
+    members = w3t(mid, sender.params, SEED)
     outsider = next(p for p in range(100) if p not in members)
     ack = build_ack(kc, PROTO_3T, outsider, mid, dig)
     sender.handle(outsider, WireMessage(PROTO_3T, ACK, mid, digest=dig,
@@ -298,7 +290,7 @@ def test_act_ack_threshold_is_whole_active_set():
     sender.wan_multicast(b"m")
     mid = MessageId(0, 1)
     pend = sender.pending[mid]
-    wa = sorted(w_active(mid, 3, sender.params, SEED).members)
+    wa = sorted(w_active(mid, 3, sender.params, SEED))
     out = []
     for w in wa:
         ack = build_ack(kc, PROTO_AV, w, mid, pend.digest, pend.sender_sig)
@@ -317,14 +309,14 @@ def test_recovery_timeout_falls_back_to_3t():
     sender.wan_multicast(b"m")
     mid = MessageId(0, 1)
     pend = sender.pending[mid]
-    wa = sorted(pend.range_members)
+    wa = sorted(pend.rule.members)
     for w in wa[:2]:  # 2 of 3 acks only
         ack = build_ack(kc, PROTO_AV, w, mid, pend.digest, pend.sender_sig)
         sender.handle(w, WireMessage(PROTO_AV, ACK, mid, digest=pend.digest,
                                      ack=ack), now=1)
     out = sender.on_timer(("recovery", mid), now=50)
     targets = {a.to for a in sends(out)}
-    assert targets == w3t(mid, sender.params, SEED).members
+    assert targets == w3t(mid, sender.params, SEED)
     assert len(targets) == 31
     assert pend.regime == "recovery" and pend.acks == {}
     assert all(a.msg.proto == PROTO_3T for a in sends(out))
@@ -337,7 +329,7 @@ def test_recovery_timeout_noop_after_completion():
     sender.wan_multicast(b"m")
     mid = MessageId(0, 1)
     pend = sender.pending[mid]
-    for w in sorted(pend.range_members):
+    for w in sorted(pend.rule.members):
         ack = build_ack(kc, PROTO_AV, w, mid, pend.digest, pend.sender_sig)
         sender.handle(w, WireMessage(PROTO_AV, ACK, mid, digest=pend.digest,
                                      ack=ack), now=1)
@@ -359,7 +351,7 @@ def test_recovery_regime_accepts_3t_acks():
     pend = sender.pending[mid]
     sender.on_timer(("recovery", mid), now=50)
     out = []
-    for w in sorted(pend.range_members)[:21]:
+    for w in sorted(pend.rule.members)[:21]:
         ack = build_ack(kc, PROTO_3T, w, mid, pend.digest)
         out = sender.handle(w, WireMessage(PROTO_3T, ACK, mid,
                                            digest=pend.digest, ack=ack), now=51)
@@ -398,7 +390,7 @@ def build_valid_deliver(kc, sender_eng, payload=b"m"):
     sender_eng.wan_multicast(payload)
     mid = MessageId(sender_eng.me, sender_eng.own_seq)
     pend = sender_eng.pending[mid]
-    signers = range(sender_eng.q) if sender_eng.kind is ProtocolKind.E else []
+    signers = range(pend.rule.count) if sender_eng.kind is ProtocolKind.E else []
     acks = tuple(build_ack(kc, PROTO_E, s, mid, pend.digest) for s in signers)
     return WireMessage(PROTO_E, DELIVER, mid, digest=pend.digest,
                        body=pend.message, acks=acks)
@@ -522,7 +514,7 @@ def test_delivered_message_counts_as_received_for_conflicts():
     mid = MessageId(0, 1)
     pend = sender.pending[mid]
     acks = tuple(build_ack(kc, PROTO_AV, w, mid, pend.digest, pend.sender_sig)
-                 for w in sorted(pend.range_members))
+                 for w in sorted(pend.rule.members))
     deliver = WireMessage(PROTO_AV, DELIVER, mid, digest=pend.digest,
                           body=pend.message, acks=acks)
     out = receiver.handle(0, deliver, now=3)
@@ -540,9 +532,9 @@ def test_act_slack_accepts_short_active_set():
     sender.wan_multicast(b"m")
     mid = MessageId(0, 1)
     pend = sender.pending[mid]
-    assert pend.required_count == len(pend.range_members) - 1
+    assert pend.rule.count == len(pend.rule.members) - 1
     out = []
-    for w in sorted(pend.range_members)[:pend.required_count]:
+    for w in sorted(pend.rule.members)[:pend.rule.count]:
         ack = build_ack(kc, PROTO_AV, w, mid, pend.digest, pend.sender_sig)
         out = sender.handle(w, WireMessage(PROTO_AV, ACK, mid,
                                            digest=pend.digest, ack=ack), now=1)

@@ -82,10 +82,10 @@ def test_w3t_deterministic_and_shaped():
     mid = MessageId(5, 17)
     a = w3t(mid, p, seed=123)
     b = w3t(mid, p, seed=123)
-    assert a.members == b.members
+    assert a == b
     assert len(a) == 31
-    assert all(0 <= m < 100 for m in a.members)
-    assert w3t(mid, p, seed=124).members != a.members
+    assert all(0 <= m < 100 for m in a)
+    assert w3t(mid, p, seed=124) != a
 
 
 def test_w3t_spreads_uniformly():
@@ -93,7 +93,7 @@ def test_w3t_spreads_uniformly():
     counts = [0] * 100
     trials = 20000
     for i in range(trials):
-        for m in w3t(MessageId(i % 40, i), p, seed=9).members:
+        for m in w3t(MessageId(i % 40, i), p, seed=9):
             counts[m] += 1
     expect = trials * 31 / 100
     for c in counts:
@@ -103,7 +103,7 @@ def test_w3t_spreads_uniformly():
 def test_w_active_deterministic():
     p = QuorumParams(100, 10)
     mid = MessageId(3, 9)
-    assert w_active(mid, 3, p, seed=5).members == w_active(mid, 3, p, seed=5).members
+    assert w_active(mid, 3, p, seed=5) == w_active(mid, 3, p, seed=5)
     assert 1 <= len(w_active(mid, 3, p, seed=5)) <= 3
 
 
@@ -114,7 +114,8 @@ def test_w_active_all_faulty_fraction_matches_independent_model():
     trials = 100_000
     hits = sum(
         1 for i in range(trials)
-        if w_active(MessageId(i % 90 + 10, i // 90 + 1), 3, p, seed=77).members <= faulty)
+        if w_active(MessageId(i % 90 + 10, i // 90 + 1), 3, p,
+                    seed=77) <= faulty)
     rate = hits / trials
     expect = 0.001
     sigma = (expect * (1 - expect) / trials) ** 0.5
@@ -127,7 +128,7 @@ def test_w_active_membership_uniformity_chi_square():
     counts = [0] * 50
     trials = 100_000
     for i in range(trials):
-        for m in w_active(MessageId(i % 7, i), 4, p, seed=31).members:
+        for m in w_active(MessageId(i % 7, i), 4, p, seed=31):
             counts[m] += 1
     total = sum(counts)
     _, pvalue = stats.chisquare(counts, f_exp=[total / 50] * 50)
@@ -136,7 +137,7 @@ def test_w_active_membership_uniformity_chi_square():
 
 def test_sample_peers_excludes_self_and_is_distinct():
     p = QuorumParams(31, 10)
-    members = w3t(MessageId(0, 1), p, seed=1).members
+    members = w3t(MessageId(0, 1), p, seed=1)
     me = sorted(members)[0]
     rng = random.Random(0)
     peers = sample_peers(rng, members, me, 5)
@@ -147,13 +148,13 @@ def test_sample_peers_excludes_self_and_is_distinct():
 
 def test_sample_peers_rejects_oversized_delta():
     p = QuorumParams(7, 2)
-    members = w3t(MessageId(0, 1), p, seed=1).members
+    members = w3t(MessageId(0, 1), p, seed=1)
     with pytest.raises(InvalidParamsError):
         sample_peers(random.Random(0), members, sorted(members)[0], 7)
 
 
 def test_sample_witness_subset():
     p = QuorumParams(31, 10)
-    members = w3t(MessageId(1, 1), p, seed=1).members
+    members = w3t(MessageId(1, 1), p, seed=1)
     sub = sample_witness_subset(random.Random(3), members, 21)
     assert len(set(sub)) == 21 and set(sub) <= members

@@ -26,6 +26,19 @@ def test_config_rejects_act_capacity_violation():
 def test_config_rejects_small_n_for_t():
     with pytest.raises(ConfigError):
         build_world(SimConfig(protocol="3t", n=3, t=1))
+    # An explicit faulty set must respect the same threshold and the ids.
+    with pytest.raises(ConfigError) as err:
+        build_world(SimConfig(protocol="e", n=7, t=2, adversary="silent",
+                              faulty_set=(0, 1, 2)))
+    assert err.value.field == "num_faulty"
+    with pytest.raises(ConfigError) as err:
+        build_world(SimConfig(protocol="e", n=7, t=2, adversary="silent",
+                              faulty_set=(0, 99)))
+    assert err.value.field == "faulty_set"
+    world = build_world(SimConfig(protocol="e", n=7, t=2, adversary="silent",
+                                  faulty_set=(0, 1)))
+    assert world.faulty == {0, 1}
+    assert world.run_to_quiescence().quiescent
 
 
 def test_identical_config_identical_trace():

@@ -49,18 +49,26 @@ def test_foreign_delivery_flags_integrity():
 
 
 def test_thinned_ackset_flags_witness_rule():
-    text = trace_of(protocol="3t", n=31, t=10, messages=1, seed=2)
-    lines = text.splitlines()
-    out = []
-    for l in lines:
-        parts = l.split(" ", 8)
-        if parts[1] == "appdlv" and parts[8].startswith("signers="):
-            signers = parts[8][len("signers="):].split(":")
-            parts[8] = "signers=" + ":".join(signers[:5])
-            l = " ".join(parts)
-        out.append(l)
-    result = check_trace("\n".join(out) + "\n")
-    assert any(v.prop == "WitnessRule" for v in result.violations)
+    for cfg, keep in (
+            (dict(protocol="3t", n=31, t=10, seed=2), 5),
+            (dict(protocol="e", n=4, t=1, seed=0), 2),        # q = 3
+            # kappa=2 with C=1: the engines deliver on one active witness's
+            # ack, which the checker must accept from the meta slack.
+            (dict(protocol="act", n=13, t=4, kappa=2, delta=3, slack_c=1,
+                  seed=4), 0),
+            (dict(protocol="act", n=31, t=10, kappa=3, delta=5, seed=2), 0)):
+        text = trace_of(messages=1, **cfg)
+        assert check_trace(text).ok, cfg
+        out = []
+        for l in text.splitlines():
+            parts = l.split(" ", 8)
+            if parts[1] == "appdlv" and parts[8].startswith("signers="):
+                signers = parts[8][len("signers="):].split(":")
+                parts[8] = "signers=" + ":".join(signers[:keep])
+                l = " ".join(parts)
+            out.append(l)
+        result = check_trace("\n".join(out) + "\n")
+        assert any(v.prop == "WitnessRule" for v in result.violations), cfg
 
 
 def test_conflicting_ack_by_correct_process_flagged():
@@ -104,7 +112,7 @@ def test_act_conflict_counted_but_not_fatal():
                     adversary="none", messages=1, seed=3, senders="faulty")
     probe = build_world(cfg)
     mid = MessageId(1, 1)
-    wa = w_active(mid, 3, probe.params, probe.witness_seed).members
+    wa = w_active(mid, 3, probe.params, probe.witness_seed)
     cfg = SimConfig(protocol="act", n=31, t=10, kappa=3, delta=5,
                     adversary="collusive", messages=1, seed=3,
                     faulty_set=tuple(sorted(set(wa) | {1})), senders="faulty")
@@ -123,3 +131,5 @@ def test_parse_errors():
         parse_trace("0 send 1 2 E regular 0:1 abcd\n")  # eight fields
     with pytest.raises(TraceParseError):
         check_trace("1 send 1 2 E regular 0:1 abcd -\n")  # no meta record
+    with pytest.raises(TraceParseError):  # meta record without kappa
+        check_trace("0 meta - - E meta - - n=4;t=1;slack=0;witness_seed=1\n")
