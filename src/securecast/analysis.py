@@ -256,24 +256,24 @@ def measured_load(report) -> float:
     return busiest / msgs
 
 
-def solve_min_cost_params(n: int, t: int, epsilon: float,
+def solve_min_cost_params(n: int, t: int, epsilon: float, slack_c: int = 0,
                           max_kappa: int = 16, max_delta: int = 64
                           ) -> Optional[tuple[int, int]]:
-    """Smallest-overhead (kappa, delta) whose specific conflict bound meets
-    epsilon, minimizing the failure-free load kappa*(delta+1).
+    """Smallest-overhead (kappa, delta) whose specific conflict bound at
+    slack C meets epsilon, minimizing the failure-free load kappa*(delta+1).
 
     Feasibility requires n - t >= kappa * delta so that witnesses and peers
-    can be disjoint from the faulty set.
+    can be disjoint from the faulty set, and kappa >= C.
     """
     best = None
     best_cost = None
-    for k in range(1, max_kappa + 1):
+    for k in range(max(1, slack_c), max_kappa + 1):
         if k > n:
             break
         for d in range(1, min(max_delta, 3 * t) + 1):
             if n - t < k * d:
                 break
-            p = AnalysisParams(n, t, k, d)
+            p = AnalysisParams(n, t, k, d, slack_c)
             if overall_conflict_bound(p).specific <= epsilon:
                 cost = k * (d + 1)
                 if best_cost is None or cost < best_cost or \

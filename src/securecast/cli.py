@@ -135,14 +135,15 @@ def cmd_analyze(args) -> int:
     print(",".join(BoundReport.CSV_COLUMNS))
     print(",".join(rep.csv_row()))
     if args.epsilon is not None:
-        found = solve_min_cost_params(args.n, args.t, args.epsilon)
+        found = solve_min_cost_params(args.n, args.t, args.epsilon,
+                                      params.slack_c)
         if found is None:
             print(f"epsilon={format_number(args.epsilon)}: no feasible "
                   f"(kappa, delta)", file=sys.stderr)
             return EXIT_CONFIG
         k, d = found
         achieved = overall_conflict_bound(
-            AnalysisParams(args.n, args.t, k, d)).specific
+            AnalysisParams(args.n, args.t, k, d, params.slack_c)).specific
         print(f"epsilon,{format_number(args.epsilon)},kappa,{k},delta,{d},"
               f"bound,{format_number(achieved)}")
     return EXIT_OK

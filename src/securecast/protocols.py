@@ -70,6 +70,9 @@ class WireMessage:
     ack: Optional[Ack] = None
     sender_sig: Optional[Signature] = None
     evidence: Optional[EvidencePair] = None
+    # sm_notify only, whose subject is None: the (deliverer, id) pairs that
+    # matured at one tick
+    stable: Optional[tuple[tuple[int, MessageId], ...]] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -432,7 +435,8 @@ class ProcessEngine:
         return []
 
     def on_sm_notify(self, src: int, msg: WireMessage, now: int) -> list[Action]:
-        self.stability.add((src, msg.subject))
+        me = self.me
+        self.stability.update(pair for pair in msg.stable if pair[0] != me)
         return []
 
     # -- timers -----------------------------------------------------------

@@ -9,10 +9,15 @@ out-of-band plane with a hard latency bound and no loss; the recovery ack
 delay is validated against that bound, which is the race the ACT protocol
 relies on.
 
-The stability mechanism is a trusted oracle: each application-level
-delivery schedules a wake-up after a configurable lag, at which point every
-other correct process is notified.  Only real deliveries generate
-notifications.
+The stability mechanism is a trusted oracle.  A correct process's
+delivery matures stability_lag ticks after it happens; deliveries maturing
+at the same tick are batched, and only the first of a batch schedules a
+wake-up.  At that wake-up the oracle writes one "stable" trace record per
+matured delivery and sends every correct process one sm_notify carrying the
+whole batch, each after its own latency in [latency_lo, latency_hi].  So
+every correct process learns of every correct delivery between 1 and
+latency_hi ticks after it matures, at a cost of one event per receiver per
+maturity tick.  Only real deliveries are ever reported.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Optional
 
 from .adversary import Adversary, AdversaryContext
 from .core import (PROTO_TAG, KeyChain, MessageId, ProtocolKind, _enc, _u64,
-                   keyed_seed, message_digest)
+                   keyed_seed, message_digest, valid_signers)
 from .protocols import (ALERT, INFORM, REGULAR, SM_NOTIFY, Broadcast,
                         Deliver, ProcessEngine, RaiseAlert, Send, SetTimer,
                         Timeouts, WireMessage)
@@ -248,7 +253,8 @@ class SimWorld:
         self.alerts_raised = 0
         self.access_counts: dict[int, dict[str, int]] = {}
         self.messages_multicast = 0
-        self._notified: set[tuple[int, int, MessageId]] = set()
+        # maturity tick -> the (deliverer, id) pairs the oracle reports then
+        self._maturing: dict[int, list[tuple[int, MessageId]]] = {}
 
         self._schedule_workload()
         self._log(0, "meta", None, None, PROTO_TAG[self.kind], "meta",
@@ -386,12 +392,30 @@ class SimWorld:
             eng = self.engines[pid]
             rec = eng.delivered_record.get(mid) if eng else None
             if rec is not None and rec.acks:
-                note = "signers=" + ":".join(
-                    str(s) for s in sorted({a.signer for a in rec.acks}))
+                note = self._signers_note(rec.acks, mid, dig)
         self._log(now, "appdlv", pid, None, None, "deliver", mid, dig, note)
         if self.config.stability and self.config.reforward_timeout is not None \
                 and pid not in self.faulty:
-            self._push(now + self.config.stability_lag, (EV_ORACLE, pid, mid))
+            tick = now + self.config.stability_lag
+            batch = self._maturing.get(tick)
+            if batch is None:
+                batch = self._maturing[tick] = []
+                # no process; the tick is the key of the batch
+                self._push(tick, (EV_ORACLE, None, tick))
+            batch.append((pid, mid))
+
+    def _signers_note(self, acks: tuple, mid: MessageId, dig: bytes
+                      ) -> Optional[str]:
+        """The valid signers of a delivered ack set, one field per wire tag
+        (signers.AV=...;signers.3T=...).  The engine validated the same
+        tuple on delivery, so valid_signers answers from its memo."""
+        fields = []
+        for tag in sorted({a.proto for a in acks}):
+            signers = valid_signers(acks, tag, mid, dig, self.keychain)
+            if signers:
+                fields.append(f"signers.{tag}=" + ":".join(
+                    str(s) for s in sorted(signers)))
+        return ";".join(fields) or None
 
     # -- dispatch -------------------------------------------------------------
 
@@ -456,22 +480,25 @@ class SimWorld:
         self.adversary.mcast_log.clear()
 
     def stability_oracle_tick(self, item: tuple):
-        """Notify every correct process of one matured delivery.  Driven by
-        per-delivery wake-ups, so a quiesced world schedules nothing new."""
-        _, deliverer, mid = item
-        now = self.clock
-        msg = WireMessage(PROTO_TAG[self.kind], SM_NOTIFY, mid)
+        """Report the deliveries that mature now: one stable record each,
+        then one sm_notify with the whole batch to every correct process.
+        Driven by delivery wake-ups, so a quiesced world schedules nothing
+        new."""
+        _, _, tick = item
+        batch = tuple(self._maturing.pop(tick))
+        proto = PROTO_TAG[self.kind]
+        for deliverer, mid in batch:
+            self._log(tick, "stable", deliverer, None, proto, SM_NOTIFY, mid,
+                      None, None)
+        msg = WireMessage(proto, SM_NOTIFY, None, stable=batch)
+        lo, hi = self.config.latency_lo, self.config.latency_hi
         for p in range(self.config.n):
-            if p == deliverer or p in self.faulty:
+            if p in self.faulty:
                 continue
-            if (p, deliverer, mid) in self._notified:
-                continue
-            self._notified.add((p, deliverer, mid))
-            arrival = now + self._oracle_rng.randint(
-                self.config.latency_lo, self.config.latency_hi)
-            self._log(now, "send", deliverer, p, msg.proto, SM_NOTIFY, mid,
-                      None, "oracle")
-            self._push(arrival, (EV_MSG, p, deliverer, msg, "oracle"))
+            arrival = tick + self._oracle_rng.randint(lo, hi)
+            self._log(tick, "send", None, p, proto, SM_NOTIFY, None, None,
+                      "oracle")
+            self._push(arrival, (EV_MSG, p, None, msg, "oracle"))
 
     # -- top level -------------------------------------------------------------
 

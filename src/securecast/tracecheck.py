@@ -17,16 +17,17 @@ Checks performed:
 * Agreement (E and 3T runs): all correct deliveries of one id carry the
   same digest.  ACT runs only count conflicts; they are reported, not
   failed.
-* Witness rule: every delivery's signer list meets the protocol's delivery
-  rule for its id (quorum.ack_rules): q signers for E; 2t+1 inside the
-  3t+1 witness range for 3T; for ACT max(|W_active| - C, 1) inside the
-  active witness set, else the 3T rule.  The trace does not record which
-  wire tag each ack carried, so every signer counts toward every
-  alternative.
+* Witness rule: every delivery's signers meet the protocol's delivery rule
+  for its id (quorum.ack_rules): q signers for E; 2t+1 inside the 3t+1
+  witness range for 3T; for ACT max(|W_active| - C, 1) inside the active
+  witness set, else the 3T rule.  A delivery record lists the valid
+  signers of each wire tag separately (signers.AV=...;signers.3T=...), and
+  each alternative counts only the signers of its own tag.
 * No conflicting acks: no correct process signs acks for two different
   digests of one id.
-* SM integrity: every stability notification matches an earlier delivery
-  by the claimed process.
+* SM integrity: every "stable" record, the stability oracle's report that
+  a delivery has matured, matches an earlier delivery by the process it
+  names.
 * Self-delivery and Reliability: only asserted for quiescent runs.
 """
 
@@ -182,22 +183,26 @@ def check_trace(text: str) -> CheckResult:
                         "Integrity", r.lineno,
                         f"delivery of {r.subject} does not match any "
                         f"multicast by correct sender {r.subject.sender}"))
-            note = _parse_note(r.note).get("signers")
-            signers = {int(s) for s in note.split(":")} if note else set()
+            signers = {tag[len("signers."):]: {int(s) for s in v.split(":")}
+                       for tag, v in _parse_note(r.note).items()
+                       if tag.startswith("signers.") and v}
             rules = ack_rules(kind, r.subject, params, witness_seed, kappa,
                               slack)
-            if not accepts(rules, lambda tag: signers):
+            if not accepts(rules, lambda tag: signers.get(tag, ())):
+                counts = ", ".join(f"{len(v)} {tag}"
+                                   for tag, v in sorted(signers.items()))
                 bad(Violation(
                     "WitnessRule", r.lineno,
-                    f"delivery of {r.subject} backed by {len(signers)} "
-                    f"signers, which meet no {proto} ack rule"))
+                    f"delivery of {r.subject} backed by "
+                    f"{counts or 'no'} signers, which meet no {proto} "
+                    f"ack rule"))
 
-        elif r.kind == "send" and r.role == "sm_notify" and r.subject is not None:
-            if r.src in correct and (r.src, r.subject) not in delivered:
+        elif r.kind == "stable" and r.subject is not None:
+            if (r.src, r.subject) not in delivered:
                 bad(Violation(
                     "SMIntegrity", r.lineno,
-                    f"notification claims {r.src} delivered {r.subject} "
-                    f"without a matching delivery"))
+                    f"stability record claims {r.src} delivered "
+                    f"{r.subject} without a matching delivery"))
 
         elif r.kind == "end":
             result.quiescent = _parse_note(r.note).get("quiescent") == "true"

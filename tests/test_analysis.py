@@ -191,6 +191,24 @@ def test_solver_meets_epsilon():
                 assert b > 0.001
 
 
+def test_solver_meets_epsilon_with_slack():
+    for c, eps in ((1, 0.001), (2, 0.01)):
+        k, d = solve_min_cost_params(100, 10, eps, c)
+        assert k >= c
+        assert overall_conflict_bound(
+            AnalysisParams(100, 10, k, d, c)).specific <= eps
+        # Nothing cheaper works at this slack.
+        for k2 in range(c, k + 1):
+            for d2 in range(1, d + 1):
+                if k2 * (d2 + 1) < k * (d + 1) and 100 - 10 >= k2 * d2:
+                    b = overall_conflict_bound(
+                        AnalysisParams(100, 10, k2, d2, c)).specific
+                    assert b > eps
+    # Slack 0 is the default and changes nothing.
+    assert solve_min_cost_params(100, 10, 0.01, 0) == \
+        solve_min_cost_params(100, 10, 0.01)
+
+
 def test_bound_report_rows():
     rep = bound_report(AnalysisParams(100, 10, 3, 5))
     row = rep.csv_row()

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from securecast.cli import main
 
 
@@ -59,6 +61,20 @@ def test_analyze_epsilon_solver(capsys):
     line = next(l for l in out.splitlines() if l.startswith("epsilon"))
     cells = line.split(",")
     assert float(cells[-1]) <= 0.001
+
+
+def test_analyze_epsilon_solver_honours_slack(capsys):
+    from securecast.analysis import AnalysisParams, overall_conflict_bound
+    code, out, _ = run_cli(capsys, "analyze", "--n", "100", "--t", "10",
+                           "--kappa", "3", "--delta", "5", "--slack-c", "1",
+                           "--epsilon", "0.01")
+    assert code == 0
+    line = next(l for l in out.splitlines() if l.startswith("epsilon"))
+    cells = line.split(",")
+    k, d = int(cells[3]), int(cells[5])
+    bound = overall_conflict_bound(AnalysisParams(100, 10, k, d, 1)).specific
+    assert k >= 1 and bound <= 0.01
+    assert float(cells[-1]) == pytest.approx(bound, rel=1e-5)
 
 
 def test_analyze_rejects_bad_params(capsys):

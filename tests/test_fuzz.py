@@ -4,6 +4,7 @@ trace that checks clean, with ACT conflicts counted rather than failed."""
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from securecast.core import MessageId
 from securecast.simnet import SimConfig, build_world
 from securecast.tracecheck import check_trace
 
@@ -29,6 +30,7 @@ def configs(draw):
         messages=draw(st.integers(1, 2)),
         p_drop=draw(st.sampled_from((0.0, 0.1, 0.3))),
         latency_hi=draw(st.integers(1, 8)),
+        stability=draw(st.booleans()),
         seed=draw(st.integers(0, 2**32)), **extra)
 
 
@@ -40,7 +42,19 @@ def test_random_runs_check_clean(cfg):
     report = world.run_to_quiescence()
     result = check_trace(world.trace_text())
     assert report.quiescent and result.quiescent
-    assert result.ok, [str(v) for v in result.violations[:3]]
+    violations = result.violations
+    if not cfg.stability:
+        # Re-forwarding is what repairs a faulty sender's partial broadcast,
+        # so without it only Reliability may fail, and only for ids whose
+        # sender is faulty: every correct sender's message still reaches
+        # every correct process.
+        violations = [v for v in violations if v.prop != "Reliability"]
+        engines = [e for e in world.engines if e is not None]
+        for e in engines:
+            for seq in range(1, e.own_seq + 1):
+                mid = MessageId(e.me, seq)
+                assert all(mid in o.delivered_record for o in engines), mid
+    assert not violations, [str(v) for v in violations[:3]]
     assert result.conflicts == report.conflict_ids
     if cfg.protocol != "act":
         assert report.conflicts == 0

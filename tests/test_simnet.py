@@ -113,13 +113,19 @@ def test_stability_oracle_only_reports_real_deliveries():
     cfg = SimConfig(protocol="e", n=4, t=1, messages=1, seed=0)
     world = build_world(cfg)
     world.run_to_quiescence()
-    delivered = set()
+    lag = world.config.stability_lag
+    delivered, reported = {}, []
     for line in world.trace:
         parts = line.split(" ", 8)
         if parts[1] == "appdlv":
-            delivered.add((parts[2], parts[6]))
-        if parts[1] == "send" and parts[5] == "sm_notify":
-            assert (parts[2], parts[6]) in delivered
+            delivered[(parts[2], parts[6])] = int(parts[0])
+        if parts[1] == "stable":
+            key = (parts[2], parts[6])
+            assert key in delivered
+            assert int(parts[0]) == delivered[key] + lag
+            reported.append(key)
+    # Every correct delivery is reported exactly once.
+    assert sorted(reported) == sorted(delivered)
 
 
 def test_stability_notifications_reach_everyone():
@@ -130,6 +136,44 @@ def test_stability_notifications_reach_everyone():
         others = set(range(4)) - {eng.me}
         known = {p for (p, _mid) in eng.stability}
         assert known == others
+
+
+def test_stability_oracle_informs_every_correct_process_with_drops():
+    for proto, extra in (("e", {}), ("3t", {}),
+                         ("act", {"kappa": 2, "delta": 2})):
+        cfg = SimConfig(protocol=proto, n=10, t=3, adversary="crash",
+                        messages=3, seed=11, p_drop=0.3, **extra)
+        world = build_world(cfg)
+        report = world.run_to_quiescence()
+        assert report.quiescent, proto
+        engines = [e for e in world.engines if e is not None]
+        assert len(engines) == 10 - len(world.faulty)
+        delivered = {(e.me, mid) for e in engines for mid in e.delivered_record}
+        assert len(delivered) == len(engines) * 3, proto
+        for eng in engines:
+            expected = {(p, mid) for (p, mid) in delivered if p != eng.me}
+            assert eng.stability == expected, (proto, eng.me)
+
+
+def test_oracle_sends_one_notice_per_receiver_per_maturity_tick():
+    cfg = SimConfig(protocol="3t", n=13, t=4, adversary="silent", messages=4,
+                    seed=5, p_drop=0.2)
+    world = build_world(cfg)
+    world.run_to_quiescence()
+    correct = 13 - len(world.faulty)
+    ticks, notices, deliveries, stable = set(), 0, 0, 0
+    for line in world.trace:
+        parts = line.split(" ", 8)
+        if parts[1] == "stable":
+            ticks.add(parts[0])
+            stable += 1
+        elif parts[1] == "recv" and parts[5] == "sm_notify":
+            notices += 1
+        elif parts[1] == "appdlv":
+            deliveries += 1
+    assert stable == deliveries == correct * 4
+    assert 0 < notices <= correct * len(ticks)
+    assert len(ticks) < stable  # deliveries share maturity ticks
 
 
 def test_disabled_stability_produces_no_oracle_traffic():

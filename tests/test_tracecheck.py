@@ -62,13 +62,40 @@ def test_thinned_ackset_flags_witness_rule():
         out = []
         for l in text.splitlines():
             parts = l.split(" ", 8)
-            if parts[1] == "appdlv" and parts[8].startswith("signers="):
-                signers = parts[8][len("signers="):].split(":")
-                parts[8] = "signers=" + ":".join(signers[:keep])
+            if parts[1] == "appdlv" and parts[8].startswith("signers."):
+                fields = []
+                for f in parts[8].split(";"):
+                    tag, signers = f.split("=")
+                    fields.append(tag + "=" + ":".join(signers.split(":")[:keep]))
+                parts[8] = ";".join(fields)
                 l = " ".join(parts)
             out.append(l)
         result = check_trace("\n".join(out) + "\n")
         assert any(v.prop == "WitnessRule" for v in result.violations), cfg
+
+
+def test_act_signers_count_only_toward_their_own_tag():
+    """2t+1 range members that signed AV acks meet the 3T count but not the
+    active rule; only 3T-tagged signers may satisfy the 3T alternative."""
+    from securecast.quorum import w3t, w_active
+    world = build_world(SimConfig(protocol="act", n=31, t=10, kappa=3,
+                                  delta=5, messages=1, seed=2))
+    world.run_to_quiescence()
+    text = world.trace_text()
+    assert check_trace(text).ok
+    lines = text.splitlines()
+    i = next(i for i, l in enumerate(lines) if l.split(" ")[1] == "appdlv")
+    parts = lines[i].split(" ", 8)
+    mid = parse_trace(text)[i].subject
+    outside = sorted(w3t(mid, world.params, world.witness_seed)
+                     - w_active(mid, 3, world.params, world.witness_seed))
+    range_signers = ":".join(str(p) for p in outside[:21])
+    for tag, flagged in (("AV", True), ("3T", False)):
+        parts[8] = f"signers.{tag}={range_signers}"
+        forged = lines[:i] + [" ".join(parts)] + lines[i + 1:]
+        result = check_trace("\n".join(forged) + "\n")
+        assert any(v.prop == "WitnessRule"
+                   for v in result.violations) == flagged, tag
 
 
 def test_conflicting_ack_by_correct_process_flagged():
@@ -85,12 +112,13 @@ def test_conflicting_ack_by_correct_process_flagged():
 def test_bogus_sm_notification_flagged():
     text = trace_of(protocol="e", n=4, t=1, messages=1, seed=0)
     lines = text.splitlines()
-    sm = next(l for l in lines if l.split(" ")[5] == "sm_notify"
-              and l.split(" ")[1] == "send")
-    parts = sm.split(" ")
-    parts[6] = "0:9"  # a delivery that never happened
-    result = check_trace("\n".join(lines + [" ".join(parts)]) + "\n")
-    assert any(v.prop == "SMIntegrity" for v in result.violations)
+    sm = next(l for l in lines if l.split(" ")[1] == "stable")
+    for field, value in ((6, "0:9"),   # a delivery that never happened
+                         (2, "9")):    # a process that never delivered
+        parts = sm.split(" ")
+        parts[field] = value
+        result = check_trace("\n".join(lines + [" ".join(parts)]) + "\n")
+        assert any(v.prop == "SMIntegrity" for v in result.violations), field
 
 
 def test_missing_delivery_in_quiescent_run_flags_reliability():
