@@ -108,7 +108,12 @@ class Adversary:
         self._shadows: dict[int, ProcessEngine] = {}
         self._seq: dict[int, int] = {p: 0 for p in ctx.faulty}
         self.attacks: dict[MessageId, _Attack] = {}
+        # ids an attack was made on, and every id the faulty senders
+        # multicast under an attack strategy: the Monte Carlo trials, since
+        # the conflict bound is per message.  The two differ only for
+        # seq-burner, whose fillers are trials but not attacks.
         self.attacked_ids: list[MessageId] = []
+        self.trial_ids: list[MessageId] = []
         self.mcast_log: list[tuple[MessageId, bytes]] = []
 
     # -- plumbing ----------------------------------------------------------
@@ -176,6 +181,7 @@ class Adversary:
     def _on_multicast(self, pid: int, payload: bytes, now: int) -> list:
         self._seq[pid] += 1
         mid = MessageId(pid, self._seq[pid])
+        self.trial_ids.append(mid)
         if self.strategy == "equivocate":
             return self._equivocate(pid, mid, payload)
         if self.strategy == "collusive":

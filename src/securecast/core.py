@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import struct
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -78,13 +79,37 @@ def _u64(x: int) -> bytes:
     return x.to_bytes(8, "big")
 
 
+_MASK64 = (1 << 64) - 1
+
+@lru_cache(maxsize=None)
+def u64_fields(count: int) -> struct.Struct:
+    """Packs count u64 fields as _enc(_u64(a), _u64(b), ...) writes them,
+    each a 4-byte length (always 8) and the 8-byte value: pack(8, a, 8, b,
+    ...)."""
+    return struct.Struct(">" + "IQ" * count)
+
+
+def digest64(data: bytes) -> int:
+    """The first 8 bytes of SHA-256(data) as an unsigned int."""
+    return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
+
+
+def keyed_prefix(seed: int, label: bytes) -> bytes:
+    """The leading bytes of keyed_seed's hash input: a caller drawing many
+    values under one (seed, label) encodes this once and appends the packed
+    ints itself, as keyed_seed does."""
+    return _enc(label, _u64(seed & _MASK64))
+
+
 def keyed_seed(seed: int, label: bytes, *ints: int) -> int:
-    """A 64-bit seed hashed from (label, seed, ints): what every keyed
-    random stream of a world is seeded with."""
-    mask = 2**64 - 1
-    h = hashlib.sha256(_enc(label, _u64(seed & mask),
-                            *[_u64(i & mask) for i in ints])).digest()
-    return int.from_bytes(h[:8], "big")
+    """A u64 hashed from (label, seed, ints), each int taken modulo 2**64:
+    what every keyed random stream of a world is seeded with, and each
+    channel draw itself."""
+    args = []
+    for i in ints:
+        args += (8, i & _MASK64)
+    return digest64(keyed_prefix(seed, label)
+                    + u64_fields(len(ints)).pack(*args))
 
 
 def digest(data: bytes) -> bytes:
@@ -129,7 +154,8 @@ class KeyChain:
         self._log_signs = log_signs
         self._verify_memo: dict[tuple[int, bytes], bytes] = {}
         self._ack_memo: dict[Ack, bool] = {}
-        self._signers_memo: dict[tuple, frozenset[int]] = {}
+        # (id(acks), proto, subject, digest) -> (acks, valid signers)
+        self._signers_memo: dict[tuple, tuple[tuple, frozenset[int]]] = {}
 
     def sign(self, signer: int, data: bytes, caller: object = None) -> Signature:
         if caller is None:
@@ -195,20 +221,24 @@ def _ack_valid_uncached(ack: Ack, keychain: KeyChain) -> bool:
 
 
 def valid_signers(acks, proto: str, subject: MessageId, dig: bytes,
-                  keychain: KeyChain) -> set[int]:
+                  keychain: KeyChain) -> frozenset[int]:
     """Distinct signers with a valid ack for exactly (proto, subject, digest).
 
     Junk entries are ignored rather than poisoning the set, so validity of
     an ack set is monotone: removing an ack can never help.  Tuple inputs
     (the ack sets carried on deliver messages) are memoized, since every
-    group member validates the same broadcast set.
+    group member validates the same broadcast set.  The memo is keyed by
+    the tuple's identity, not its contents, because hashing a few hundred
+    acks per lookup costs more than the answer; each entry keeps its tuple
+    alive, so an id is never reused while its entry exists.  An equal but
+    distinct tuple misses and is validated afresh.
     """
     key = None
     if type(acks) is tuple:
-        key = (proto, subject, dig, acks)
+        key = (id(acks), proto, subject, dig)
         hit = keychain._signers_memo.get(key)
         if hit is not None:
-            return set(hit)
+            return hit[1]
     out: set[int] = set()
     for a in acks:
         if a.proto != proto or a.subject != subject or a.digest != dig:
@@ -217,6 +247,7 @@ def valid_signers(acks, proto: str, subject: MessageId, dig: bytes,
             continue
         if ack_valid(a, keychain):
             out.add(a.signer)
+    signers = frozenset(out)
     if key is not None:
-        keychain._signers_memo[key] = frozenset(out)
-    return out
+        keychain._signers_memo[key] = (acks, signers)
+    return signers

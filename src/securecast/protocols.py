@@ -4,8 +4,8 @@ A ProcessEngine owns one process's protocol state.  Every handler consumes
 a single input (a wire message, a timer, or a local multicast request) and
 returns the list of actions it wants performed: sends, application-level
 deliveries, timer requests, and alerts.  All nondeterminism comes from the
-engine's injected RNG stream, so a run is a pure function of configuration
-and seeds.
+engine's own keyed RNG stream, built on first use, so a run is a pure
+function of configuration and seeds.
 
 Protocol summary:
 
@@ -30,8 +30,8 @@ from typing import NamedTuple, Optional, Union
 
 from .core import (PROTO_3T, PROTO_AV, PROTO_E, PROTO_TAG, Ack, KeyChain,
                    MessageId, MulticastMessage, ProtocolKind, Signature,
-                   ack_valid, build_ack, message_digest, sender_sig_data,
-                   valid_signers)
+                   ack_valid, build_ack, keyed_seed, message_digest,
+                   sender_sig_data, valid_signers)
 from .quorum import (AckRule, QuorumParams, accepts, ack_rules,
                      check_act_params, sample_peers, sample_witness_subset,
                      w3t)
@@ -144,7 +144,7 @@ class ProcessEngine:
     """One correct process's protocol state machine."""
 
     def __init__(self, me: int, kind: ProtocolKind, params: QuorumParams,
-                 keychain: KeyChain, witness_seed: int, rng: random.Random,
+                 keychain: KeyChain, witness_seed: int, stream_seed: int,
                  kappa: int = 0, delta: int = 0, slack_c: int = 0,
                  timeouts: Timeouts = Timeouts(), holdback_cap: int = 64):
         if kind is ProtocolKind.ACT:
@@ -157,7 +157,8 @@ class ProcessEngine:
         self.slack_c = slack_c
         self.keychain = keychain
         self.witness_seed = witness_seed
-        self.rng = rng
+        self.stream_seed = stream_seed
+        self._rng: Optional[random.Random] = None
         self.timeouts = timeouts
         self.holdback_cap = holdback_cap
 
@@ -173,6 +174,16 @@ class ProcessEngine:
         self.delivered_record: dict[MessageId, WireMessage] = {}
 
     # -- helpers ----------------------------------------------------------
+
+    @property
+    def rng(self) -> random.Random:
+        """The engine's stream, keyed by (stream_seed, me) and built on its
+        first sample: E engines and most ACT engines never sample, and a
+        seeded Mersenne Twister costs ~2.5 KB and ~10 us."""
+        if self._rng is None:
+            self._rng = random.Random(
+                keyed_seed(self.stream_seed, b"proc", self.me))
+        return self._rng
 
     def _rules(self, mid: MessageId, kind: Optional[ProtocolKind] = None):
         return ack_rules(kind or self.kind, mid, self.params,

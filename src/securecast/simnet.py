@@ -1,13 +1,22 @@
 """Deterministic discrete-event network simulator.
 
 One world is a pure function of its configuration and seeds: every source
-of randomness is a keyed stream (per process, per channel, per plane), the
-event queue breaks ties by insertion order, and per-pair channels are FIFO
-with probabilistic loss plus automatic retransmission, so delivery
-probability approaches one as time passes.  Alerts travel on a separate
-out-of-band plane with a hard latency bound and no loss; the recovery ack
-delay is validated against that bound, which is the race the ACT protocol
-relies on.
+of randomness is keyed by the world seed, the event queue breaks ties by
+insertion order, and per-pair channels are FIFO with probabilistic loss plus
+automatic retransmission, so delivery probability approaches one as time
+passes.
+
+Channel randomness is counter based: a channel (src, dst) holds only the
+number of draws it has made, and its draw k is the u64
+keyed_seed(world_seed, b"chan", src, dst, k).  A send takes one draw for
+its latency, lo + u % (hi - lo + 1), then, when p_drop > 0, one more per
+transmission attempt, each a loss while u / 2**64 < p_drop.  Processes and
+the alert and oracle planes use Mersenne Twister streams seeded the same
+keyed way; a process builds its stream only when it first samples.
+
+Alerts travel on a separate out-of-band plane with a hard latency bound and
+no loss; the recovery ack delay is validated against that bound, which is
+the race the ACT protocol relies on.
 
 The stability mechanism is a trusted oracle.  A correct process's
 delivery matures stability_lag ticks after it happens; deliveries maturing
@@ -30,7 +39,8 @@ from typing import Optional
 
 from .adversary import Adversary, AdversaryContext
 from .core import (PROTO_TAG, KeyChain, MessageId, ProtocolKind, _enc, _u64,
-                   keyed_seed, message_digest, valid_signers)
+                   digest64, keyed_prefix, keyed_seed, message_digest,
+                   u64_fields, valid_signers)
 from .protocols import (ALERT, INFORM, REGULAR, SM_NOTIFY, Broadcast,
                         Deliver, ProcessEngine, RaiseAlert, Send, SetTimer,
                         Timeouts, WireMessage)
@@ -42,6 +52,9 @@ EV_MCAST = 2
 EV_ORACLE = 3
 
 ATTACK_STRATEGIES = ("equivocate", "collusive", "regime-split", "seq-burner")
+
+# (src, dst, draw index) in keyed_seed's encoding, after the channel prefix
+_CHAN_FIELDS = u64_fields(3)
 
 
 class ConfigError(ValueError):
@@ -181,8 +194,8 @@ class RunReport:
     alerts_raised: int
     access_counts: dict[int, dict[str, int]]
     messages_multicast: int
-    attacked: int
-    attacked_conflicts: int
+    attacked: int               # Monte Carlo trials: Adversary.trial_ids
+    attacked_conflicts: int     # trials that ended in a conflict
     elapsed: int
     quiescent: bool
 
@@ -240,8 +253,12 @@ class SimWorld:
         if self.faulty and cfg.adversary != "none":
             self.adversary = self._make_adversary(cfg.adversary)
 
-        self._chan_rng: dict[tuple[int, int], random.Random] = {}
-        self._chan_last: dict[tuple[int, int], int] = {}
+        # per channel, keyed src * n + dst: draws made, last arrival tick
+        self._chan_draws: dict[int, int] = {}
+        self._chan_last: dict[int, int] = {}
+        self._chan_prefix = keyed_prefix(self.world_seed, b"chan")
+        self._latency_span = cfg.latency_hi - cfg.latency_lo + 1
+        self._drop_cut = cfg.p_drop * 2.0 ** 64  # a draw below it is a loss
         self._fast_rng = random.Random(
             keyed_seed(self.world_seed, b"fastplane"))
         self._oracle_rng = random.Random(
@@ -265,7 +282,7 @@ class SimWorld:
     def _make_engine(self, pid: int) -> ProcessEngine:
         return ProcessEngine(
             pid, self.kind, self.params, self.keychain, self.witness_seed,
-            random.Random(keyed_seed(self.world_seed, b"proc", pid)),
+            self.world_seed,
             kappa=self.config.kappa, delta=self.config.delta,
             slack_c=self.config.slack_c, timeouts=self._timeouts,
             holdback_cap=self.config.holdback_cap)
@@ -325,22 +342,29 @@ class SimWorld:
             dig[:4].hex() if dig else "-",
             note or "-")))
 
+    def _chan_draw(self, src: int, dst: int, k: int) -> int:
+        """Draw k of channel (src, dst), equal to keyed_seed(world_seed,
+        b"chan", src, dst, k) with the (seed, label) bytes encoded once."""
+        return digest64(self._chan_prefix
+                        + _CHAN_FIELDS.pack(8, src, 8, dst, 8, k))
+
     def _channel_send(self, src: int, dst: int, msg: WireMessage, now: int):
         self._log(now, "send", src, dst, msg.proto, msg.role, msg.subject,
                   msg.digest, None)
-        key = (src, dst)
-        rng = self._chan_rng.get(key)
-        if rng is None:
-            rng = random.Random(keyed_seed(self.world_seed, b"chan", src, dst))
-            self._chan_rng[key] = rng
-        cfg = self.config
-        latency = rng.randint(cfg.latency_lo, cfg.latency_hi)
-        arrival = now + latency
-        if cfg.p_drop > 0.0:
-            while rng.random() < cfg.p_drop:
+        key = src * self.config.n + dst
+        draw = self._chan_draw
+        k = self._chan_draws.get(key, 0)
+        arrival = now + self.config.latency_lo + \
+            draw(src, dst, k) % self._latency_span
+        k += 1
+        if self._drop_cut:
+            while draw(src, dst, k) < self._drop_cut:
+                k += 1
                 self._log(arrival, "drop", src, dst, msg.proto, msg.role,
                           msg.subject, msg.digest, "retransmit")
-                arrival += cfg.retransmit_interval
+                arrival += self.config.retransmit_interval
+            k += 1
+        self._chan_draws[key] = k
         # FIFO per ordered pair: never overtake an earlier message.
         last = self._chan_last.get(key, 0)
         if arrival < last:
@@ -520,11 +544,9 @@ class SimWorld:
         conflict_ids = sorted(
             mid for mid, slots in self.delivered_digests.items()
             if len(slots) >= 2)
-        attacked = (len(self.adversary.attacked_ids)
-                    if self.adversary is not None else 0)
-        attacked_conflicts = (
-            len(set(conflict_ids) & set(self.adversary.attacked_ids))
-            if self.adversary is not None else 0)
+        trials = self.adversary.trial_ids if self.adversary is not None else []
+        attacked = len(trials)
+        attacked_conflicts = len(set(conflict_ids).intersection(trials))
         return RunReport(
             protocol=self.config.protocol, n=self.config.n, t=self.config.t,
             faulty=self.faulty, deliveries=dict(self.deliveries),

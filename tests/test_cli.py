@@ -108,6 +108,18 @@ def test_montecarlo_no_adversary_estimates_zero(capsys):
     assert row.split(",")[3] == "0"
 
 
+def test_montecarlo_seq_burner_counts_every_multicast(capsys):
+    # The bound is per message, so the burner's fillers are trials too.
+    code, out, _ = run_cli(capsys, "montecarlo", "--protocol", "act",
+                           "--n", "13", "--t", "4", "--kappa", "2",
+                           "--delta", "3", "--adversary", "seq-burner",
+                           "--messages", "4", "--trials", "100",
+                           "--seed", "3")
+    row = out.strip().splitlines()[-1].split(",")
+    assert code == 0
+    assert row[1] == "400" and row[-1] == "PASS"
+
+
 def test_sweep_monotone_surface(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--grid", "kappa=1..4,delta=1..6",
                            "--n", "100", "--t", "10")

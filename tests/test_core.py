@@ -5,7 +5,7 @@ import pytest
 from securecast.core import (ADVERSARY, PROTO_3T, PROTO_AV, PROTO_E,
                              ForgeryAttemptError, KeyChain, MessageId,
                              MulticastMessage, ack_sig_data, ack_valid,
-                             build_ack, digest, message_digest,
+                             build_ack, digest, keyed_seed, message_digest,
                              sender_sig_data, valid_signers)
 
 
@@ -122,6 +122,37 @@ def test_valid_signers_filters_junk_monotonically():
     for _ in range(30):
         subset = rng.sample(pool, rng.randrange(len(pool)))
         assert valid_signers(subset, PROTO_E, mid, d, kc) <= full
+
+
+def test_valid_signers_memo_is_per_tuple_object():
+    kc = make_keychain()
+    mid = MessageId(0, 1)
+    d = digest(b"m")
+    good = tuple(build_ack(kc, PROTO_E, i, mid, d) for i in range(3))
+    other = tuple(build_ack(kc, PROTO_E, i, mid, digest(b"o"))
+                  for i in range(3))
+    assert valid_signers(good, PROTO_E, mid, d, kc) == {0, 1, 2}
+    assert valid_signers(good, PROTO_E, mid, d, kc) == {0, 1, 2}  # memo hit
+    for _ in range(20):
+        # Equal but distinct tuples get the same answer, and a tuple built
+        # right after one is dropped never inherits that one's answer.
+        assert valid_signers(tuple(list(good)), PROTO_E, mid, d, kc) \
+            == {0, 1, 2}
+        assert valid_signers(tuple(list(other)), PROTO_E, mid, d, kc) \
+            == set()
+
+
+def test_keyed_seed_pinned_values():
+    # Pins the keyed encoding behind every world's streams, channel draws
+    # and witness sets; a change here regenerates every golden trace.
+    assert keyed_seed(0, b"world") == 13881911104740999529
+    assert keyed_seed(12345, b"x") == 10562458856057898409
+    assert keyed_seed(7, b"chan", 1, 2, 3) == 6932571836939742470
+    # Every int is taken modulo 2**64, negative ones included.
+    assert keyed_seed(-1, b"proc", -5) == 2582750897392194935
+    assert keyed_seed(2**64 - 1, b"proc", 2**64 - 5) == 2582750897392194935
+    assert keyed_seed(2**64 + 3, b"w3t", 2**64 - 1, 0) == 3634003631006766071
+    assert keyed_seed(3, b"w3t", -1, 0) == 3634003631006766071
 
 
 def test_ack_sig_data_domain_separates_protocols():

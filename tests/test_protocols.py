@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from securecast.core import (PROTO_3T, PROTO_AV, PROTO_E, KeyChain, MessageId,
@@ -18,8 +16,8 @@ SEED = 11
 def make_engine(me=0, kind=ProtocolKind.E, n=4, t=1, kappa=0, delta=0,
                 keychain=None, **kw):
     kc = keychain or KeyChain(n, b"unit", faulty=frozenset())
-    return ProcessEngine(me, kind, QuorumParams(n, t), kc, SEED,
-                         random.Random(me), kappa=kappa, delta=delta, **kw)
+    return ProcessEngine(me, kind, QuorumParams(n, t), kc, SEED, SEED,
+                         kappa=kappa, delta=delta, **kw)
 
 
 def sends(actions):

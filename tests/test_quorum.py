@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -98,6 +99,29 @@ def test_w3t_spreads_uniformly():
     expect = trials * 31 / 100
     for c in counts:
         assert abs(c - expect) / expect < 0.05
+
+
+def test_witness_sets_pinned():
+    # Witness selection is a fixed function of (id, seed): these pin it.
+    p = QuorumParams(31, 7)
+    assert sorted(w3t(MessageId(2, 1), p, 99)) == [
+        0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 23,
+        25, 30]
+    assert w_active(MessageId(2, 1), 3, p, 99) == {12, 28, 29}
+    assert w_active(MessageId(5, 7), 4, QuorumParams(100, 10), 2**40) == \
+        {13, 23, 48, 56}
+    h = hashlib.sha256()
+    small, large = QuorumParams(31, 10), QuorumParams(1000, 100)
+    seed = 12345678901
+    for sender in range(40):
+        for seq in range(1, 30):
+            mid = MessageId(sender, seq)
+            h.update(bytes(sorted(w3t(mid, small, 99))))
+            h.update(bytes(sorted(w_active(mid, 3, small, 99))))
+            h.update(repr(sorted(w3t(mid, large, seed))).encode())
+            h.update(repr(sorted(w_active(mid, 4, large, seed))).encode())
+    assert h.hexdigest() == \
+        "f6dcd8acf81b979d72cbfd9b378c0f91fdff5ba712f3a91ea8c9c51487a508dc"
 
 
 def test_w_active_deterministic():

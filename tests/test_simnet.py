@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+from securecast.core import keyed_seed
+from securecast.protocols import REGULAR, WireMessage
 from securecast.simnet import (ConfigError, SimConfig, build_world,
                                run_world)
 
@@ -250,3 +254,89 @@ def test_lossy_adversarial_runs_keep_their_guarantees():
             assert report.quiescent and result.ok, (proto, adv)
             if proto in ("e", "3t"):
                 assert report.conflicts == 0, (proto, adv)
+
+
+def test_channel_draws_are_keyed_seeds_and_drive_every_send():
+    cfg = SimConfig(protocol="3t", n=13, t=4, adversary="crash", messages=4,
+                    seed=21, message_spacing=1, p_drop=0.2)
+    world = build_world(cfg)
+    assert world.run_to_quiescence().quiescent
+    for src, dst, k in ((0, 1, 0), (12, 3, 9), (5, 5, 2**40)):
+        assert world._chan_draw(src, dst, k) == \
+            keyed_seed(world.world_seed, b"chan", src, dst, k)
+    # Replay every channel from its draws alone: latency from the next
+    # draw, one more draw per transmission attempt, then the FIFO clamp.
+    c = world.config
+    span = c.latency_hi - c.latency_lo + 1
+    cut = c.p_drop * 2.0 ** 64
+    draws, last, expect, got = {}, {}, {}, {}
+    for line in world.trace:
+        tick, kind, src, dst, *_, note = line.split(" ", 8)
+        if kind not in ("send", "recv") or note in ("fast", "oracle"):
+            continue
+        key = (int(src), int(dst))
+        if kind == "recv":
+            got.setdefault(key, []).append(int(tick))
+            continue
+        k = draws.get(key, 0)
+        arrival = int(tick) + c.latency_lo + world._chan_draw(*key, k) % span
+        k += 1
+        while world._chan_draw(*key, k) < cut:
+            k += 1
+            arrival += c.retransmit_interval
+        k += 1
+        arrival = max(arrival, last.get(key, 0))
+        last[key], draws[key] = arrival, k
+        expect.setdefault(key, []).append(arrival)
+    assert got == expect
+    assert world._chan_draws == {s * c.n + d: k for (s, d), k in draws.items()}
+
+
+def test_channel_latency_uniform_and_loss_rate_matches_p_drop():
+    from scipy import stats
+    cfg = SimConfig(protocol="e", n=101, t=1, messages=0, seed=5, p_drop=0.3,
+                    latency_lo=2, latency_hi=7)
+    world = build_world(cfg)
+    msg = WireMessage("E", REGULAR, None)
+    for src in range(cfg.n):
+        for dst in range(cfg.n):  # 10,201 first sends, so no FIFO clamp
+            world._channel_send(src, dst, msg, 0)
+    drops = {}
+    for line in world.trace:
+        _, kind, src, dst, _ = line.split(" ", 4)
+        if kind == "drop":
+            key = (int(src), int(dst))
+            drops[key] = drops.get(key, 0) + 1
+    counts = [0] * 6
+    for arrival, _, (_, dst, src, _, _) in world.queue:
+        latency = arrival - cfg.retransmit_interval * drops.get((src, dst), 0)
+        counts[latency - cfg.latency_lo] += 1
+    assert sum(counts) == cfg.n ** 2
+    _, pvalue = stats.chisquare(counts)
+    assert pvalue > 0.01, counts
+    lost = sum(drops.values())
+    attempts = lost + cfg.n ** 2
+    sigma = (cfg.p_drop * (1 - cfg.p_drop) / attempts) ** 0.5
+    assert abs(lost / attempts - cfg.p_drop) <= 3 * sigma
+
+
+def test_world_holds_no_per_channel_or_unused_engine_streams():
+    world = build_world(SimConfig(protocol="3t", n=31, t=10, adversary="crash",
+                                  messages=3, seed=2, p_drop=0.1))
+    assert world.run_to_quiescence().quiescent
+    # A channel is two ints; the only streams are the alert and oracle planes.
+    assert world._chan_draws
+    assert all(type(k) is int for k in world._chan_draws.values())
+    fields = vars(world).values()
+    assert sum(isinstance(v, random.Random) for v in fields) == 2
+    assert not any(isinstance(v, random.Random)
+                   for d in fields if isinstance(d, dict) for v in d.values())
+    # A 3T engine samples only to pick its first contacts as a sender.
+    shadows = list(world.adversary._shadows.values())
+    assert shadows
+    for eng in [e for e in world.engines if e is not None] + shadows:
+        assert (eng._rng is not None) == (eng.own_seq > 0), eng.me
+    e_world = build_world(SimConfig(protocol="e", n=7, t=2, messages=3,
+                                    seed=2))
+    e_world.run_to_quiescence()
+    assert all(eng._rng is None for eng in e_world.engines)
