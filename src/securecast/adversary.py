@@ -41,6 +41,10 @@ from .protocols import (ACK, DELIVER, INFORM, REGULAR, VERIFY,
                         ProcessEngine, Send, WireMessage)
 from .quorum import QuorumParams, accepts, ack_rules, w3t, w_active
 
+# The strategies that attack agreement; silent and crash only withhold.
+ATTACK_STRATEGIES = ("equivocate", "collusive", "regime-split", "seq-burner")
+STRATEGIES = ("silent", "crash") + ATTACK_STRATEGIES
+
 
 @dataclass
 class AdversaryContext:
@@ -51,7 +55,7 @@ class AdversaryContext:
     slack_c: int
     keychain: KeyChain
     faulty: frozenset[int]
-    witness_seed: Optional[int]       # None when adversary_knows_r is off
+    witness_seed: int
     make_engine: Callable[[int], ProcessEngine]
 
     @property
@@ -59,11 +63,9 @@ class AdversaryContext:
         return self.params.n
 
     def w3t(self, mid: MessageId) -> frozenset[int]:
-        assert self.witness_seed is not None
         return w3t(mid, self.params, self.witness_seed)
 
     def w_active(self, mid: MessageId) -> frozenset[int]:
-        assert self.witness_seed is not None
         return w_active(mid, self.kappa, self.params, self.witness_seed)
 
     def rules(self, mid: MessageId):
@@ -98,8 +100,7 @@ class Adversary:
 
     def __init__(self, strategy: str, ctx: AdversaryContext,
                  crash_after: int = 3):
-        if strategy not in ("silent", "crash", "equivocate", "collusive",
-                            "regime-split", "seq-burner"):
+        if strategy not in STRATEGIES:
             raise ValueError(f"unknown adversary strategy {strategy!r}")
         self.strategy = strategy
         self.ctx = ctx
@@ -274,8 +275,7 @@ class Adversary:
     def _collusive_multicast(self, pid: int, mid: MessageId,
                              payload: bytes) -> list:
         ctx = self.ctx
-        if ctx.kind is ProtocolKind.ACT and ctx.witness_seed is not None \
-                and ctx.faulty_suffice(mid):
+        if ctx.kind is ProtocolKind.ACT and ctx.faulty_suffice(mid):
             return self._fabricate_case1(pid, mid, payload)
         # Otherwise an equivocation attempt with collusive helpers.
         return self._equivocate(pid, mid, payload)
@@ -284,7 +284,7 @@ class Adversary:
         """Active regime for one message, recovery regime for a conflicting
         one, against a 2t+1 set disjoint from the active witnesses."""
         ctx = self.ctx
-        assert ctx.kind is ProtocolKind.ACT and ctx.witness_seed is not None
+        assert ctx.kind is ProtocolKind.ACT
         if ctx.faulty_suffice(mid):
             return self._fabricate_case1(pid, mid, payload)
         a, b = self._two_messages(mid, payload)
@@ -315,8 +315,7 @@ class Adversary:
 
     def _seq_burn(self, pid: int, mid: MessageId, payload: bytes) -> list:
         ctx = self.ctx
-        if ctx.kind is ProtocolKind.ACT and ctx.witness_seed is not None \
-                and ctx.faulty_suffice(mid):
+        if ctx.kind is ProtocolKind.ACT and ctx.faulty_suffice(mid):
             return self._fabricate_case1(pid, mid, payload)
         # Burn the sequence number with an honestly multicast filler.
         return self._honest_multicast(pid, mid, payload)

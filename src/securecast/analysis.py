@@ -38,8 +38,12 @@ class AnalysisParams:
     # closed forms are defined at t = 0 and without n - t >= kappa*delta, and
     # analyze and sweep report such points.
     def __post_init__(self):
-        if self.t < 0:
-            raise InvalidParamsError(f"t must be >= 0, got {self.t}")
+        if self.n < 1:
+            raise InvalidParamsError(f"n must be >= 1, got {self.n}", "n")
+        for name in ("t", "kappa", "delta", "slack_c"):
+            if getattr(self, name) < 0:
+                raise InvalidParamsError(
+                    f"{name} must be >= 0, got {getattr(self, name)}", name)
         # The closed forms only need the resilience ratio t <= n/3; the
         # stricter 3t+1 <= n matters where a witness range must exist and
         # is enforced by QuorumParams.
@@ -134,7 +138,7 @@ def overall_conflict_bound(params: AnalysisParams) -> ConflictBound:
     probe miss when they do not."""
     n, t, k, d = params.n, params.t, params.kappa, params.delta
     pf = p_faulty_meet_active(n, t / n, k, params.slack_c)
-    miss = (2 * t / (3 * t + 1)) ** d if d > 0 else 1.0
+    miss = probe_miss_probability(params)
     worst_pf = p_faulty_meet_active(n, 1 / 3, k, params.slack_c)
     worst_miss = (2 / 3) ** d if d > 0 else 1.0
     return ConflictBound(pf + (1 - pf) * miss,

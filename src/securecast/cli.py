@@ -18,6 +18,7 @@ from dataclasses import replace
 from .analysis import (AnalysisParams, BoundReport, bound_report,
                        format_number, monte_carlo_conflict_rate,
                        overall_conflict_bound, solve_min_cost_params)
+from .adversary import STRATEGIES
 from .quorum import InvalidParamsError
 from .simnet import ConfigError, SimConfig, build_world
 from .tracecheck import TraceParseError, check_trace_file
@@ -45,9 +46,7 @@ def _add_sim_flags(p: argparse.ArgumentParser):
     p.add_argument("--delta", type=int)
     p.add_argument("--slack-c", type=int, dest="slack_c")
     p.add_argument("--messages", type=int)
-    p.add_argument("--adversary", choices=["none", "silent", "crash",
-                                           "equivocate", "collusive",
-                                           "regime-split", "seq-burner"])
+    p.add_argument("--adversary", choices=("none",) + STRATEGIES)
     p.add_argument("--num-faulty", type=int, dest="num_faulty")
     p.add_argument("--crash-after", type=int, dest="crash_after")
     p.add_argument("--seed", type=int)
@@ -149,8 +148,14 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _check_trials(trials: int):
+    if trials < 1:
+        raise ConfigError("trials", f"need at least one trial, got {trials}")
+
+
 def cmd_montecarlo(args) -> int:
     try:
+        _check_trials(args.trials)
         cfg = _sim_config(args)
         cfg = replace(cfg, record_trace=False, stability=False)
         cfg.validate()
@@ -195,6 +200,8 @@ def _parse_grid(spec: str) -> dict[str, list[int]]:
 def cmd_sweep(args) -> int:
     try:
         grid = _parse_grid(args.grid)
+        if args.montecarlo:
+            _check_trials(args.trials)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

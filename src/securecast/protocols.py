@@ -105,12 +105,25 @@ class RaiseAlert:
 Action = Union[Send, Broadcast, Deliver, SetTimer, RaiseAlert]
 
 
+# Hard latency bound of the out-of-band alert plane, in ticks.
+ALERT_LATENCY_BOUND = 3
+
+
 @dataclass(frozen=True)
 class Timeouts:
-    act_active: int = 30          # active regime deadline before recovery
-    t3_expand: int = 20           # 3T widens its contact set after this
-    recovery_ack_delay: int = 15  # must exceed the alert latency bound
-    reforward: Optional[int] = 40  # None disables re-forwarding entirely
+    act_active: int               # active regime deadline before recovery
+    t3_expand: int                # 3T widens its contact set after this
+    recovery_ack_delay: int       # exceeds ALERT_LATENCY_BOUND
+    reforward: Optional[int]      # None disables re-forwarding entirely
+
+    @classmethod
+    def for_latency(cls, hi: int, stability: bool = True) -> "Timeouts":
+        """Every protocol timer from the network's latency bound hi.  A
+        recovery ack is held 2*hi + ALERT_LATENCY_BOUND + 2 ticks, longer
+        than any alert takes, so a pending alert always wins the race;
+        re-forwarding needs the stability oracle and is off without it."""
+        return cls(6 * hi, 4 * hi, 2 * hi + ALERT_LATENCY_BOUND + 2,
+                   8 * hi if stability else None)
 
 
 @dataclass
@@ -146,7 +159,8 @@ class ProcessEngine:
     def __init__(self, me: int, kind: ProtocolKind, params: QuorumParams,
                  keychain: KeyChain, witness_seed: int, stream_seed: int,
                  kappa: int = 0, delta: int = 0, slack_c: int = 0,
-                 timeouts: Timeouts = Timeouts(), holdback_cap: int = 64):
+                 timeouts: Timeouts = Timeouts.for_latency(5),
+                 holdback_cap: int = 64):
         if kind is ProtocolKind.ACT:
             check_act_params(params.n, params.t, kappa, delta, slack_c)
         self.me = me

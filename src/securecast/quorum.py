@@ -50,8 +50,8 @@ def check_act_params(n: int, t: int, kappa: int, delta: int, slack_c: int):
             f"n-t >= kappa*delta violated: {n - t} < {kappa * delta}", "kappa")
     if delta > 3 * t:
         raise InvalidParamsError(f"delta={delta} exceeds 3t={3 * t}", "delta")
-    if slack_c > kappa:
-        raise InvalidParamsError("slack C must not exceed kappa", "slack_c")
+    if not 0 <= slack_c <= kappa:
+        raise InvalidParamsError("need 0 <= slack C <= kappa", "slack_c")
 
 
 def dissemination_quorum_size(params: QuorumParams) -> int:

@@ -14,12 +14,14 @@ transmission attempt, each a loss while u / 2**64 < p_drop.  Processes and
 the alert and oracle planes use Mersenne Twister streams seeded the same
 keyed way; a process builds its stream only when it first samples.
 
-Alerts travel on a separate out-of-band plane with a hard latency bound and
-no loss; the recovery ack delay is validated against that bound, which is
-the race the ACT protocol relies on.
+A lost transmission is retried RETRANSMIT_INTERVAL ticks later.  Alerts
+travel on a separate out-of-band plane with no loss and a hard latency
+bound, ALERT_LATENCY_BOUND.  Every protocol timer is derived from
+latency_hi (Timeouts.for_latency), the recovery ack delay among them, so it
+always exceeds that bound: the race the ACT protocol relies on.
 
 The stability mechanism is a trusted oracle.  A correct process's
-delivery matures stability_lag ticks after it happens; deliveries maturing
+delivery matures 4 * latency_hi ticks after it happens; deliveries maturing
 at the same tick are batched, and only the first of a batch schedules a
 wake-up.  At that wake-up the oracle writes one "stable" trace record per
 matured delivery and sends every correct process one sm_notify carrying the
@@ -37,13 +39,14 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .adversary import Adversary, AdversaryContext
+from .adversary import (ATTACK_STRATEGIES, STRATEGIES, Adversary,
+                        AdversaryContext)
 from .core import (PROTO_TAG, KeyChain, MessageId, ProtocolKind, _enc, _u64,
                    digest64, keyed_prefix, keyed_seed, message_digest,
                    u64_fields, valid_signers)
-from .protocols import (ALERT, INFORM, REGULAR, SM_NOTIFY, Broadcast,
-                        Deliver, ProcessEngine, RaiseAlert, Send, SetTimer,
-                        Timeouts, WireMessage)
+from .protocols import (ALERT, ALERT_LATENCY_BOUND, INFORM, REGULAR,
+                        SM_NOTIFY, Broadcast, Deliver, ProcessEngine,
+                        RaiseAlert, Send, SetTimer, Timeouts, WireMessage)
 from .quorum import InvalidParamsError, QuorumParams, check_act_params
 
 EV_MSG = 0
@@ -51,7 +54,8 @@ EV_TIMER = 1
 EV_MCAST = 2
 EV_ORACLE = 3
 
-ATTACK_STRATEGIES = ("equivocate", "collusive", "regime-split", "seq-burner")
+# Ticks between a lost transmission and its retry.
+RETRANSMIT_INTERVAL = 8
 
 # (src, dst, draw index) in keyed_seed's encoding, after the channel prefix
 _CHAN_FIELDS = u64_fields(3)
@@ -81,84 +85,36 @@ class SimConfig:
     witness_seed: Optional[int] = None
     adversary_seed: Optional[int] = None
     p_drop: float = 0.0
-    retransmit_interval: int = 8
     latency_lo: int = 1
-    latency_hi: int = 5
-    alert_latency_bound: int = 3
-    recovery_ack_delay: Optional[int] = None   # default 2*hi + alert bound + 2
-    act_active_timeout: Optional[int] = None   # default 6*hi
-    t3_expand_timeout: Optional[int] = None    # default 4*hi
-    reforward_timeout: Optional[int] = None    # default 8*hi when stability on
-    stability_lag: Optional[int] = None        # default 4*hi
+    latency_hi: int = 5               # every protocol timer derives from it
     stability: bool = True
-    holdback_cap: int = 64
     message_spacing: int = 3
-    max_ticks: int = 1_000_000
     record_trace: bool = True
-    adversary_knows_r: bool = True
-    payload_prefix: bytes = b"m"
-
-    def resolved(self) -> "SimConfig":
-        hi = self.latency_hi
-        cfg = replace(
-            self,
-            recovery_ack_delay=(self.recovery_ack_delay
-                                if self.recovery_ack_delay is not None
-                                else 2 * hi + self.alert_latency_bound + 2),
-            act_active_timeout=(self.act_active_timeout
-                                if self.act_active_timeout is not None
-                                else 6 * hi),
-            t3_expand_timeout=(self.t3_expand_timeout
-                               if self.t3_expand_timeout is not None
-                               else 4 * hi),
-            reforward_timeout=(self.reforward_timeout
-                               if self.reforward_timeout is not None
-                               else (8 * hi if self.stability else None)),
-            stability_lag=(self.stability_lag
-                           if self.stability_lag is not None else 4 * hi),
-        )
-        if not cfg.stability:
-            cfg = replace(cfg, reforward_timeout=None)
-        cfg.validate()
-        return cfg
 
     def validate(self):
         if self.protocol not in ("e", "3t", "act"):
             raise ConfigError("protocol", f"unknown protocol {self.protocol!r}")
-        if self.n < 2:
-            raise ConfigError("n", f"need at least 2 processes, got {self.n}")
-        if self.t < 1:
-            raise ConfigError("t", f"need t >= 1, got {self.t}")
-        if 3 * self.t + 1 > self.n:
-            raise ConfigError("t", f"need 3t+1 <= n, got n={self.n} t={self.t}")
+        try:
+            QuorumParams(self.n, self.t)
+        except InvalidParamsError as exc:
+            raise ConfigError("t", str(exc)) from exc
         if self.protocol == "act":
             try:
                 check_act_params(self.n, self.t, self.kappa, self.delta,
                                  self.slack_c)
             except InvalidParamsError as exc:
                 raise ConfigError(exc.field, str(exc)) from exc
-        if self.adversary not in ("none", "silent", "crash") + ATTACK_STRATEGIES:
+        if self.adversary not in ("none",) + STRATEGIES:
             raise ConfigError("adversary", f"unknown strategy {self.adversary!r}")
         if self.adversary in ("regime-split", "seq-burner") and self.protocol != "act":
             raise ConfigError("adversary",
                               f"{self.adversary} applies to the act protocol only")
-        if self.adversary in ATTACK_STRATEGIES and not self.adversary_knows_r \
-                and self.protocol != "e":
-            raise ConfigError(
-                "adversary_knows_r",
-                f"{self.adversary} needs the witness function on {self.protocol}")
         if not 0.0 <= self.p_drop < 1.0:
             raise ConfigError("p_drop", "drop probability must be in [0, 1)")
         if self.latency_lo < 1 or self.latency_hi < self.latency_lo:
             raise ConfigError("latency_lo", "need 1 <= latency_lo <= latency_hi")
-        if self.alert_latency_bound < 1:
-            raise ConfigError("alert_latency_bound", "must be >= 1")
-        if self.recovery_ack_delay is not None and \
-                self.alert_latency_bound >= self.recovery_ack_delay:
-            raise ConfigError(
-                "recovery_ack_delay",
-                f"alert latency bound {self.alert_latency_bound} must be below "
-                f"the recovery ack delay {self.recovery_ack_delay}")
+        if self.num_faulty is not None and self.num_faulty < 0:
+            raise ConfigError("num_faulty", f"must be >= 0, got {self.num_faulty}")
         nf = self.effective_num_faulty()
         if nf > self.t:
             raise ConfigError("num_faulty", f"{nf} faulty exceeds t={self.t}")
@@ -211,8 +167,8 @@ class SimWorld:
     """One simulated execution. Strictly single threaded."""
 
     def __init__(self, config: SimConfig):
-        cfg = config.resolved()
-        self.config = cfg
+        config.validate()
+        self.config = cfg = config
         self.clock = 0
         self._counter = 0
         self.queue: list = []
@@ -238,12 +194,9 @@ class SimWorld:
                                  log_signs=cfg.record_trace)
         self.params = QuorumParams(cfg.n, cfg.t)
         self.kind = ProtocolKind(cfg.protocol)
-        self._timeouts = Timeouts(
-            act_active=cfg.act_active_timeout,
-            t3_expand=cfg.t3_expand_timeout,
-            recovery_ack_delay=cfg.recovery_ack_delay,
-            reforward=cfg.reforward_timeout,
-        )
+        self.timeouts = Timeouts.for_latency(cfg.latency_hi, cfg.stability)
+        # ticks from a correct delivery to the oracle's report of it
+        self.stability_lag = 4 * cfg.latency_hi
 
         self.engines: list[Optional[ProcessEngine]] = [
             None if p in self.faulty else self._make_engine(p)
@@ -284,8 +237,7 @@ class SimWorld:
             pid, self.kind, self.params, self.keychain, self.witness_seed,
             self.world_seed,
             kappa=self.config.kappa, delta=self.config.delta,
-            slack_c=self.config.slack_c, timeouts=self._timeouts,
-            holdback_cap=self.config.holdback_cap)
+            slack_c=self.config.slack_c, timeouts=self.timeouts)
 
     def _make_adversary(self, strategy: str) -> Adversary:
         ctx = AdversaryContext(
@@ -293,7 +245,7 @@ class SimWorld:
             delta=self.config.delta, slack_c=self.config.slack_c,
             keychain=self.keychain,
             faulty=self.faulty,
-            witness_seed=self.witness_seed if self.config.adversary_knows_r else None,
+            witness_seed=self.witness_seed,
             make_engine=self._make_engine)
         return Adversary(strategy, ctx, crash_after=self.config.crash_after)
 
@@ -312,7 +264,7 @@ class SimWorld:
                 sender = correct[i % len(correct)]
             else:
                 sender = correct[rng.randrange(len(correct))]
-            payload = cfg.payload_prefix + str(i).encode()
+            payload = b"m" + str(i).encode()
             self._push(1 + i * cfg.message_spacing, (EV_MCAST, sender, payload))
 
     def _meta_note(self) -> str:
@@ -362,7 +314,7 @@ class SimWorld:
                 k += 1
                 self._log(arrival, "drop", src, dst, msg.proto, msg.role,
                           msg.subject, msg.digest, "retransmit")
-                arrival += self.config.retransmit_interval
+                arrival += RETRANSMIT_INTERVAL
             k += 1
         self._chan_draws[key] = k
         # FIFO per ordered pair: never overtake an earlier message.
@@ -375,7 +327,7 @@ class SimWorld:
     def _fast_send(self, src: int, dst: int, msg: WireMessage, now: int):
         self._log(now, "send", src, dst, msg.proto, msg.role, msg.subject,
                   msg.digest, "fast")
-        arrival = now + self._fast_rng.randint(1, self.config.alert_latency_bound)
+        arrival = now + self._fast_rng.randint(1, ALERT_LATENCY_BOUND)
         self._push(arrival, (EV_MSG, dst, src, msg, "fast"))
 
     def _apply(self, pid: int, actions: list, now: int):
@@ -418,9 +370,8 @@ class SimWorld:
             if rec is not None and rec.acks:
                 note = self._signers_note(rec.acks, mid, dig)
         self._log(now, "appdlv", pid, None, None, "deliver", mid, dig, note)
-        if self.config.stability and self.config.reforward_timeout is not None \
-                and pid not in self.faulty:
-            tick = now + self.config.stability_lag
+        if self.config.stability and pid not in self.faulty:
+            tick = now + self.stability_lag
             batch = self._maturing.get(tick)
             if batch is None:
                 batch = self._maturing[tick] = []
@@ -526,10 +477,9 @@ class SimWorld:
 
     # -- top level -------------------------------------------------------------
 
-    def run_to_quiescence(self, max_ticks: Optional[int] = None) -> RunReport:
-        limit = max_ticks if max_ticks is not None else self.config.max_ticks
+    def run_to_quiescence(self, max_ticks: int = 1_000_000) -> RunReport:
         while self.queue:
-            if self.queue[0][0] > limit:
+            if self.queue[0][0] > max_ticks:
                 break
             self.step()
         quiescent = not self.queue

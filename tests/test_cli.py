@@ -82,6 +82,38 @@ def test_analyze_rejects_bad_params(capsys):
     assert code == 1 and "t" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--protocol", "e", "--n", "7", "--t", "2",
+      "--adversary", "silent", "--num-faulty", "-1"), "num_faulty: must be >= 0"),
+    (("simulate", "--protocol", "act", "--n", "13", "--t", "4", "--kappa", "2",
+      "--delta", "3", "--slack-c", "-1"), "slack_c: need 0 <= slack C"),
+    (("analyze", "--n", "100", "--t", "10", "--kappa", "3",
+      "--delta", "-2"), "delta must be >= 0"),
+    (("analyze", "--n", "100", "--t", "10", "--kappa", "-2"),
+     "kappa must be >= 0"),
+    (("analyze", "--n", "10", "--t", "1", "--kappa", "2",
+      "--slack-c", "-1"), "slack_c must be >= 0"),
+    (("analyze", "--n", "0", "--t", "0"), "n must be >= 1"),
+])
+def test_negative_counts_are_config_errors(capsys, argv, message):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("montecarlo", "--protocol", "act", "--n", "31", "--t", "10",
+     "--kappa", "3", "--delta", "5", "--adversary", "regime-split"),
+    ("sweep", "--grid", "delta=4..5", "--n", "31", "--t", "10",
+     "--kappa", "3", "--montecarlo"),
+])
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_montecarlo_rejects_too_few_trials(capsys, argv, trials):
+    code, out, err = run_cli(capsys, *argv, "--trials", trials)
+    assert code == 1
+    assert err.startswith("config error: trials") and "PASS" not in out
+
+
 def test_montecarlo_pass(capsys):
     code, out, _ = run_cli(capsys, "montecarlo", "--protocol", "act",
                            "--n", "31", "--t", "10", "--kappa", "3",
@@ -158,6 +190,15 @@ def test_sweep_empty_grid_header_only(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--grid", "")
     assert code == 0
     assert out.strip().splitlines() == [out.strip().splitlines()[0]]
+
+
+def test_sweep_skips_negative_delta(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--grid", "delta=-2..0",
+                           "--n", "100", "--t", "10", "--kappa", "3")
+    assert code == 0
+    header, *rows = out.strip().splitlines()
+    delta = header.split(",").index("delta")
+    assert [r.split(",")[delta] for r in rows] == ["0"]
 
 
 def test_sweep_malformed_grid(capsys):

@@ -3,9 +3,12 @@ import random
 import pytest
 
 from securecast.core import keyed_seed
-from securecast.protocols import REGULAR, WireMessage
-from securecast.simnet import (ConfigError, SimConfig, build_world,
-                               run_world)
+from securecast.core import KeyChain, ProtocolKind
+from securecast.protocols import (ALERT_LATENCY_BOUND, REGULAR, ProcessEngine,
+                                  Timeouts, WireMessage)
+from securecast.quorum import QuorumParams
+from securecast.simnet import (RETRANSMIT_INTERVAL, ConfigError, SimConfig,
+                               build_world, run_world)
 
 
 def test_build_world_minimal():
@@ -14,11 +17,25 @@ def test_build_world_minimal():
     assert all(e is not None for e in world.engines)
 
 
-def test_config_rejects_alert_bound_at_or_above_delay():
-    with pytest.raises(ConfigError) as err:
-        build_world(SimConfig(protocol="act", n=13, t=4, kappa=2, delta=3,
-                              alert_latency_bound=20, recovery_ack_delay=10))
-    assert "recovery_ack_delay" in str(err.value)
+def test_derived_timers_pinned():
+    assert Timeouts.for_latency(5) == Timeouts(30, 20, 15, 40)
+    assert Timeouts.for_latency(5, stability=False) == Timeouts(30, 20, 15, None)
+    world = build_world(SimConfig(protocol="3t", n=4, t=1, latency_hi=5))
+    engine = ProcessEngine(0, ProtocolKind.THREE_T, QuorumParams(4, 1),
+                           KeyChain(4, b"unit", faulty=frozenset()), 1, 1)
+    assert engine.timeouts == world.timeouts == Timeouts.for_latency(5)
+    assert world.stability_lag == 20
+
+
+def test_derived_recovery_delay_exceeds_alert_bound():
+    for hi in (1, 2, 5, 8, 50):
+        for stability in (True, False):
+            world = build_world(SimConfig(protocol="act", n=13, t=4, kappa=2,
+                                          delta=3, latency_hi=hi,
+                                          stability=stability))
+            assert world.timeouts == Timeouts.for_latency(hi, stability)
+            assert world.timeouts.recovery_ack_delay > ALERT_LATENCY_BOUND
+            assert (world.timeouts.reforward is None) == (not stability)
 
 
 def test_config_rejects_act_capacity_violation():
@@ -117,7 +134,7 @@ def test_stability_oracle_only_reports_real_deliveries():
     cfg = SimConfig(protocol="e", n=4, t=1, messages=1, seed=0)
     world = build_world(cfg)
     world.run_to_quiescence()
-    lag = world.config.stability_lag
+    lag = world.stability_lag
     delivered, reported = {}, []
     for line in world.trace:
         parts = line.split(" ", 8)
@@ -199,8 +216,8 @@ def test_alert_race_is_structural():
                         latency_hi=8)
         world = build_world(cfg)
         world.run_to_quiescence()
-        bound = world.config.alert_latency_bound
-        delay = world.config.recovery_ack_delay
+        bound = ALERT_LATENCY_BOUND
+        delay = world.timeouts.recovery_ack_delay
         assert bound < delay
         raised = []
         for line in world.trace:
@@ -283,7 +300,7 @@ def test_channel_draws_are_keyed_seeds_and_drive_every_send():
         k += 1
         while world._chan_draw(*key, k) < cut:
             k += 1
-            arrival += c.retransmit_interval
+            arrival += RETRANSMIT_INTERVAL
         k += 1
         arrival = max(arrival, last.get(key, 0))
         last[key], draws[key] = arrival, k
@@ -309,7 +326,7 @@ def test_channel_latency_uniform_and_loss_rate_matches_p_drop():
             drops[key] = drops.get(key, 0) + 1
     counts = [0] * 6
     for arrival, _, (_, dst, src, _, _) in world.queue:
-        latency = arrival - cfg.retransmit_interval * drops.get((src, dst), 0)
+        latency = arrival - RETRANSMIT_INTERVAL * drops.get((src, dst), 0)
         counts[latency - cfg.latency_lo] += 1
     assert sum(counts) == cfg.n ** 2
     _, pvalue = stats.chisquare(counts)
