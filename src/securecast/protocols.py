@@ -20,6 +20,14 @@ Protocol summary:
   3t+1 range and only acks after all of them verify.  On timeout the
   sender falls back to the 3T rule over the same range.  Recovery acks are
   delayed so that any pending equivocation alert wins the race.
+
+With the stability oracle on, a process that delivers a message keeps it
+and re-forwards it once, on a timer, to every correct process the oracle
+has not yet reported as having delivered it.  A notice names, per id, the
+correct processes still missing it; the engine keeps only the newest notice
+per id it holds, and forgets the id once it is re-forwarded or reported
+stable everywhere.  Without the oracle nothing re-forwards and nothing is
+kept.
 """
 
 from __future__ import annotations
@@ -70,9 +78,11 @@ class WireMessage:
     ack: Optional[Ack] = None
     sender_sig: Optional[Signature] = None
     evidence: Optional[EvidencePair] = None
-    # sm_notify only, whose subject is None: the (deliverer, id) pairs that
-    # matured at one tick
-    stable: Optional[tuple[tuple[int, MessageId], ...]] = None
+    # sm_notify only, whose subject is None: (tick, ((id, missing), ...)),
+    # per id the batch of that tick touched, the correct processes whose
+    # delivery has not matured yet; empty means stable everywhere
+    stable: Optional[tuple[int, tuple[tuple[MessageId, frozenset[int]],
+                                      ...]]] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,6 +99,7 @@ class Broadcast:
 @dataclass(frozen=True, slots=True)
 class Deliver:
     message: MulticastMessage
+    acks: tuple[Ack, ...]        # the validated ack set it was delivered on
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,7 +195,10 @@ class ProcessEngine:
         self.probes: dict[MessageId, _Probe] = {}
         self.holdback: dict[int, dict[int, WireMessage]] = {}
         self.known_faulty: set[int] = set()
-        self.stability: set[tuple[int, MessageId]] = set()
+        # id -> (tick, correct processes missing it) of the newest notice,
+        # and id -> the deliver to re-forward; both kept only with
+        # stability on and only until the re-forward or stable everywhere
+        self.stability: dict[MessageId, tuple[int, frozenset[int]]] = {}
         self.delivered_record: dict[MessageId, WireMessage] = {}
 
     # -- helpers ----------------------------------------------------------
@@ -433,12 +447,12 @@ class ProcessEngine:
     def _do_deliver(self, msg: WireMessage) -> list[Action]:
         m = msg.body
         self.delivery[m.id.sender] = m.id.seq
-        self.delivered_record[m.id] = msg
         # A delivered message counts as received for conflict detection:
         # no ack or verification is ever signed against it afterwards.
         self.recorded.setdefault(m.id, _Recorded(message_digest(m)))
-        actions: list[Action] = [Deliver(m)]
+        actions: list[Action] = [Deliver(m, msg.acks)]
         if self.timeouts.reforward is not None:
+            self.delivered_record[m.id] = msg
             actions.append(SetTimer(("reforward", m.id), self.timeouts.reforward))
         return actions
 
@@ -460,8 +474,20 @@ class ProcessEngine:
         return []
 
     def on_sm_notify(self, src: int, msg: WireMessage, now: int) -> list[Action]:
-        me = self.me
-        self.stability.update(pair for pair in msg.stable if pair[0] != me)
+        """Keep the newest notice per id still to be re-forwarded.  Notices
+        can arrive out of order, and the oracle's sets only shrink, so an
+        older tick never replaces a newer one."""
+        tick, entries = msg.stable
+        for mid, missing in entries:
+            if mid not in self.delivered_record:
+                continue  # not delivered here, or already re-forwarded
+            if not missing:
+                del self.delivered_record[mid]
+                self.stability.pop(mid, None)
+                continue
+            known = self.stability.get(mid)
+            if known is None or known[0] < tick:
+                self.stability[mid] = (tick, missing)
         return []
 
     # -- timers -----------------------------------------------------------
@@ -512,12 +538,14 @@ class ProcessEngine:
         return [self._ack_to(PROTO_3T, dst, mid, dig)]
 
     def _on_reforward(self, mid: MessageId) -> list[Action]:
-        msg = self.delivered_record.get(mid)
+        """Send the delivered message to every correct process the oracle
+        has not reported, then forget it.  The timer outlasts the oracle's
+        lag plus a notice's latency, so at a correct process a notice
+        naming its own delivery has always arrived.  An adversary's shadow
+        engine hears no notices and targets every other process."""
+        msg = self.delivered_record.pop(mid, None)
         if msg is None:
-            return []
-        out = []
-        for p in range(self.params.n):
-            if p == self.me or (p, mid) in self.stability:
-                continue
-            out.append(Send(p, msg))
-        return out
+            return []  # stable everywhere already
+        known = self.stability.pop(mid, None)
+        targets = range(self.params.n) if known is None else sorted(known[1])
+        return [Send(p, msg) for p in targets if p != self.me]

@@ -20,15 +20,21 @@ bound, ALERT_LATENCY_BOUND.  Every protocol timer is derived from
 latency_hi (Timeouts.for_latency), the recovery ack delay among them, so it
 always exceeds that bound: the race the ACT protocol relies on.
 
-The stability mechanism is a trusted oracle.  A correct process's
-delivery matures 4 * latency_hi ticks after it happens; deliveries maturing
-at the same tick are batched, and only the first of a batch schedules a
-wake-up.  At that wake-up the oracle writes one "stable" trace record per
-matured delivery and sends every correct process one sm_notify carrying the
-whole batch, each after its own latency in [latency_lo, latency_hi].  So
-every correct process learns of every correct delivery between 1 and
-latency_hi ticks after it matures, at a cost of one event per receiver per
-maturity tick.  Only real deliveries are ever reported.
+The stability mechanism is a trusted oracle that knows the correct set.
+A correct process's delivery matures 4 * latency_hi ticks after it
+happens; deliveries maturing at the same tick are batched, and only the
+first of a batch schedules a wake-up.  Per message id the oracle keeps the
+correct processes whose delivery has not yet matured, and forgets the id
+once that set is empty.  At a wake-up it writes one "stable" trace record
+per matured delivery and sends every correct process one sm_notify, each
+after its own latency in [latency_lo, latency_hi].  The notice carries
+(tick, ((id, missing), ...)): one entry per id the batch touched, with the
+frozenset of correct processes still missing it, shared by every receiver;
+an empty set means the id is stable everywhere.  Sets only shrink, so the
+notice of the latest tick is the one that counts.  Every correct process
+learns of every correct delivery between 1 and latency_hi ticks after it
+matures, at a cost of one event per receiver per maturity tick.  Only real
+deliveries are ever reported.
 """
 
 from __future__ import annotations
@@ -57,6 +63,10 @@ EV_ORACLE = 3
 # Ticks between a lost transmission and its retry.
 RETRANSMIT_INTERVAL = 8
 
+# Who multicasts: "faulty" senders only, "uniform" draws among the correct
+# processes, "auto" picks faulty under an attack strategy, else uniform.
+SENDER_MODES = ("auto", "uniform", "faulty")
+
 # (src, dst, draw index) in keyed_seed's encoding, after the channel prefix
 _CHAN_FIELDS = u64_fields(3)
 
@@ -80,7 +90,7 @@ class SimConfig:
     crash_after: int = 3
     num_faulty: Optional[int] = None  # defaults: t if adversary set, else 0
     faulty_set: Optional[tuple[int, ...]] = None
-    senders: str = "auto"             # auto | uniform | faulty | round_robin
+    senders: str = "auto"             # auto | uniform | faulty
     seed: int = 0
     witness_seed: Optional[int] = None
     adversary_seed: Optional[int] = None
@@ -113,6 +123,11 @@ class SimConfig:
             raise ConfigError("p_drop", "drop probability must be in [0, 1)")
         if self.latency_lo < 1 or self.latency_hi < self.latency_lo:
             raise ConfigError("latency_lo", "need 1 <= latency_lo <= latency_hi")
+        if self.senders not in SENDER_MODES:
+            raise ConfigError("senders", f"unknown sender mode {self.senders!r}")
+        if self.crash_after < 0:
+            raise ConfigError("crash_after",
+                              f"must be >= 0, got {self.crash_after}")
         if self.num_faulty is not None and self.num_faulty < 0:
             raise ConfigError("num_faulty", f"must be >= 0, got {self.num_faulty}")
         nf = self.effective_num_faulty()
@@ -225,6 +240,10 @@ class SimWorld:
         self.messages_multicast = 0
         # maturity tick -> the (deliverer, id) pairs the oracle reports then
         self._maturing: dict[int, list[tuple[int, MessageId]]] = {}
+        # id -> correct processes whose delivery has not matured yet;
+        # dropped once empty
+        self._unstable: dict[MessageId, set[int]] = {}
+        self.correct = tuple(p for p in range(cfg.n) if p not in self.faulty)
 
         self._schedule_workload()
         self._log(0, "meta", None, None, PROTO_TAG[self.kind], "meta",
@@ -255,13 +274,11 @@ class SimWorld:
         if mode == "auto":
             mode = "faulty" if cfg.adversary in ATTACK_STRATEGIES else "uniform"
         rng = random.Random(keyed_seed(self.world_seed, b"workload"))
-        correct = [p for p in range(cfg.n) if p not in self.faulty]
+        correct = self.correct
         flist = sorted(self.faulty)
         for i in range(cfg.messages):
             if mode == "faulty" and flist:
                 sender = flist[i % len(flist)]
-            elif mode == "round_robin":
-                sender = correct[i % len(correct)]
             else:
                 sender = correct[rng.randrange(len(correct))]
             payload = b"m" + str(i).encode()
@@ -338,7 +355,7 @@ class SimWorld:
                 for dst in range(self.config.n):
                     self._channel_send(pid, dst, act.msg, now)
             elif isinstance(act, Deliver):
-                self._record_delivery(pid, act.message, now)
+                self._record_delivery(pid, act.message, act.acks, now)
             elif isinstance(act, SetTimer):
                 tid = act.timer_id
                 self._log(now, "timer_set", pid, None, None, tid[0],
@@ -356,21 +373,19 @@ class SimWorld:
                     if dst != pid:
                         self._fast_send(pid, dst, alert, now)
 
-    def _record_delivery(self, pid: int, message, now: int):
+    def _record_delivery(self, pid: int, message, acks: tuple, now: int):
         mid = message.id
         dig = message_digest(message)
         self.deliveries[pid] = self.deliveries.get(pid, 0) + 1
-        if pid not in self.faulty:
+        correct = pid not in self.faulty
+        if correct:
             slot = self.delivered_digests.setdefault(mid, {})
             slot.setdefault(dig, set()).add(pid)
         note = None
-        if self.trace is not None:
-            eng = self.engines[pid]
-            rec = eng.delivered_record.get(mid) if eng else None
-            if rec is not None and rec.acks:
-                note = self._signers_note(rec.acks, mid, dig)
+        if self.trace is not None and correct and acks:
+            note = self._signers_note(acks, mid, dig)
         self._log(now, "appdlv", pid, None, None, "deliver", mid, dig, note)
-        if self.config.stability and pid not in self.faulty:
+        if self.config.stability and correct:
             tick = now + self.stability_lag
             batch = self._maturing.get(tick)
             if batch is None:
@@ -456,20 +471,30 @@ class SimWorld:
 
     def stability_oracle_tick(self, item: tuple):
         """Report the deliveries that mature now: one stable record each,
-        then one sm_notify with the whole batch to every correct process.
-        Driven by delivery wake-ups, so a quiesced world schedules nothing
-        new."""
+        then one sm_notify to every correct process naming, per id the
+        batch touched, the correct processes still missing it.  Driven by
+        delivery wake-ups, so a quiesced world schedules nothing new."""
         _, _, tick = item
-        batch = tuple(self._maturing.pop(tick))
         proto = PROTO_TAG[self.kind]
-        for deliverer, mid in batch:
+        unstable = self._unstable
+        touched: dict[MessageId, set[int]] = {}
+        for deliverer, mid in self._maturing.pop(tick):
             self._log(tick, "stable", deliverer, None, proto, SM_NOTIFY, mid,
                       None, None)
-        msg = WireMessage(proto, SM_NOTIFY, None, stable=batch)
+            missing = touched.get(mid)
+            if missing is None:
+                # a kept set is never empty
+                missing = unstable.get(mid) or set(self.correct)
+                unstable[mid] = touched[mid] = missing
+            missing.discard(deliverer)
+        for mid, missing in touched.items():
+            if not missing:
+                del unstable[mid]
+        # one frozenset per id, shared by every receiver
+        msg = WireMessage(proto, SM_NOTIFY, None, stable=(tick, tuple(
+            (mid, frozenset(missing)) for mid, missing in touched.items())))
         lo, hi = self.config.latency_lo, self.config.latency_hi
-        for p in range(self.config.n):
-            if p in self.faulty:
-                continue
+        for p in self.correct:
             arrival = tick + self._oracle_rng.randint(lo, hi)
             self._log(tick, "send", None, p, proto, SM_NOTIFY, None, None,
                       "oracle")

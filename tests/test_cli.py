@@ -94,6 +94,8 @@ def test_analyze_rejects_bad_params(capsys):
     (("analyze", "--n", "10", "--t", "1", "--kappa", "2",
       "--slack-c", "-1"), "slack_c must be >= 0"),
     (("analyze", "--n", "0", "--t", "0"), "n must be >= 1"),
+    (("simulate", "--protocol", "e", "--n", "4", "--t", "1",
+      "--adversary", "crash", "--crash-after", "-3"), "crash_after"),
 ])
 def test_negative_counts_are_config_errors(capsys, argv, message):
     code, _, err = run_cli(capsys, *argv)

@@ -6,7 +6,7 @@ from securecast.core import (PROTO_3T, PROTO_AV, PROTO_E, KeyChain, MessageId,
 from securecast.protocols import (ACK, DELIVER, INFORM, REGULAR, VERIFY,
                                   Broadcast, Deliver, EvidencePair,
                                   ProcessEngine, RaiseAlert, Send, SetTimer,
-                                  WireMessage)
+                                  Timeouts, WireMessage)
 from securecast.quorum import (InvalidParamsError, QuorumParams, w3t,
                                w_active)
 
@@ -439,29 +439,103 @@ def test_deliver_below_quorum_dropped():
     assert receiver.delivery.get(0, 0) == 0
 
 
+def notice(tick, *entries):
+    """An oracle notice: per id, the correct processes still missing it."""
+    return WireMessage(PROTO_E, "sm_notify", None, stable=(tick, tuple(
+        (mid, frozenset(missing)) for mid, missing in entries)))
+
+
 def test_deliver_sets_reforward_timer_and_respects_stability():
     kc = KeyChain(4, b"unit")
     sender = make_engine(me=0, n=4, t=1, keychain=kc)
     receiver = make_engine(me=2, n=4, t=1, keychain=kc)
     msg = build_valid_deliver(kc, sender)
-    out = receiver.handle(0, msg, now=3)
     mid = msg.subject
+    # A notice about an id not delivered here is not kept.
+    assert receiver.handle(None, notice(2, (mid, {1, 2, 3})), now=2) == []
+    assert receiver.stability == {}
+    out = receiver.handle(0, msg, now=3)
     tmr = [a for a in timers(out) if a.timer_id[0] == "reforward"]
     assert tmr and tmr[0].timer_id == ("reforward", mid)
-    # Everyone known to have delivered: nothing re-forwarded.  The oracle's
-    # batch may name the receiver itself, which it does not record.
-    notice = WireMessage(PROTO_E, "sm_notify", None,
-                         stable=((0, mid), (1, mid), (2, mid)))
-    assert receiver.handle(None, notice, now=4) == []
-    receiver.handle(None, WireMessage(PROTO_E, "sm_notify", None,
-                                      stable=((3, mid),)), now=5)
-    assert receiver.stability == {(0, mid), (1, mid), (3, mid)}
-    assert receiver.on_timer(("reforward", mid), now=44) == []
-    # One process missing: exactly one deliver goes out.
-    receiver.stability.discard((3, mid))
-    out = receiver.on_timer(("reforward", mid), now=45)
+    assert receiver.delivered_record == {mid: msg}
+    # The newest notice wins; the receiver itself may still be listed.
+    assert receiver.handle(None, notice(23, (mid, {1, 2, 3})), now=24) == []
+    assert receiver.stability == {mid: (23, {1, 2, 3})}
+    receiver.handle(None, notice(25, (mid, {2, 3})), now=26)
+    assert receiver.stability == {mid: (25, {2, 3})}
+    # One process missing: exactly one deliver goes out, never to the
+    # receiver, and the id is forgotten.
+    out = receiver.on_timer(("reforward", mid), now=43)
     assert [a.to for a in sends(out)] == [3]
     assert sends(out)[0].msg.role == DELIVER
+    assert sends(out)[0].msg is msg
+    assert receiver.stability == {} and receiver.delivered_record == {}
+    assert receiver.on_timer(("reforward", mid), now=44) == []
+    # A notice after the re-forward is not kept either.
+    receiver.handle(None, notice(26, (mid, {3})), now=45)
+    assert receiver.stability == {}
+
+
+def test_stable_everywhere_notice_releases_the_id():
+    kc = KeyChain(4, b"unit")
+    sender = make_engine(me=0, n=4, t=1, keychain=kc)
+    receiver = make_engine(me=2, n=4, t=1, keychain=kc)
+    first = build_valid_deliver(kc, sender, b"m1")
+    second = build_valid_deliver(kc, sender, b"m2")
+    receiver.handle(0, first, now=3)
+    receiver.handle(0, second, now=4)
+    a, b = first.subject, second.subject
+    receiver.handle(None, notice(23, (a, {1}), (b, {1, 3})), now=24)
+    receiver.handle(None, notice(24, (a, ()), (b, {3})), now=25)
+    assert receiver.stability == {b: (24, {3})}
+    assert set(receiver.delivered_record) == {b}
+    # The timer of a released id sends nothing.
+    assert receiver.on_timer(("reforward", a), now=43) == []
+    assert [s.to for s in sends(
+        receiver.on_timer(("reforward", b), now=44))] == [3]
+
+
+def test_stale_notice_does_not_widen_missing_set():
+    kc = KeyChain(7, b"unit")
+    sender = make_engine(me=0, n=7, t=2, keychain=kc)
+    receiver = make_engine(me=2, n=7, t=2, keychain=kc)
+    msg = build_valid_deliver(kc, sender)
+    mid = msg.subject
+    receiver.handle(0, msg, now=3)
+    receiver.handle(None, notice(26, (mid, {4})), now=27)
+    # An older notice arriving later names more processes; it is ignored.
+    receiver.handle(None, notice(25, (mid, {1, 3, 4, 5})), now=28)
+    assert receiver.stability == {mid: (26, {4})}
+    out = receiver.on_timer(("reforward", mid), now=43)
+    assert [a.to for a in sends(out)] == [4]
+    # A stale non-empty notice never revives an id released as stable.
+    other = build_valid_deliver(kc, sender, b"m2")
+    receiver.handle(0, other, now=44)
+    receiver.handle(None, notice(70, (other.subject, ())), now=71)
+    receiver.handle(None, notice(69, (other.subject, {4})), now=72)
+    assert receiver.stability == {} and receiver.delivered_record == {}
+
+
+def test_reforward_without_a_notice_reaches_every_other_process():
+    kc = KeyChain(4, b"unit")
+    sender = make_engine(me=0, n=4, t=1, keychain=kc)
+    receiver = make_engine(me=2, n=4, t=1, keychain=kc)
+    msg = build_valid_deliver(kc, sender)
+    receiver.handle(0, msg, now=3)
+    out = receiver.on_timer(("reforward", msg.subject), now=43)
+    assert [a.to for a in sends(out)] == [0, 1, 3]
+
+
+def test_no_delivered_record_without_stability():
+    kc = KeyChain(4, b"unit")
+    sender = make_engine(me=0, n=4, t=1, keychain=kc)
+    receiver = make_engine(me=2, n=4, t=1, keychain=kc,
+                           timeouts=Timeouts.for_latency(5, stability=False))
+    msg = build_valid_deliver(kc, sender)
+    out = receiver.handle(0, msg, now=3)
+    [dlv] = [a for a in out if isinstance(a, Deliver)]
+    assert dlv.acks is msg.acks and not timers(out)
+    assert receiver.delivered_record == {}
 
 
 def test_alert_requires_two_valid_signatures():

@@ -4,8 +4,8 @@ import pytest
 
 from securecast.core import keyed_seed
 from securecast.core import KeyChain, ProtocolKind
-from securecast.protocols import (ALERT_LATENCY_BOUND, REGULAR, ProcessEngine,
-                                  Timeouts, WireMessage)
+from securecast.protocols import (ALERT_LATENCY_BOUND, REGULAR, SM_NOTIFY,
+                                  ProcessEngine, Send, Timeouts, WireMessage)
 from securecast.quorum import QuorumParams
 from securecast.simnet import (RETRANSMIT_INTERVAL, ConfigError, SimConfig,
                                build_world, run_world)
@@ -60,6 +60,23 @@ def test_config_rejects_small_n_for_t():
                                   faulty_set=(0, 1)))
     assert world.faulty == {0, 1}
     assert world.run_to_quiescence().quiescent
+
+
+def test_config_rejects_unknown_sender_mode():
+    with pytest.raises(ConfigError) as err:
+        build_world(SimConfig(protocol="e", n=4, t=1, senders="round_robin"))
+    assert err.value.field == "senders"
+    for mode in ("auto", "uniform", "faulty"):
+        build_world(SimConfig(protocol="e", n=4, t=1, senders=mode))
+
+
+def test_config_rejects_negative_crash_after():
+    with pytest.raises(ConfigError) as err:
+        SimConfig(protocol="e", n=4, t=1, adversary="crash",
+                  crash_after=-1).validate()
+    assert err.value.field == "crash_after"
+    SimConfig(protocol="e", n=4, t=1, adversary="crash",
+              crash_after=0).validate()
 
 
 def test_identical_config_identical_trace():
@@ -149,14 +166,39 @@ def test_stability_oracle_only_reports_real_deliveries():
     assert sorted(reported) == sorted(delivered)
 
 
+def watch_notices(world):
+    """Record every oracle notice each correct process receives."""
+    seen = {p: [] for p in world.correct}
+    for eng in world.engines:
+        if eng is not None:
+            def handle(src, msg, now, _orig=eng.handle, _log=seen[eng.me]):
+                if msg.role == SM_NOTIFY:
+                    _log.append(msg.stable)
+                return _orig(src, msg, now)
+            eng.handle = handle
+    return seen
+
+
+def engines_of(world):
+    return [e for e in world.engines if e is not None]
+
+
 def test_stability_notifications_reach_everyone():
     cfg = SimConfig(protocol="e", n=4, t=1, messages=1, seed=0)
     world = build_world(cfg)
+    seen = watch_notices(world)
     world.run_to_quiescence()
+    [mid] = world.delivered_digests
     for eng in world.engines:
-        others = set(range(4)) - {eng.me}
-        known = {p for (p, _mid) in eng.stability}
-        assert known == others
+        # Between them, the notices report every process, and the newest
+        # one reports the id stable everywhere.
+        entries = [(tick, missing) for tick, batch in seen[eng.me]
+                   for m, missing in batch if m == mid]
+        reported = set().union(*(set(range(4)) - missing
+                                 for _, missing in entries))
+        assert reported == set(range(4))
+        assert max(entries)[1] == frozenset()
+        assert eng.stability == {} and eng.delivered_record == {}
 
 
 def test_stability_oracle_informs_every_correct_process_with_drops():
@@ -165,15 +207,132 @@ def test_stability_oracle_informs_every_correct_process_with_drops():
         cfg = SimConfig(protocol=proto, n=10, t=3, adversary="crash",
                         messages=3, seed=11, p_drop=0.3, **extra)
         world = build_world(cfg)
+        seen = watch_notices(world)
         report = world.run_to_quiescence()
         assert report.quiescent, proto
-        engines = [e for e in world.engines if e is not None]
-        assert len(engines) == 10 - len(world.faulty)
-        delivered = {(e.me, mid) for e in engines for mid in e.delivered_record}
-        assert len(delivered) == len(engines) * 3, proto
-        for eng in engines:
-            expected = {(p, mid) for (p, mid) in delivered if p != eng.me}
-            assert eng.stability == expected, (proto, eng.me)
+        correct = set(world.correct)
+        assert len(correct) == 10 - len(world.faulty)
+        matured, stable_at = {}, {}
+        for line in world.trace:
+            parts = line.split(" ", 8)
+            if parts[1] == "appdlv" and int(parts[2]) in correct:
+                matured[(int(parts[2]), parts[6])] = \
+                    int(parts[0]) + world.stability_lag
+            elif parts[1] == "stable":
+                stable_at.setdefault(int(parts[0]), set()).add(parts[6])
+        assert len(matured) == len(correct) * 3, proto
+        ids = {str(mid) for mid in report.delivered_digests}
+        for p in correct:
+            # Every correct process hears of every tick, and each notice
+            # names exactly the correct processes not matured by its tick.
+            assert {tick for tick, _ in seen[p]} == set(stable_at), (proto, p)
+            cleared = set()
+            for tick, batch in seen[p]:
+                assert {str(mid) for mid, _ in batch} == stable_at[tick]
+                for mid, missing in batch:
+                    assert missing == {q for q in correct if matured.get(
+                        (q, str(mid)), tick + 1) > tick}, (proto, p, tick)
+                    if not missing:
+                        cleared.add(str(mid))
+            assert cleared == ids, (proto, p)
+        # All receivers share one frozenset per id per tick.
+        for tick in stable_at:
+            shared = {id(missing) for p in correct for t, batch in seen[p]
+                      if t == tick for _, missing in batch}
+            assert len(shared) == len(stable_at[tick]), (proto, tick)
+
+
+@pytest.mark.parametrize("proto, extra", [
+    ("e", {}), ("3t", {}), ("act", {"kappa": 2, "delta": 2})])
+def test_reforward_reaches_only_unreported_correct_processes(proto, extra):
+    sent = 0
+    for seed in range(8):
+        cfg = SimConfig(protocol=proto, n=10, t=3, adversary="crash",
+                        messages=3, seed=seed, p_drop=0.3, **extra)
+        world = build_world(cfg)
+        seen = watch_notices(world)
+        for eng in engines_of(world):
+            def on_timer(tid, now, _eng=eng, _orig=eng.on_timer):
+                out = _orig(tid, now)
+                if tid[0] == "reforward":
+                    reported = set()
+                    for _, batch in seen[_eng.me]:
+                        for mid, missing in batch:
+                            if mid == tid[1]:
+                                reported |= set(world.correct) - missing
+                    targets = {a.to for a in out if isinstance(a, Send)}
+                    assert _eng.me not in targets
+                    assert not targets & world.faulty, (seed, tid)
+                    assert not targets & reported, (seed, tid)
+                    nonlocal sent
+                    sent += len(targets)
+                return out
+            eng.on_timer = on_timer
+        report = world.run_to_quiescence()
+        assert report.quiescent and report.conflicts == 0
+    assert sent > 0  # the check above was exercised
+
+
+@pytest.mark.parametrize("stability", [True, False])
+def test_engine_stability_state_released_after_quiescence(stability):
+    for proto, extra in (("e", {}), ("3t", {}),
+                         ("act", {"kappa": 2, "delta": 2})):
+        cfg = SimConfig(protocol=proto, n=10, t=3, adversary="crash",
+                        messages=4, seed=5, p_drop=0.3, stability=stability,
+                        **extra)
+        world = build_world(cfg)
+        engines = engines_of(world)
+        while world.queue:
+            world.step()
+            if not stability:
+                assert not any(e.delivered_record for e in engines), proto
+        assert sum(world.deliveries.values()) >= len(engines) * 4
+        for e in engines:
+            assert e.stability == {} and e.delivered_record == {}, proto
+        assert world._unstable == {}
+
+
+@pytest.mark.parametrize("hi", [1, 2, 5, 8])
+def test_reforward_fires_after_own_delivery_is_reported(hi):
+    """The re-forward timer (8 * latency_hi) outlasts the oracle's lag
+    (4 * latency_hi) plus a notice's latency (at most latency_hi)."""
+    checked = 0
+    for lo in sorted({1, hi}):
+        for proto, extra in (("e", {}), ("3t", {}),
+                             ("act", {"kappa": 2, "delta": 2})):
+            cfg = SimConfig(protocol=proto, n=10, t=3, adversary="crash",
+                            messages=3, seed=hi, p_drop=0.2, latency_lo=lo,
+                            latency_hi=hi, record_trace=False, **extra)
+            world = build_world(cfg)
+            for eng in engines_of(world):
+                def on_timer(tid, now, _eng=eng, _orig=eng.on_timer):
+                    mid = tid[-1]
+                    if tid[0] == "reforward" and mid in _eng.delivered_record:
+                        known = _eng.stability.get(mid)
+                        assert known is not None, (proto, lo, tid)
+                        assert _eng.me not in known[1], (proto, lo, tid)
+                        nonlocal checked
+                        checked += 1
+                    return _orig(tid, now)
+                eng.on_timer = on_timer
+            assert world.run_to_quiescence().quiescent
+    assert checked > 0
+
+
+def test_act_n1000_with_stability_delivers_everywhere():
+    cfg = SimConfig(protocol="act", n=1000, t=100, kappa=4, delta=10,
+                    adversary="silent", num_faulty=10, messages=10, seed=1,
+                    record_trace=False)
+    world = build_world(cfg)
+    report = world.run_to_quiescence()
+    assert report.quiescent and report.conflicts == 0
+    assert len(world.correct) == 990
+    assert len(report.delivered_digests) == 10
+    for slots in report.delivered_digests.values():
+        [pids] = slots.values()
+        assert pids == set(world.correct)
+    assert all(e.stability == {} and e.delivered_record == {}
+               for e in engines_of(world))
 
 
 def test_oracle_sends_one_notice_per_receiver_per_maturity_tick():
