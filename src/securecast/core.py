@@ -71,8 +71,15 @@ class ForgeryAttemptError(Exception):
     """Raised when a party requests a signature with a key it does not hold."""
 
 
+_LEN = struct.Struct(">I").pack
+
+
 def _enc(*parts: bytes) -> bytes:
-    return b"".join(len(p).to_bytes(4, "big") + p for p in parts)
+    """Each part as a 4-byte big-endian length and its bytes."""
+    out = []
+    for p in parts:
+        out += (_LEN(len(p)), p)
+    return b"".join(out)
 
 
 def _u64(x: int) -> bytes:
@@ -225,13 +232,16 @@ def valid_signers(acks, proto: str, subject: MessageId, dig: bytes,
     """Distinct signers with a valid ack for exactly (proto, subject, digest).
 
     Junk entries are ignored rather than poisoning the set, so validity of
-    an ack set is monotone: removing an ack can never help.  Tuple inputs
-    (the ack sets carried on deliver messages) are memoized, since every
-    group member validates the same broadcast set.  The memo is keyed by
-    the tuple's identity, not its contents, because hashing a few hundred
-    acks per lookup costs more than the answer; each entry keeps its tuple
-    alive, so an id is never reused while its entry exists.  An equal but
-    distinct tuple misses and is validated afresh.
+    an ack set is monotone: removing an ack can never help.  The engines of
+    a world judge each deliver message once and share the verdict
+    (ProcessEngine._verdict), so a broadcast ack set reaches this function
+    once per tag, not once per receiver.  Tuple inputs are still memoized,
+    for the trace's per-delivery signer notes and for engines that do not
+    share verdicts.  The memo is keyed by the tuple's identity, not its
+    contents, because hashing a few hundred acks per lookup costs more
+    than the answer; each entry keeps its tuple alive, so an id is never
+    reused while its entry exists.  An equal but distinct tuple misses and
+    is validated afresh.
     """
     key = None
     if type(acks) is tuple:

@@ -28,6 +28,16 @@ correct processes still missing it; the engine keeps only the newest notice
 per id it holds, and forgets the id once it is re-forwarded or reported
 stable everywhere.  Without the oracle nothing re-forwards and nothing is
 kept.
+
+Every process checks a broadcast deliver's ack set against the delivery
+rule before it delivers.  The verdict is a pure function of the message,
+its acks and the rule (protocol kind, n, t, witness seed, kappa, slack and
+key chain), so engines that share a verdict memo judge each deliver object
+once: a SimWorld gives one memo to all of its engines and to the
+adversary's shadow engines, and a standalone engine keeps its own.  The
+memo is split by rule, so engines whose rules differ never share a
+verdict.  A receiver that has already delivered the id drops the deliver
+without judging it.
 """
 
 from __future__ import annotations
@@ -100,6 +110,7 @@ class Broadcast:
 class Deliver:
     message: MulticastMessage
     acks: tuple[Ack, ...]        # the validated ack set it was delivered on
+    digest: bytes                # message_digest(message), as validated
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,7 +182,7 @@ class ProcessEngine:
                  keychain: KeyChain, witness_seed: int, stream_seed: int,
                  kappa: int = 0, delta: int = 0, slack_c: int = 0,
                  timeouts: Timeouts = Timeouts.for_latency(5),
-                 holdback_cap: int = 64):
+                 holdback_cap: int = 64, verdicts: Optional[dict] = None):
         if kind is ProtocolKind.ACT:
             check_act_params(params.n, params.t, kappa, delta, slack_c)
         self.me = me
@@ -186,6 +197,16 @@ class ProcessEngine:
         self._rng: Optional[random.Random] = None
         self.timeouts = timeouts
         self.holdback_cap = holdback_cap
+        # the wire tags this engine accepts; ACT recovery traffic is 3T
+        self._protos = frozenset((PROTO_TAG[kind], PROTO_3T)
+                                 if kind is ProtocolKind.ACT
+                                 else (PROTO_TAG[kind],))
+        # id(deliver) -> (deliver, digest if it meets the rule else None),
+        # shared with every engine given the same verdicts under this rule;
+        # each entry keeps its message alive, so an id is never reused
+        self._verdicts: dict[int, tuple[WireMessage, Optional[bytes]]] = (
+            {} if verdicts is None else verdicts.setdefault(
+                (kind, params, witness_seed, kappa, slack_c, keychain), {}))
 
         self.own_seq = 0
         self.delivery: dict[int, int] = {}        # sender -> last delivered seq
@@ -301,13 +322,9 @@ class ProcessEngine:
             return self.on_sm_notify(src, msg, now)
         return []
 
-    def _proto_ok(self, proto: str) -> bool:
-        return proto == PROTO_TAG[self.kind] or (
-            self.kind is ProtocolKind.ACT and proto == PROTO_3T)
-
     def on_regular(self, src: int, msg: WireMessage, now: int) -> list[Action]:
         mid = msg.subject
-        if not self._proto_ok(msg.proto) or msg.digest is None:
+        if msg.proto not in self._protos or msg.digest is None:
             return []
         if src != mid.sender or mid.sender in self.known_faulty:
             return []
@@ -411,49 +428,63 @@ class ProcessEngine:
 
     # -- delivery ---------------------------------------------------------
 
-    def _deliver_valid(self, msg: WireMessage) -> bool:
-        m = msg.body
-        if m is None or msg.acks is None:
-            return False
-        mid = m.id
-        dig = message_digest(m)
-        return accepts(self._rules(mid), lambda tag: valid_signers(
-            msg.acks, tag, mid, dig, self.keychain))
+    def _verdict(self, msg: WireMessage) -> Optional[bytes]:
+        """The body's digest if the deliver's acks meet the delivery rule,
+        else None; judged once per deliver object among the engines that
+        share this engine's verdicts."""
+        hit = self._verdicts.get(id(msg))
+        if hit is not None:
+            return hit[1]
+        dig = None
+        acks = msg.acks
+        if acks is not None:
+            mid = msg.body.id
+            d = message_digest(msg.body)
+            keychain = self.keychain
+            if accepts(self._rules(mid), lambda tag: valid_signers(
+                    acks, tag, mid, d, keychain)):
+                dig = d
+        self._verdicts[id(msg)] = (msg, dig)
+        return dig
 
     def on_deliver(self, src: int, msg: WireMessage, now: int) -> list[Action]:
-        if not self._proto_ok(msg.proto) or msg.body is None:
+        m = msg.body
+        if m is None or msg.proto not in self._protos:
             return []
-        if not self._deliver_valid(msg):
-            return []
-        mid = msg.body.id
+        mid = m.id
         last = self.delivery.get(mid.sender, 0)
         if mid.seq <= last:
-            return []  # duplicate, suppressed
+            return []  # duplicate, suppressed whatever its acks
+        dig = self._verdict(msg)
+        if dig is None:
+            return []
         if mid.seq > last + 1:
             slot = self.holdback.setdefault(mid.sender, {})
             if mid.seq not in slot and len(slot) < self.holdback_cap:
                 slot[mid.seq] = msg
             return []
-        actions: list[Action] = []
-        queue = self.holdback.get(mid.sender, {})
-        cur: Optional[WireMessage] = msg
-        while cur is not None:
-            actions += self._do_deliver(cur)
-            cur = queue.pop(self.delivery[mid.sender] + 1, None)
-            if cur is not None and not self._deliver_valid(cur):
-                cur = None
+        actions = self._do_deliver(msg, dig)
+        queue = self.holdback.get(mid.sender)
+        if queue:
+            # held messages were judged valid before they were held
+            seq = mid.seq + 1
+            while (cur := queue.pop(seq, None)) is not None:
+                actions += self._do_deliver(cur, self._verdict(cur))
+                seq += 1
         return actions
 
-    def _do_deliver(self, msg: WireMessage) -> list[Action]:
+    def _do_deliver(self, msg: WireMessage, dig: bytes) -> list[Action]:
         m = msg.body
-        self.delivery[m.id.sender] = m.id.seq
+        mid = m.id
+        self.delivery[mid.sender] = mid.seq
         # A delivered message counts as received for conflict detection:
         # no ack or verification is ever signed against it afterwards.
-        self.recorded.setdefault(m.id, _Recorded(message_digest(m)))
-        actions: list[Action] = [Deliver(m, msg.acks)]
+        if mid not in self.recorded:
+            self.recorded[mid] = _Recorded(dig)
+        actions: list[Action] = [Deliver(m, msg.acks, dig)]
         if self.timeouts.reforward is not None:
-            self.delivered_record[m.id] = msg
-            actions.append(SetTimer(("reforward", m.id), self.timeouts.reforward))
+            self.delivered_record[mid] = msg
+            actions.append(SetTimer(("reforward", mid), self.timeouts.reforward))
         return actions
 
     # -- alerts and stability ---------------------------------------------

@@ -43,13 +43,17 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 from .adversary import (ATTACK_STRATEGIES, STRATEGIES, Adversary,
                         AdversaryContext)
 from .core import (PROTO_TAG, KeyChain, MessageId, ProtocolKind, _enc, _u64,
-                   digest64, keyed_prefix, keyed_seed, message_digest,
-                   u64_fields, valid_signers)
+                   digest64, keyed_prefix, keyed_seed, u64_fields,
+                   valid_signers)
+# Unused here since Deliver carries its digest; bound anyway because the
+# benchmark tracer (bench/tracer.py) patches message_digest in this module.
+from .core import message_digest  # noqa: F401
 from .protocols import (ALERT, ALERT_LATENCY_BOUND, INFORM, REGULAR,
                         SM_NOTIFY, Broadcast, Deliver, ProcessEngine,
                         RaiseAlert, Send, SetTimer, Timeouts, WireMessage)
@@ -213,13 +217,25 @@ class SimWorld:
         # ticks from a correct delivery to the oracle's report of it
         self.stability_lag = 4 * cfg.latency_hi
 
+        # Engines and the adversary's shadow engines share one delivery
+        # verdict memo.  The factory holds the world's parts, not the
+        # world, so a finished world is freed by reference counting.
+        make_engine = partial(
+            ProcessEngine, kind=self.kind, params=self.params,
+            keychain=self.keychain, witness_seed=self.witness_seed,
+            stream_seed=self.world_seed, kappa=cfg.kappa, delta=cfg.delta,
+            slack_c=cfg.slack_c, timeouts=self.timeouts, verdicts={})
         self.engines: list[Optional[ProcessEngine]] = [
-            None if p in self.faulty else self._make_engine(p)
+            None if p in self.faulty else make_engine(p)
             for p in range(cfg.n)
         ]
         self.adversary: Optional[Adversary] = None
         if self.faulty and cfg.adversary != "none":
-            self.adversary = self._make_adversary(cfg.adversary)
+            self.adversary = Adversary(cfg.adversary, AdversaryContext(
+                kind=self.kind, params=self.params, kappa=cfg.kappa,
+                delta=cfg.delta, slack_c=cfg.slack_c, keychain=self.keychain,
+                faulty=self.faulty, witness_seed=self.witness_seed,
+                make_engine=make_engine), crash_after=cfg.crash_after)
 
         # per channel, keyed src * n + dst: draws made, last arrival tick
         self._chan_draws: dict[int, int] = {}
@@ -250,23 +266,6 @@ class SimWorld:
                   None, None, self._meta_note())
 
     # -- construction -------------------------------------------------------
-
-    def _make_engine(self, pid: int) -> ProcessEngine:
-        return ProcessEngine(
-            pid, self.kind, self.params, self.keychain, self.witness_seed,
-            self.world_seed,
-            kappa=self.config.kappa, delta=self.config.delta,
-            slack_c=self.config.slack_c, timeouts=self.timeouts)
-
-    def _make_adversary(self, strategy: str) -> Adversary:
-        ctx = AdversaryContext(
-            kind=self.kind, params=self.params, kappa=self.config.kappa,
-            delta=self.config.delta, slack_c=self.config.slack_c,
-            keychain=self.keychain,
-            faulty=self.faulty,
-            witness_seed=self.witness_seed,
-            make_engine=self._make_engine)
-        return Adversary(strategy, ctx, crash_after=self.config.crash_after)
 
     def _schedule_workload(self):
         cfg = self.config
@@ -352,10 +351,12 @@ class SimWorld:
             if isinstance(act, Send):
                 self._channel_send(pid, act.to, act.msg, now)
             elif isinstance(act, Broadcast):
+                send = self._channel_send
+                msg = act.msg
                 for dst in range(self.config.n):
-                    self._channel_send(pid, dst, act.msg, now)
+                    send(pid, dst, msg, now)
             elif isinstance(act, Deliver):
-                self._record_delivery(pid, act.message, act.acks, now)
+                self._record_delivery(pid, act, now)
             elif isinstance(act, SetTimer):
                 tid = act.timer_id
                 self._log(now, "timer_set", pid, None, None, tid[0],
@@ -373,18 +374,19 @@ class SimWorld:
                     if dst != pid:
                         self._fast_send(pid, dst, alert, now)
 
-    def _record_delivery(self, pid: int, message, acks: tuple, now: int):
-        mid = message.id
-        dig = message_digest(message)
+    def _record_delivery(self, pid: int, dlv: Deliver, now: int):
+        mid = dlv.message.id
+        dig = dlv.digest
         self.deliveries[pid] = self.deliveries.get(pid, 0) + 1
         correct = pid not in self.faulty
         if correct:
             slot = self.delivered_digests.setdefault(mid, {})
             slot.setdefault(dig, set()).add(pid)
-        note = None
-        if self.trace is not None and correct and acks:
-            note = self._signers_note(acks, mid, dig)
-        self._log(now, "appdlv", pid, None, None, "deliver", mid, dig, note)
+        if self.trace is not None:
+            note = None
+            if correct and dlv.acks:
+                note = self._signers_note(dlv.acks, mid, dig)
+            self._log(now, "appdlv", pid, None, None, "deliver", mid, dig, note)
         if self.config.stability and correct:
             tick = now + self.stability_lag
             batch = self._maturing.get(tick)

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from securecast.core import (ADVERSARY, PROTO_3T, PROTO_AV, PROTO_E,
                              ForgeryAttemptError, KeyChain, MessageId,
-                             MulticastMessage, ack_sig_data, ack_valid,
+                             MulticastMessage, _enc, ack_sig_data, ack_valid,
                              build_ack, digest, keyed_seed, message_digest,
                              sender_sig_data, valid_signers)
 
@@ -159,3 +161,22 @@ def test_ack_sig_data_domain_separates_protocols():
     mid = MessageId(1, 1)
     d = digest(b"m")
     assert ack_sig_data(PROTO_E, mid, d) != ack_sig_data(PROTO_3T, mid, d)
+
+
+def _enc_reference(*parts):
+    # The canonical encoding as first written, kept to pin core._enc.
+    return b"".join(len(p).to_bytes(4, "big") + p for p in parts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# sizes drawn uniformly, since st.binary alone rarely exceeds 32 bytes
+@given(st.lists(st.integers(0, 300).flatmap(
+    lambda k: st.binary(min_size=k, max_size=k)), max_size=8))
+def test_enc_matches_reference_encoding(parts):
+    assert _enc(*parts) == _enc_reference(*parts)
+
+
+def test_message_digest_pinned():
+    m = MulticastMessage(MessageId(3, 7), b"payload")
+    assert message_digest(m).hex() == (
+        "60f210ec1713546b039dbd7ae984c987fed56a4a300a7ad883a7c80bf8b016f7")

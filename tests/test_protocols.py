@@ -1,5 +1,6 @@
 import pytest
 
+from securecast import protocols
 from securecast.core import (PROTO_3T, PROTO_AV, PROTO_E, KeyChain, MessageId,
                              MulticastMessage, ProtocolKind, build_ack,
                              message_digest, sender_sig_data)
@@ -635,3 +636,145 @@ def test_holdback_capacity_bounded():
     for m in msgs[1:]:  # seqs 2..5 arrive early
         receiver.handle(0, m, now=3)
     assert len(receiver.holdback[0]) == 2
+
+
+# -- delivery verdicts ---------------------------------------------------------
+
+
+@pytest.fixture
+def judged(monkeypatch):
+    """Counts the delivery predicate's calls from the engines."""
+    calls = []
+    real = protocols.accepts
+
+    def counting(rules, signers_of):
+        calls.append(1)
+        return real(rules, signers_of)
+
+    monkeypatch.setattr(protocols, "accepts", counting)
+    return calls
+
+
+def copy_of(msg):
+    """An equal deliver that is a distinct object."""
+    twin = WireMessage(msg.proto, msg.role, msg.subject, digest=msg.digest,
+                       body=msg.body, acks=msg.acks)
+    assert twin == msg and twin is not msg
+    return twin
+
+
+def test_duplicate_deliver_never_reaches_the_predicate(judged):
+    kc = KeyChain(4, b"unit")
+    sender = make_engine(me=0, n=4, t=1, keychain=kc)
+    receiver = make_engine(me=2, n=4, t=1, keychain=kc)
+    msg = build_valid_deliver(kc, sender)
+    assert [a for a in receiver.handle(0, msg, now=3) if isinstance(a, Deliver)]
+    assert len(judged) == 1
+    # A distinct copy would miss the verdict memo; being a duplicate, it is
+    # dropped before any check.
+    assert receiver.handle(0, copy_of(msg), now=4) == []
+    assert receiver.handle(0, msg, now=5) == []
+    assert len(judged) == 1
+
+
+def test_holdback_chain_released_in_order_with_same_actions(judged):
+    kc = KeyChain(4, b"unit")
+    sender = make_engine(me=0, n=4, t=1, keychain=kc)
+    receiver = make_engine(me=2, n=4, t=1, keychain=kc)
+    msgs = [build_valid_deliver(kc, sender, b"m%d" % i) for i in range(4)]
+    for m in (msgs[3], msgs[1], msgs[2]):
+        assert receiver.handle(0, m, now=3) == []
+    assert sorted(receiver.holdback[0]) == [2, 3, 4]
+    out = receiver.handle(0, msgs[0], now=4)
+    reforward = receiver.timeouts.reforward
+    expected = []
+    for m in msgs:
+        expected += [Deliver(m.body, m.acks, message_digest(m.body)),
+                     SetTimer(("reforward", m.subject), reforward)]
+    assert out == expected
+    assert receiver.delivery[0] == 4 and receiver.holdback[0] == {}
+    assert len(judged) == 4  # each held message was judged once, on arrival
+
+
+def forged_delivers(kc):
+    """Deliver messages whose acks do not meet the rule, one per way to
+    fall short: too few E acks, AV acks from outside W_active (under ACT),
+    and E acks over another digest."""
+    e_sender = make_engine(me=0, n=31, t=10, keychain=kc)
+    e_sender.wan_multicast(b"m")
+    mid = MessageId(0, 1)
+    pend = e_sender.pending[mid]
+    few = tuple(build_ack(kc, PROTO_E, s, mid, pend.digest)
+                for s in range(pend.rule.count - 1))
+    other = message_digest(MulticastMessage(mid, b"other"))
+    elsewhere = tuple(build_ack(kc, PROTO_E, s, mid, other)
+                      for s in range(pend.rule.count))
+    out = [(ProtocolKind.E, WireMessage(PROTO_E, DELIVER, mid,
+                                        digest=pend.digest, body=pend.message,
+                                        acks=acks))
+           for acks in (few, elsewhere)]
+    act_sender = make_engine(me=1, kind=ProtocolKind.ACT, n=31, t=10,
+                             kappa=3, delta=5, keychain=kc)
+    act_sender.wan_multicast(b"m")
+    mid = MessageId(1, 1)
+    pend = act_sender.pending[mid]
+    outsiders = [p for p in range(31) if p not in pend.rule.members]
+    acks = tuple(build_ack(kc, PROTO_AV, w, mid, pend.digest, pend.sender_sig)
+                 for w in outsiders[:len(pend.rule.members)])
+    out.append((ProtocolKind.ACT, WireMessage(
+        PROTO_AV, DELIVER, mid, digest=pend.digest, body=pend.message,
+        acks=acks)))
+    return out
+
+
+def test_forged_deliver_rejected_at_every_receiver(judged):
+    kc = KeyChain(31, b"unit")
+    for kind, forged in forged_delivers(kc):
+        verdicts: dict = {}  # one world's memo
+        extra = dict(kappa=3, delta=5) if kind is ProtocolKind.ACT else {}
+        group = [make_engine(me=p, kind=kind, n=31, t=10, keychain=kc,
+                             verdicts=verdicts, **extra)
+                 for p in range(2, 31)]
+        before = len(judged)
+        for eng in group:
+            for now in (3, 4):
+                assert eng.handle(forged.subject.sender, forged, now) == []
+            assert eng.delivery == {} and forged.subject not in eng.recorded
+        assert len(judged) - before == 1, kind
+
+
+def test_equal_but_distinct_deliver_is_judged_afresh(judged):
+    kc = KeyChain(4, b"unit")
+    sender = make_engine(me=0, n=4, t=1, keychain=kc)
+    verdicts: dict = {}
+    a, b = (make_engine(me=p, n=4, t=1, keychain=kc, verdicts=verdicts)
+            for p in (2, 3))
+    msg = build_valid_deliver(kc, sender)
+    assert [x for x in a.handle(0, msg, now=3) if isinstance(x, Deliver)]
+    assert len(judged) == 1
+    assert [x for x in b.handle(0, copy_of(msg), now=3)
+            if isinstance(x, Deliver)]
+    assert len(judged) == 2
+
+
+def test_shared_verdicts_never_cross_rules():
+    # The slack case above with one memo shared by both validators: the
+    # verdict of the lenient rule must not answer for the strict one.
+    kc = KeyChain(31, b"unit")
+    sender = make_engine(me=0, kind=ProtocolKind.ACT, n=31, t=10, kappa=3,
+                         delta=5, slack_c=1, keychain=kc)
+    sender.wan_multicast(b"m")
+    mid = MessageId(0, 1)
+    pend = sender.pending[mid]
+    acks = tuple(build_ack(kc, PROTO_AV, w, mid, pend.digest, pend.sender_sig)
+                 for w in sorted(pend.rule.members)[:pend.rule.count])
+    dmsg = WireMessage(PROTO_AV, DELIVER, mid, digest=pend.digest,
+                       body=pend.message, acks=acks)
+    verdicts: dict = {}
+    lenient = make_engine(me=5, kind=ProtocolKind.ACT, n=31, t=10, kappa=3,
+                          delta=5, slack_c=1, keychain=kc, verdicts=verdicts)
+    strict = make_engine(me=6, kind=ProtocolKind.ACT, n=31, t=10, kappa=3,
+                         delta=5, slack_c=0, keychain=kc, verdicts=verdicts)
+    assert [a for a in lenient.handle(0, dmsg, now=2) if isinstance(a, Deliver)]
+    assert strict.handle(0, dmsg, now=2) == []
+    assert lenient.handle(0, dmsg, now=3) == []  # duplicate

@@ -1,11 +1,14 @@
+import gc
 import random
+import weakref
 
 import pytest
 
+from securecast import protocols
 from securecast.core import keyed_seed
 from securecast.core import KeyChain, ProtocolKind
-from securecast.protocols import (ALERT_LATENCY_BOUND, REGULAR, SM_NOTIFY,
-                                  ProcessEngine, Send, Timeouts, WireMessage)
+from securecast.protocols import (ALERT_LATENCY_BOUND, DELIVER, REGULAR,
+                                  SM_NOTIFY, ProcessEngine, Send, Timeouts, WireMessage)
 from securecast.quorum import QuorumParams
 from securecast.simnet import (RETRANSMIT_INTERVAL, ConfigError, SimConfig,
                                build_world, run_world)
@@ -516,3 +519,63 @@ def test_world_holds_no_per_channel_or_unused_engine_streams():
                                     seed=2))
     e_world.run_to_quiescence()
     assert all(eng._rng is None for eng in e_world.engines)
+
+
+@pytest.mark.parametrize("proto, adversary, extra", [
+    ("e", "equivocate", {}), ("3t", "crash", {}),
+    ("act", "regime-split", {"kappa": 3, "delta": 5}),
+    ("act", "seq-burner", {"kappa": 2, "delta": 3})])
+def test_finished_world_freed_without_the_cycle_collector(proto, adversary,
+                                                          extra):
+    n, t = (31, 10) if adversary == "regime-split" else (13, 4)
+    world = build_world(SimConfig(protocol=proto, n=n, t=t, messages=3,
+                                  adversary=adversary, seed=5, **extra))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert world.run_to_quiescence().quiescent
+        refs = [weakref.ref(world), weakref.ref(engines_of(world)[0])]
+        refs += [weakref.ref(e) for e in world.adversary._shadows.values()]
+        if adversary != "regime-split":
+            assert len(refs) > 2  # shadow engines were built
+        del world
+        assert all(r() is None for r in refs)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("proto, adversary, extra", [
+    ("e", "none", {}), ("3t", "none", {}),
+    ("act", "none", {"kappa": 2, "delta": 3}),
+    ("e", "equivocate", {}), ("3t", "crash", {}),
+    ("act", "collusive", {"kappa": 2, "delta": 3})])
+def test_each_deliver_object_is_judged_once_per_world(monkeypatch, proto,
+                                                       adversary, extra):
+    calls = []
+    real = protocols.accepts
+    monkeypatch.setattr(protocols, "accepts",
+                        lambda rules, signers_of: calls.append(1) or real(
+                            rules, signers_of))
+    seen: dict = {}   # id -> deliver, kept alive so ids stay distinct
+    receptions = []
+    handle = ProcessEngine.handle
+
+    def watching(self, src, msg, now):
+        if msg.role == DELIVER:
+            seen[id(msg)] = msg
+            receptions.append(1)
+        return handle(self, src, msg, now)
+
+    monkeypatch.setattr(ProcessEngine, "handle", watching)
+    # uniform senders, so that the engines, shadow engines included,
+    # see deliver traffic under every adversary
+    cfg = SimConfig(protocol=proto, n=13, t=4, messages=4, seed=3,
+                    adversary=adversary, senders="uniform", p_drop=0.2,
+                    record_trace=False, **extra)
+    report = build_world(cfg).run_to_quiescence()
+    assert report.quiescent
+    assert 0 < len(calls) <= len(seen) < len(receptions)
+    if adversary == "none":
+        # one broadcast per multicast, judged by one receiver for all
+        assert len(calls) == len(seen) == report.messages_multicast
