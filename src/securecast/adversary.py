@@ -87,6 +87,9 @@ class _Side:
     acks: list = field(default_factory=list)
     delivered: bool = False
     targets: frozenset[int] = frozenset()
+    # per wire tag, the valid signers among acks[:checked]
+    signers: dict[str, set[int]] = field(default_factory=dict)
+    checked: int = 0
 
 
 @dataclass
@@ -354,8 +357,15 @@ class Adversary:
         return out
 
     def _deliverable(self, mid: MessageId, side: _Side) -> bool:
-        return accepts(self.ctx.rules(mid), lambda tag: valid_signers(
-            side.acks, tag, mid, side.digest, self.ctx.keychain))
+        """Validate only the acks appended since the last check, so an
+        attack costs one check per ack, not one per ack per ack."""
+        new = side.acks[side.checked:]
+        side.checked = len(side.acks)
+        for tag in {a.proto for a in new}:
+            side.signers.setdefault(tag, set()).update(valid_signers(
+                new, tag, mid, side.digest, self.ctx.keychain))
+        return accepts(self.ctx.rules(mid),
+                       lambda tag: side.signers.get(tag, ()))
 
     def _deliver_split(self, mid: MessageId, side: _Side, even: bool) -> list:
         msg = WireMessage(PROTO_TAG[self.ctx.kind], DELIVER, mid,

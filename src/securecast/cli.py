@@ -93,7 +93,9 @@ def _sim_config(args) -> SimConfig:
             values[key] = flag
     if getattr(args, "no_stability", False):
         values["stability"] = False
-    return SimConfig(**values)
+    # formatting trace lines nobody writes out is wasted work
+    return SimConfig(**values,
+                     record_trace=bool(getattr(args, "trace_out", None)))
 
 
 def cmd_simulate(args) -> int:

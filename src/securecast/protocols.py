@@ -23,11 +23,12 @@ Protocol summary:
 
 With the stability oracle on, a process that delivers a message keeps it
 and re-forwards it once, on a timer, to every correct process the oracle
-has not yet reported as having delivered it.  A notice names, per id, the
-correct processes still missing it; the engine keeps only the newest notice
-per id it holds, and forgets the id once it is re-forwarded or reported
-stable everywhere.  Without the oracle nothing re-forwards and nothing is
-kept.
+has not yet reported as having delivered it.  The oracle hands each
+correct engine its notice at the maturity tick, 4 * latency_hi after a
+delivery; a notice names, per id, the correct processes still missing it.
+The engine keeps only the newest notice per id it holds, and forgets the
+id once it is re-forwarded or reported stable everywhere.  Without the
+oracle nothing re-forwards and nothing is kept.
 
 Every process checks a broadcast deliver's ack set against the delivery
 rule before it delivers.  The verdict is a pure function of the message,
@@ -142,8 +143,11 @@ class Timeouts:
     def for_latency(cls, hi: int, stability: bool = True) -> "Timeouts":
         """Every protocol timer from the network's latency bound hi.  A
         recovery ack is held 2*hi + ALERT_LATENCY_BOUND + 2 ticks, longer
-        than any alert takes, so a pending alert always wins the race;
-        re-forwarding needs the stability oracle and is off without it."""
+        than any alert takes, so a pending alert always wins the race.
+        The re-forward waits 8*hi, twice the oracle's 4*hi maturity lag,
+        so the notice reporting the engine's own delivery has always been
+        handed over; re-forwarding needs the stability oracle and is off
+        without it."""
         return cls(6 * hi, 4 * hi, 2 * hi + ALERT_LATENCY_BOUND + 2,
                    8 * hi if stability else None)
 
@@ -505,9 +509,10 @@ class ProcessEngine:
         return []
 
     def on_sm_notify(self, src: int, msg: WireMessage, now: int) -> list[Action]:
-        """Keep the newest notice per id still to be re-forwarded.  Notices
-        can arrive out of order, and the oracle's sets only shrink, so an
-        older tick never replaces a newer one."""
+        """Keep the newest notice per id still to be re-forwarded.  A world
+        hands notices over in tick order, but the engine does not rely on
+        it: the oracle's sets only shrink, so an older tick never replaces
+        a newer one."""
         tick, entries = msg.stable
         for mid, missing in entries:
             if mid not in self.delivered_record:
@@ -571,9 +576,9 @@ class ProcessEngine:
     def _on_reforward(self, mid: MessageId) -> list[Action]:
         """Send the delivered message to every correct process the oracle
         has not reported, then forget it.  The timer outlasts the oracle's
-        lag plus a notice's latency, so at a correct process a notice
-        naming its own delivery has always arrived.  An adversary's shadow
-        engine hears no notices and targets every other process."""
+        lag, so at a correct process the notice reporting its own delivery
+        has always been handed over.  An adversary's shadow engine hears
+        no notices and targets every other process."""
         msg = self.delivered_record.pop(mid, None)
         if msg is None:
             return []  # stable everywhere already

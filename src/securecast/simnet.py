@@ -11,8 +11,9 @@ number of draws it has made, and its draw k is the u64
 keyed_seed(world_seed, b"chan", src, dst, k).  A send takes one draw for
 its latency, lo + u % (hi - lo + 1), then, when p_drop > 0, one more per
 transmission attempt, each a loss while u / 2**64 < p_drop.  Processes and
-the alert and oracle planes use Mersenne Twister streams seeded the same
-keyed way; a process builds its stream only when it first samples.
+the alert plane use Mersenne Twister streams seeded the same keyed way; a
+process builds its stream only when it first samples.  The oracle draws
+nothing.
 
 A lost transmission is retried RETRANSMIT_INTERVAL ticks later.  Alerts
 travel on a separate out-of-band plane with no loss and a hard latency
@@ -26,15 +27,16 @@ happens; deliveries maturing at the same tick are batched, and only the
 first of a batch schedules a wake-up.  Per message id the oracle keeps the
 correct processes whose delivery has not yet matured, and forgets the id
 once that set is empty.  At a wake-up it writes one "stable" trace record
-per matured delivery and sends every correct process one sm_notify, each
-after its own latency in [latency_lo, latency_hi].  The notice carries
-(tick, ((id, missing), ...)): one entry per id the batch touched, with the
-frozenset of correct processes still missing it, shared by every receiver;
-an empty set means the id is stable everywhere.  Sets only shrink, so the
-notice of the latest tick is the one that counts.  Every correct process
-learns of every correct delivery between 1 and latency_hi ticks after it
-matures, at a cost of one event per receiver per maturity tick.  Only real
-deliveries are ever reported.
+per matured delivery and hands one sm_notify to every correct engine at
+that tick, without queueing it or tracing a send or receive.  The notice
+carries (tick, ((id, missing), ...)): one entry per id the batch touched,
+with the frozenset of correct processes still missing it; one notice and
+its sets are shared by every receiver, and an empty set means the id is
+stable everywhere.  Sets only shrink, so the notice of the latest tick is
+the one that counts.  Every correct process learns of every correct
+delivery at the tick it matures, at a cost of one call per correct
+process per maturity tick and no event.  Only real deliveries are ever
+reported.
 """
 
 from __future__ import annotations
@@ -245,8 +247,6 @@ class SimWorld:
         self._drop_cut = cfg.p_drop * 2.0 ** 64  # a draw below it is a loss
         self._fast_rng = random.Random(
             keyed_seed(self.world_seed, b"fastplane"))
-        self._oracle_rng = random.Random(
-            keyed_seed(self.world_seed, b"oracleplane"))
 
         # Aggregates, maintained whether or not the trace is kept.
         self.deliveries: dict[int, int] = {}
@@ -473,9 +473,10 @@ class SimWorld:
 
     def stability_oracle_tick(self, item: tuple):
         """Report the deliveries that mature now: one stable record each,
-        then one sm_notify to every correct process naming, per id the
-        batch touched, the correct processes still missing it.  Driven by
-        delivery wake-ups, so a quiesced world schedules nothing new."""
+        then one sm_notify, handed to every correct engine at this tick,
+        naming, per id the batch touched, the correct processes still
+        missing it.  Driven by delivery wake-ups, so a quiesced world
+        schedules nothing new."""
         _, _, tick = item
         proto = PROTO_TAG[self.kind]
         unstable = self._unstable
@@ -492,15 +493,12 @@ class SimWorld:
         for mid, missing in touched.items():
             if not missing:
                 del unstable[mid]
-        # one frozenset per id, shared by every receiver
+        # one notice and one frozenset per id, shared by every receiver
         msg = WireMessage(proto, SM_NOTIFY, None, stable=(tick, tuple(
             (mid, frozenset(missing)) for mid, missing in touched.items())))
-        lo, hi = self.config.latency_lo, self.config.latency_hi
+        engines = self.engines
         for p in self.correct:
-            arrival = tick + self._oracle_rng.randint(lo, hi)
-            self._log(tick, "send", None, p, proto, SM_NOTIFY, None, None,
-                      "oracle")
-            self._push(arrival, (EV_MSG, p, None, msg, "oracle"))
+            self._apply(p, engines[p].handle(None, msg, tick), tick)
 
     # -- top level -------------------------------------------------------------
 

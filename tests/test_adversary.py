@@ -1,5 +1,9 @@
-from securecast.core import MessageId
-from securecast.quorum import w_active
+import pytest
+
+from securecast import adversary
+from securecast.core import (PROTO_3T, PROTO_AV, PROTO_E, MessageId,
+                             valid_signers)
+from securecast.quorum import accepts, w_active
 from securecast.simnet import SimConfig, build_world, run_world
 
 
@@ -159,3 +163,54 @@ def test_seq_burner_attacks_only_favorable_ids():
     for mid in adv.attacked_ids:
         wa = w_active(mid, 2, world.params, world.witness_seed)
         assert wa <= world.faulty
+
+
+@pytest.mark.parametrize("strategy, proto, extra", [
+    ("regime-split", "act", {"n": 31, "t": 10, "kappa": 3, "delta": 5}),
+    ("collusive", "act", {"n": 13, "t": 4, "kappa": 2, "delta": 3}),
+    ("collusive", "3t", {"n": 13, "t": 4})])
+def test_incremental_signer_sets_match_full_validation(monkeypatch, strategy,
+                                                       proto, extra):
+    """After every collected ack, each checked side's per-tag signer sets
+    equal valid_signers over its whole ack list, its delivered flag is the
+    delivery rule over them, and every ack was validated exactly once."""
+    fed = 0
+
+    def counting(acks, tag, *rest):
+        nonlocal fed
+        fed += sum(1 for a in acks if a.proto == tag)
+        return valid_signers(acks, tag, *rest)
+    monkeypatch.setattr(adversary, "valid_signers", counting)
+    collected = 0
+    for seed in range(20):
+        world = build_world(SimConfig(protocol=proto, adversary=strategy,
+                                      messages=2, seed=seed,
+                                      record_trace=False, stability=False,
+                                      **extra))
+        adv, keychain = world.adversary, world.keychain
+        collect = adv._collect
+
+        def checked_collect(ack):
+            nonlocal collected
+            out = collect(ack)
+            collected += 1
+            atk = adv.attacks[ack.subject]
+            for side in (atk.a, atk.b):
+                if side is None or not side.checked:
+                    continue
+                assert side.checked == len(side.acks)
+
+                def full(tag):
+                    return valid_signers(side.acks, tag, ack.subject,
+                                         side.digest, keychain)
+                for tag in (PROTO_E, PROTO_3T, PROTO_AV):
+                    assert side.signers.get(tag, set()) == full(tag), tag
+                assert side.delivered == accepts(
+                    adv.ctx.rules(ack.subject), full)
+            return out
+        adv._collect = checked_collect
+        assert world.run_to_quiescence().quiescent
+        assert fed == sum(side.checked for atk in adv.attacks.values()
+                          for side in (atk.a, atk.b) if side is not None)
+        fed = 0
+    assert collected > 0

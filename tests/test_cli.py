@@ -39,6 +39,29 @@ def test_simulate_deterministic_bytes(capsys, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_simulate_records_a_trace_only_with_trace_out(capsys, tmp_path,
+                                                      monkeypatch):
+    from securecast import cli, simnet
+    worlds = []
+
+    def build(cfg):
+        worlds.append(simnet.build_world(cfg))
+        return worlds[-1]
+    monkeypatch.setattr(cli, "build_world", build)
+    flags = ["simulate", "--protocol", "3t", "--n", "13", "--t", "4",
+             "--adversary", "crash", "--drop-prob", "0.1", "--messages", "3",
+             "--seed", "5"]
+    code, plain, _ = run_cli(capsys, *flags)
+    assert code == 0
+    assert worlds[-1].trace is None
+    trace = tmp_path / "run.trace"
+    code, traced, _ = run_cli(capsys, *flags, "--trace-out", str(trace))
+    assert code == 0
+    assert worlds[-1].trace
+    assert trace.read_text() == worlds[-1].trace_text()
+    assert plain == traced
+
+
 def test_analyze_row(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--n", "100", "--t", "10",
                            "--kappa", "3", "--delta", "5")
