@@ -56,27 +56,48 @@ def _add_sim_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key=value file; flags override it")
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
+def _boolean(val: str) -> bool:
+    try:
+        return _BOOLEANS[val.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {val!r}") from None
+
+
 _CONFIG_KEYS = {
     "protocol": str, "n": int, "t": int, "kappa": int, "delta": int,
     "slack_c": int, "messages": int, "adversary": str, "num_faulty": int,
     "crash_after": int, "seed": int, "p_drop": float, "latency_hi": int,
-    "stability": lambda v: v.lower() in ("1", "true", "yes"),
+    "stability": _boolean,
 }
 
 
 def _load_config_file(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError("config", f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config", f"{path}: not a text file") from exc
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("config", f"{path}:{lineno}: expected key=value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ConfigError("config", f"{path}:{lineno}: unknown key {key!r}")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError("config", f"{path}:{lineno}: expected key=value")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError("config", f"{path}:{lineno}: unknown key {key!r}")
+        try:
             out[key] = _CONFIG_KEYS[key](val)
+        except ValueError as exc:
+            raise ConfigError("config", f"{path}:{lineno}: bad value "
+                              f"{val!r} for {key}") from exc
     return out
 
 

@@ -124,21 +124,44 @@ def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+# The signed and hashed encodings below are _enc of their fields, laid out
+# with precompiled structs: the constant leading parts encoded once, then
+# an id's two u64 fields (each a 4-byte length 8 and the value) and the
+# 4-byte length of the variable part that follows.
+_ID_THEN_LEN = struct.Struct(">IQIQI").pack
+_MSG_HEAD = _enc(b"msg")
+_AVREG_HEAD = _enc(b"avreg")
+_ACK_HEADS = {p: _enc(b"ack", p.encode()) for p in (PROTO_E, PROTO_3T, PROTO_AV)}
+
+
 @lru_cache(maxsize=1 << 16)
 def message_digest(m: MulticastMessage) -> bytes:
-    return digest(_enc(b"msg", _u64(m.id.sender), _u64(m.id.seq), m.payload))
+    """digest(_enc(b"msg", _u64(sender), _u64(seq), payload))."""
+    (sender, seq), payload = m
+    return digest(_MSG_HEAD + _ID_THEN_LEN(8, sender, 8, seq, len(payload))
+                  + payload)
 
 
 def sender_sig_data(mid: MessageId, dig: bytes) -> bytes:
-    """The byte string an ACT sender signs on its regular messages."""
-    return _enc(b"avreg", _u64(mid.sender), _u64(mid.seq), dig)
+    """The byte string an ACT sender signs on its regular messages:
+    _enc(b"avreg", _u64(sender), _u64(seq), dig)."""
+    return _AVREG_HEAD + _ID_THEN_LEN(8, mid[0], 8, mid[1], len(dig)) + dig
 
 
 def ack_sig_data(proto: str, subject: MessageId, dig: bytes,
                  sender_sig: Optional[Signature] = None) -> bytes:
+    """_enc(b"ack", proto, _u64(sender), _u64(seq), dig, mac), where mac is
+    the embedded sender signature's token, or empty."""
     extra = sender_sig.mac if sender_sig is not None else b""
-    return _enc(b"ack", proto.encode(), _u64(subject.sender),
-                _u64(subject.seq), dig, extra)
+    head = _ACK_HEADS.get(proto) or _enc(b"ack", proto.encode())
+    return b"".join((head, _ID_THEN_LEN(8, subject[0], 8, subject[1],
+                                        len(dig)),
+                     dig, _LEN(len(extra)), extra))
+
+
+# HMAC's inner and outer key pads, as byte translation tables
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 class KeyChain:
@@ -154,15 +177,44 @@ class KeyChain:
                  log_signs: bool = False):
         self.n = n
         self.faulty = frozenset(faulty)
-        self._keys = [hashlib.sha256(_enc(b"key", secret, _u64(i))).digest()
-                      for i in range(n)]
-        self._tags = [hashlib.sha256(k).digest()[:8] for k in self._keys]
+        self._secret = secret
+        # process -> _key(process), derived on its first sign or verify:
+        # most worlds touch a few of the n keys
+        self._keys: dict[int, tuple] = {}
         self.sign_log: list[tuple[int, object]] = []
         self._log_signs = log_signs
         self._verify_memo: dict[tuple[int, bytes], bytes] = {}
         self._ack_memo: dict[Ack, bool] = {}
         # (id(acks), proto, subject, digest) -> (acks, valid signers)
         self._signers_memo: dict[tuple, tuple[tuple, frozenset[int]]] = {}
+
+    def _key(self, p: int) -> tuple:
+        """Process p's (key, tag, inner, outer).  The key is SHA-256 of
+        _enc(b"key", secret, _u64(p)) and the tag the first 8 bytes of the
+        key's SHA-256.  inner and outer are HMAC-SHA256's two hash states
+        with the padded key already absorbed, so a token costs two state
+        copies instead of a fresh HMAC object."""
+        ks = self._keys.get(p)
+        if ks is None:
+            if not 0 <= p < self.n:
+                raise IndexError(f"no process {p} among {self.n}")
+            key = hashlib.sha256(_enc(b"key", self._secret, _u64(p))).digest()
+            block = key.ljust(64, b"\0")   # SHA-256's block is 64 bytes
+            ks = self._keys[p] = (
+                key, hashlib.sha256(key).digest()[:8],
+                hashlib.sha256(block.translate(_IPAD)),
+                hashlib.sha256(block.translate(_OPAD)))
+        return ks
+
+    def _mac(self, p: int, data: bytes) -> bytes:
+        """HMAC-SHA256 of data under p's key, equal to hmac.new(key, data,
+        hashlib.sha256).digest()."""
+        _, _, inner, outer = self._key(p)
+        h = inner.copy()
+        h.update(data)
+        o = outer.copy()
+        o.update(h.digest())
+        return o.digest()
 
     def sign(self, signer: int, data: bytes, caller: object = None) -> Signature:
         if caller is None:
@@ -172,8 +224,8 @@ class KeyChain:
                 f"caller {caller!r} does not hold the key of process {signer}")
         if self._log_signs:
             self.sign_log.append((signer, caller))
-        mac = hmac.new(self._keys[signer], data, hashlib.sha256).digest()
-        return Signature(signer, digest(data), self._tags[signer], mac)
+        return Signature(signer, digest(data), self._key(signer)[1],
+                         self._mac(signer, data))
 
     def verify(self, signer: int, data: bytes, sig: Signature) -> bool:
         if sig is None or sig.signer != signer or not 0 <= signer < self.n:
@@ -181,7 +233,7 @@ class KeyChain:
         key = (signer, data)
         mac = self._verify_memo.get(key)
         if mac is None:
-            mac = hmac.new(self._keys[signer], data, hashlib.sha256).digest()
+            mac = self._mac(signer, data)
             self._verify_memo[key] = mac
         return hmac.compare_digest(mac, sig.mac)
 

@@ -96,32 +96,31 @@ class WireMessage:
                                       ...]]] = None
 
 
-@dataclass(frozen=True, slots=True)
-class Send:
+# Actions are named tuples, cheap to build: a world dispatches on their
+# type (type(act) is Send), never on equality, since equal fields make
+# equal tuples across action types.
+
+class Send(NamedTuple):
     to: int
     msg: WireMessage
 
 
-@dataclass(frozen=True, slots=True)
-class Broadcast:
+class Broadcast(NamedTuple):
     msg: WireMessage
 
 
-@dataclass(frozen=True, slots=True)
-class Deliver:
+class Deliver(NamedTuple):
     message: MulticastMessage
     acks: tuple[Ack, ...]        # the validated ack set it was delivered on
     digest: bytes                # message_digest(message), as validated
 
 
-@dataclass(frozen=True, slots=True)
-class SetTimer:
+class SetTimer(NamedTuple):
     timer_id: tuple
     delay: int
 
 
-@dataclass(frozen=True, slots=True)
-class RaiseAlert:
+class RaiseAlert(NamedTuple):
     evidence: EvidencePair
 
 
@@ -310,12 +309,12 @@ class ProcessEngine:
         if src in self.known_faulty:
             return []
         role = msg.role
+        if role == DELIVER:     # the O(n) fan-out, most receptions
+            return self.on_deliver(src, msg, now)
         if role == REGULAR:
             return self.on_regular(src, msg, now)
         if role == ACK:
             return self.on_ack(src, msg, now)
-        if role == DELIVER:
-            return self.on_deliver(src, msg, now)
         if role == INFORM:
             return self.on_inform(src, msg, now)
         if role == VERIFY:

@@ -15,6 +15,12 @@ the alert plane use Mersenne Twister streams seeded the same keyed way; a
 process builds its stream only when it first samples.  The oracle draws
 nothing.
 
+Events run in (time, insertion) order from a TickQueue: one FIFO bucket
+per tick plus a heap of the distinct ticks, so an event costs a list append
+and a list pop, and the heap sees each tick once.  SimWorld.step dispatches
+exactly one event.  With the trace off no trace line is formatted and
+_log is never entered.
+
 A lost transmission is retried RETRANSMIT_INTERVAL ticks later.  Alerts
 travel on a separate out-of-band plane with no loss and a hard latency
 bound, ALERT_LATENCY_BOUND.  Every protocol timer is derived from
@@ -42,11 +48,11 @@ reported.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Optional
+from heapq import heappop, heappush
+from typing import Iterator, Optional
 
 from .adversary import (ATTACK_STRATEGIES, STRATEGIES, Adversary,
                         AdversaryContext)
@@ -75,6 +81,64 @@ SENDER_MODES = ("auto", "uniform", "faulty")
 
 # (src, dst, draw index) in keyed_seed's encoding, after the channel prefix
 _CHAN_FIELDS = u64_fields(3)
+
+
+class TickQueue:
+    """Pending events in (time, insertion) order: one FIFO bucket per tick
+    and a heap of the distinct ticks.
+
+    The bucket of the tick being dispatched is taken out of the dict and
+    reversed, so a pop is a list pop.  An event pushed at that same tick
+    opens a fresh bucket, which is drained after the current one, as
+    insertion order requires.  A push never goes before the tick of the
+    last pop: a simulation does not schedule into the past.  len() is the
+    number of pending events.
+    """
+
+    __slots__ = ("_buckets", "_ticks", "_head", "_head_time", "_size")
+
+    def __init__(self):
+        self._buckets: dict[int, list] = {}
+        self._ticks: list[int] = []       # heap of the keys of _buckets
+        self._head: list = []             # the current tick's rest, last first
+        self._head_time = 0
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def push(self, time: int, item: tuple):
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [item]
+            heappush(self._ticks, time)
+        else:
+            bucket.append(item)
+        self._size += 1
+
+    def pop(self) -> tuple[int, tuple]:
+        """The next (time, item); the queue must not be empty."""
+        head = self._head
+        if not head:
+            self._head_time = time = heappop(self._ticks)
+            head = self._head = self._buckets.pop(time)
+            head.reverse()
+        self._size -= 1
+        return self._head_time, head.pop()
+
+    def next_time(self) -> Optional[int]:
+        """The time of the next event, or None when the queue is empty."""
+        if self._head:
+            return self._head_time
+        return self._ticks[0] if self._ticks else None
+
+    def __iter__(self) -> Iterator[tuple[int, tuple]]:
+        """The pending (time, item) pairs in dispatch order, not popped."""
+        for item in reversed(self._head):
+            yield self._head_time, item
+        for time in sorted(self._ticks):
+            for item in self._buckets[time]:
+                yield time, item
 
 
 class ConfigError(ValueError):
@@ -191,8 +255,9 @@ class SimWorld:
         config.validate()
         self.config = cfg = config
         self.clock = 0
-        self._counter = 0
-        self.queue: list = []
+        self.queue = TickQueue()
+        # the single enqueue point: every event goes through world._push
+        self._push = self.queue.push
         self.trace: Optional[list[str]] = [] if cfg.record_trace else None
 
         self.witness_seed = (cfg.witness_seed if cfg.witness_seed is not None
@@ -262,8 +327,9 @@ class SimWorld:
         self.correct = tuple(p for p in range(cfg.n) if p not in self.faulty)
 
         self._schedule_workload()
-        self._log(0, "meta", None, None, PROTO_TAG[self.kind], "meta",
-                  None, None, self._meta_note())
+        if self.trace is not None:
+            self._log(0, "meta", None, None, PROTO_TAG[self.kind], "meta",
+                      None, None, self._meta_note())
 
     # -- construction -------------------------------------------------------
 
@@ -294,13 +360,8 @@ class SimWorld:
 
     # -- event machinery -----------------------------------------------------
 
-    def _push(self, time: int, item: tuple):
-        self._counter += 1
-        heapq.heappush(self.queue, (time, self._counter, item))
-
     def _log(self, tick, kind, src, dst, proto, role, subject, dig, note):
-        if self.trace is None:
-            return
+        """Append one trace line; called only when the trace is kept."""
         self.trace.append(" ".join((
             str(tick), kind,
             "-" if src is None else str(src),
@@ -316,58 +377,74 @@ class SimWorld:
         return digest64(self._chan_prefix
                         + _CHAN_FIELDS.pack(8, src, 8, dst, 8, k))
 
-    def _channel_send(self, src: int, dst: int, msg: WireMessage, now: int):
-        self._log(now, "send", src, dst, msg.proto, msg.role, msg.subject,
-                  msg.digest, None)
-        key = src * self.config.n + dst
-        draw = self._chan_draw
-        k = self._chan_draws.get(key, 0)
-        arrival = now + self.config.latency_lo + \
-            draw(src, dst, k) % self._latency_span
-        k += 1
-        if self._drop_cut:
-            while draw(src, dst, k) < self._drop_cut:
-                k += 1
-                self._log(arrival, "drop", src, dst, msg.proto, msg.role,
-                          msg.subject, msg.digest, "retransmit")
-                arrival += RETRANSMIT_INTERVAL
+    def _channel_send(self, src: int, dsts, msg: WireMessage, now: int):
+        """Send msg from src to each process in dsts, in order, over the
+        lossy FIFO channels.  Each draw is _chan_draw's, inlined."""
+        trace = self.trace
+        draws = self._chan_draws
+        lasts = self._chan_last
+        prefix = self._chan_prefix
+        pack = _CHAN_FIELDS.pack
+        lo = self.config.latency_lo
+        span = self._latency_span
+        cut = self._drop_cut
+        push = self._push
+        base = src * self.config.n
+        for dst in dsts:
+            if trace is not None:
+                self._log(now, "send", src, dst, msg.proto, msg.role,
+                          msg.subject, msg.digest, None)
+            key = base + dst
+            k = draws.get(key, 0)
+            arrival = now + lo + digest64(
+                prefix + pack(8, src, 8, dst, 8, k)) % span
             k += 1
-        self._chan_draws[key] = k
-        # FIFO per ordered pair: never overtake an earlier message.
-        last = self._chan_last.get(key, 0)
-        if arrival < last:
-            arrival = last
-        self._chan_last[key] = arrival
-        self._push(arrival, (EV_MSG, dst, src, msg, "net"))
+            if cut:
+                while digest64(prefix + pack(8, src, 8, dst, 8, k)) < cut:
+                    k += 1
+                    if trace is not None:
+                        self._log(arrival, "drop", src, dst, msg.proto,
+                                  msg.role, msg.subject, msg.digest,
+                                  "retransmit")
+                    arrival += RETRANSMIT_INTERVAL
+                k += 1
+            draws[key] = k
+            # FIFO per ordered pair: never overtake an earlier message.
+            last = lasts.get(key, 0)
+            if arrival < last:
+                arrival = last
+            lasts[key] = arrival
+            push(arrival, (EV_MSG, dst, src, msg, "net"))
 
     def _fast_send(self, src: int, dst: int, msg: WireMessage, now: int):
-        self._log(now, "send", src, dst, msg.proto, msg.role, msg.subject,
-                  msg.digest, "fast")
+        if self.trace is not None:
+            self._log(now, "send", src, dst, msg.proto, msg.role, msg.subject,
+                      msg.digest, "fast")
         arrival = now + self._fast_rng.randint(1, ALERT_LATENCY_BOUND)
         self._push(arrival, (EV_MSG, dst, src, msg, "fast"))
 
     def _apply(self, pid: int, actions: list, now: int):
         for act in actions:
-            if isinstance(act, Send):
-                self._channel_send(pid, act.to, act.msg, now)
-            elif isinstance(act, Broadcast):
-                send = self._channel_send
-                msg = act.msg
-                for dst in range(self.config.n):
-                    send(pid, dst, msg, now)
-            elif isinstance(act, Deliver):
+            kind = type(act)
+            if kind is Deliver:
                 self._record_delivery(pid, act, now)
-            elif isinstance(act, SetTimer):
-                tid = act.timer_id
-                self._log(now, "timer_set", pid, None, None, tid[0],
-                          tid[1] if len(tid) > 1 else None, None,
-                          f"delay={act.delay}")
-                self._push(now + act.delay, (EV_TIMER, pid, tid))
-            elif isinstance(act, RaiseAlert):
+            elif kind is Send:
+                self._channel_send(pid, (act.to,), act.msg, now)
+            elif kind is Broadcast:
+                self._channel_send(pid, range(self.config.n), act.msg, now)
+            elif kind is SetTimer:
+                tid, delay = act
+                if self.trace is not None:
+                    self._log(now, "timer_set", pid, None, None, tid[0],
+                              tid[1] if len(tid) > 1 else None, None,
+                              f"delay={delay}")
+                self._push(now + delay, (EV_TIMER, pid, tid))
+            elif kind is RaiseAlert:
                 ev = act.evidence
                 self.alerts_raised += 1
-                self._log(now, "alert", pid, None, None, ALERT, ev.subject,
-                          ev.digest_a, f"accused={ev.subject.sender}")
+                if self.trace is not None:
+                    self._log(now, "alert", pid, None, None, ALERT, ev.subject,
+                              ev.digest_a, f"accused={ev.subject.sender}")
                 alert = WireMessage(PROTO_TAG[self.kind], ALERT, ev.subject,
                                     evidence=ev)
                 for dst in range(self.config.n):
@@ -375,19 +452,25 @@ class SimWorld:
                         self._fast_send(pid, dst, alert, now)
 
     def _record_delivery(self, pid: int, dlv: Deliver, now: int):
-        mid = dlv.message.id
-        dig = dlv.digest
-        self.deliveries[pid] = self.deliveries.get(pid, 0) + 1
+        message, acks, dig = dlv
+        mid = message.id
+        deliveries = self.deliveries
+        deliveries[pid] = deliveries.get(pid, 0) + 1
         correct = pid not in self.faulty
         if correct:
-            slot = self.delivered_digests.setdefault(mid, {})
-            slot.setdefault(dig, set()).add(pid)
+            slot = self.delivered_digests.get(mid)
+            if slot is None:
+                self.delivered_digests[mid] = {dig: {pid}}
+            elif dig in slot:
+                slot[dig].add(pid)
+            else:
+                slot[dig] = {pid}
         if self.trace is not None:
             note = None
-            if correct and dlv.acks:
-                note = self._signers_note(dlv.acks, mid, dig)
+            if correct and acks:
+                note = self._signers_note(acks, mid, dig)
             self._log(now, "appdlv", pid, None, None, "deliver", mid, dig, note)
-        if self.config.stability and correct:
+        if correct and self.config.stability:
             tick = now + self.stability_lag
             batch = self._maturing.get(tick)
             if batch is None:
@@ -413,63 +496,72 @@ class SimWorld:
 
     def step(self):
         """Pop and dispatch exactly one event."""
-        time, _, item = heapq.heappop(self.queue)
+        time, item = self.queue.pop()
         self.clock = time
         kind = item[0]
 
         if kind == EV_MSG:
             _, dst, src, msg, plane = item
-            self._log(time, "recv", src, dst, msg.proto, msg.role,
-                      msg.subject, msg.digest, plane if plane != "net" else None)
-            if msg.role in (REGULAR, INFORM):
-                counts = self.access_counts.setdefault(dst, {})
-                counts[msg.role] = counts.get(msg.role, 0) + 1
-            if dst in self.faulty:
-                if self.adversary is not None:
-                    actions = self.adversary.act(dst, ("message", src, msg), time)
-                    self._drain_adv_log(time)
-                    self._apply(dst, actions, time)
-            else:
-                self._apply(dst, self.engines[dst].handle(src, msg, time), time)
+            role = msg.role
+            if self.trace is not None:
+                self._log(time, "recv", src, dst, msg.proto, role,
+                          msg.subject, msg.digest,
+                          plane if plane != "net" else None)
+            if role == REGULAR or role == INFORM:
+                counts = self.access_counts.get(dst)
+                if counts is None:
+                    counts = self.access_counts[dst] = {}
+                counts[role] = counts.get(role, 0) + 1
+            eng = self.engines[dst]
+            if eng is not None:
+                self._apply(dst, eng.handle(src, msg, time), time)
+            elif self.adversary is not None:
+                actions = self.adversary.act(dst, ("message", src, msg), time)
+                self._drain_adv_log(time)
+                self._apply(dst, actions, time)
 
         elif kind == EV_TIMER:
             _, pid, tid = item
-            self._log(time, "timer_fire", pid, None, None, tid[0],
-                      tid[1] if len(tid) > 1 else None, None, None)
-            if pid in self.faulty:
-                if self.adversary is not None:
-                    actions = self.adversary.act(pid, ("timer", tid), time)
-                    self._apply(pid, actions, time)
-            else:
-                self._apply(pid, self.engines[pid].on_timer(tid, time), time)
+            if self.trace is not None:
+                self._log(time, "timer_fire", pid, None, None, tid[0],
+                          tid[1] if len(tid) > 1 else None, None, None)
+            eng = self.engines[pid]
+            if eng is not None:
+                self._apply(pid, eng.on_timer(tid, time), time)
+            elif self.adversary is not None:
+                actions = self.adversary.act(pid, ("timer", tid), time)
+                self._apply(pid, actions, time)
 
         elif kind == EV_MCAST:
             _, sender, payload = item
             self.messages_multicast += 1
-            if sender in self.faulty:
-                if self.adversary is not None:
-                    actions = self.adversary.act(
-                        sender, ("multicast", payload), time)
-                    self._drain_adv_log(time)
-                    self._apply(sender, actions, time)
-            else:
-                eng = self.engines[sender]
+            eng = self.engines[sender]
+            if eng is not None:
                 actions = eng.wan_multicast(payload)
-                mid = MessageId(sender, eng.own_seq)
-                self._log(time, "mcast", sender, None, PROTO_TAG[self.kind],
-                          "mcast", mid, eng.pending[mid].digest, None)
+                if self.trace is not None:
+                    mid = MessageId(sender, eng.own_seq)
+                    self._log(time, "mcast", sender, None,
+                              PROTO_TAG[self.kind], "mcast", mid,
+                              eng.pending[mid].digest, None)
+                self._apply(sender, actions, time)
+            elif self.adversary is not None:
+                actions = self.adversary.act(
+                    sender, ("multicast", payload), time)
+                self._drain_adv_log(time)
                 self._apply(sender, actions, time)
 
         elif kind == EV_ORACLE:
             self.stability_oracle_tick(item)
 
     def _drain_adv_log(self, time: int):
-        if self.adversary is None or not self.adversary.mcast_log:
+        log = self.adversary.mcast_log
+        if not log:
             return
-        for mid, dig in self.adversary.mcast_log:
-            self._log(time, "mcast", mid.sender, None, PROTO_TAG[self.kind],
-                      "mcast", mid, dig, "adv")
-        self.adversary.mcast_log.clear()
+        if self.trace is not None:
+            for mid, dig in log:
+                self._log(time, "mcast", mid.sender, None,
+                          PROTO_TAG[self.kind], "mcast", mid, dig, "adv")
+        log.clear()
 
     def stability_oracle_tick(self, item: tuple):
         """Report the deliveries that mature now: one stable record each,
@@ -481,9 +573,11 @@ class SimWorld:
         proto = PROTO_TAG[self.kind]
         unstable = self._unstable
         touched: dict[MessageId, set[int]] = {}
+        trace = self.trace
         for deliverer, mid in self._maturing.pop(tick):
-            self._log(tick, "stable", deliverer, None, proto, SM_NOTIFY, mid,
-                      None, None)
+            if trace is not None:
+                self._log(tick, "stable", deliverer, None, proto, SM_NOTIFY,
+                          mid, None, None)
             missing = touched.get(mid)
             if missing is None:
                 # a kept set is never empty
@@ -503,16 +597,18 @@ class SimWorld:
     # -- top level -------------------------------------------------------------
 
     def run_to_quiescence(self, max_ticks: int = 1_000_000) -> RunReport:
-        while self.queue:
-            if self.queue[0][0] > max_ticks:
-                break
-            self.step()
+        """Step until no event is left at or before max_ticks."""
+        next_time = self.queue.next_time
+        step = self.step
+        while (time := next_time()) is not None and time <= max_ticks:
+            step()
         quiescent = not self.queue
         report = self._report(quiescent)
-        self._log(self.clock, "end", None, None, None, "end", None, None,
-                  f"quiescent={str(quiescent).lower()};"
-                  f"conflicts={report.conflicts};"
-                  f"deliveries={report.total_deliveries()}")
+        if self.trace is not None:
+            self._log(self.clock, "end", None, None, None, "end", None, None,
+                      f"quiescent={str(quiescent).lower()};"
+                      f"conflicts={report.conflicts};"
+                      f"deliveries={report.total_deliveries()}")
         return report
 
     def _report(self, quiescent: bool) -> RunReport:

@@ -266,6 +266,42 @@ def test_config_file_flags_override(capsys, tmp_path):
     assert "protocol=3t" in out and "seed=9" in out
 
 
+@pytest.mark.parametrize("line", ["n = abc", "p_drop = often",
+                                  "stability = ture", "stability ="])
+def test_config_file_rejects_bad_values(capsys, tmp_path, line):
+    cfgfile = tmp_path / "run.conf"
+    cfgfile.write_text(f"protocol = 3t\nn = 13\nt = 4\n{line}\n")
+    trace = tmp_path / "run.trace"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfgfile),
+                             "--trace-out", str(trace))
+    assert code == 1 and out == ""
+    assert err.startswith("config error: config") and ":4: bad value" in err
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("word, stable", [("true", True), ("YES", True),
+                                          ("1", True), ("false", False),
+                                          ("No", False), ("0", False)])
+def test_config_file_booleans(capsys, tmp_path, word, stable):
+    cfgfile = tmp_path / "run.conf"
+    cfgfile.write_text(f"protocol = 3t\nn = 13\nt = 4\nstability = {word}\n")
+    trace = tmp_path / "run.trace"
+    code, _, _ = run_cli(capsys, "simulate", "--config", str(cfgfile),
+                         "--trace-out", str(trace))
+    assert code == 0
+    records = [line for line in trace.read_text().splitlines()
+               if line.split(" ", 2)[1] == "stable"]
+    assert bool(records) == stable
+
+
+def test_unreadable_config_file_is_a_config_error(capsys, tmp_path):
+    binary = tmp_path / "binary.conf"
+    binary.write_bytes(b"\xfe\xff n = 4\n")
+    for path in (tmp_path / "absent.conf", binary):
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 1 and err.startswith("config error: config"), path
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "securecast.cli", "analyze", "--n", "31",

@@ -1,12 +1,15 @@
+import hashlib
+import hmac
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from securecast.core import (ADVERSARY, PROTO_3T, PROTO_AV, PROTO_E,
                              ForgeryAttemptError, KeyChain, MessageId,
-                             MulticastMessage, _enc, ack_sig_data, ack_valid,
+                             MulticastMessage, Signature, _enc, _u64,
+                             ack_sig_data, ack_valid,
                              build_ack, digest, keyed_seed, message_digest,
                              sender_sig_data, valid_signers)
 
@@ -180,3 +183,51 @@ def test_message_digest_pinned():
     m = MulticastMessage(MessageId(3, 7), b"payload")
     assert message_digest(m).hex() == (
         "60f210ec1713546b039dbd7ae984c987fed56a4a300a7ad883a7c80bf8b016f7")
+
+
+def test_keychain_derives_keys_lazily_and_as_before():
+    secret = b"test-secret"
+    kc = KeyChain(7, secret)
+    assert kc._keys == {}  # a fresh chain derives nothing
+    # Each key and tag as the chain derived them all up front before.
+    key = hashlib.sha256(_enc(b"key", secret, _u64(3))).digest()
+    tag = hashlib.sha256(key).digest()[:8]
+    assert key.hex().startswith("464f7ac5") and tag.hex() == "b4b779b48efca22f"
+    sig = kc.sign(3, b"data")
+    assert list(kc._keys) == [3] and kc._keys[3][:2] == (key, tag)
+    assert sig.key_tag == tag
+    assert sig.mac.hex().startswith("c3faca1a")
+    for data in (b"", b"data", bytes(range(256)) * 3):
+        assert kc._mac(3, data) == hmac.new(key, data, hashlib.sha256).digest()
+    assert kc.verify(3, b"data", sig)
+    assert not kc.verify(5, b"data", sig._replace(signer=5))
+    assert sorted(kc._keys) == [3, 5]
+    # out-of-range signers derive nothing and never verify
+    assert not kc.verify(7, b"data", sig._replace(signer=7))
+    with pytest.raises(IndexError):
+        kc.sign(-1, b"data", caller=-1)
+    assert sorted(kc._keys) == [3, 5]
+
+
+# widths drawn uniformly, so values past 2**63 are as common as small ones
+_u64s = st.integers(1, 64).flatmap(lambda b: st.integers(0, 2**b - 1))
+# sizes drawn uniformly, as above, so lengths past one byte are covered
+_blobs = st.integers(0, 300).flatmap(lambda k: st.binary(min_size=k,
+                                                         max_size=k))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(proto=st.text(max_size=4), sender=_u64s, seq=_u64s, dig=_blobs,
+       mac=st.one_of(st.none(), _blobs), payload=_blobs)
+@example(proto="AV", sender=2**64 - 1, seq=2**63, dig=b"d" * 300,
+         mac=b"m" * 256, payload=b"p" * 256)
+def test_struct_encodings_match_enc(proto, sender, seq, dig, mac, payload):
+    mid = MessageId(sender, seq)
+    ssig = None if mac is None else Signature(sender, b"", b"", mac)
+    assert ack_sig_data(proto, mid, dig, ssig) == _enc(
+        b"ack", proto.encode(), _u64(sender), _u64(seq), dig,
+        b"" if mac is None else mac)
+    assert sender_sig_data(mid, dig) == _enc(b"avreg", _u64(sender),
+                                             _u64(seq), dig)
+    assert message_digest(MulticastMessage(mid, payload)) == digest(
+        _enc(b"msg", _u64(sender), _u64(seq), payload))

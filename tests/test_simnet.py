@@ -1,8 +1,11 @@
 import gc
+import heapq
 import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from securecast import protocols
 from securecast.core import keyed_seed
@@ -10,8 +13,9 @@ from securecast.core import KeyChain, ProtocolKind
 from securecast.protocols import (ALERT_LATENCY_BOUND, DELIVER, REGULAR,
                                   SM_NOTIFY, ProcessEngine, Send, Timeouts, WireMessage)
 from securecast.quorum import QuorumParams
-from securecast.simnet import (EV_MSG, RETRANSMIT_INTERVAL, ConfigError,
-                               SimConfig, build_world, run_world)
+from securecast.simnet import (EV_MSG, EV_TIMER, RETRANSMIT_INTERVAL,
+                               ConfigError, SimConfig, SimWorld, build_world,
+                               run_world)
 
 
 def test_build_world_minimal():
@@ -521,9 +525,8 @@ def test_channel_latency_uniform_and_loss_rate_matches_p_drop():
                     latency_lo=2, latency_hi=7)
     world = build_world(cfg)
     msg = WireMessage("E", REGULAR, None)
-    for src in range(cfg.n):
-        for dst in range(cfg.n):  # 10,201 first sends, so no FIFO clamp
-            world._channel_send(src, dst, msg, 0)
+    for src in range(cfg.n):  # 10,201 first sends, so no FIFO clamp
+        world._channel_send(src, range(cfg.n), msg, 0)
     drops = {}
     for line in world.trace:
         _, kind, src, dst, _ = line.split(" ", 4)
@@ -531,7 +534,7 @@ def test_channel_latency_uniform_and_loss_rate_matches_p_drop():
             key = (int(src), int(dst))
             drops[key] = drops.get(key, 0) + 1
     counts = [0] * 6
-    for arrival, _, (_, dst, src, _, _) in world.queue:
+    for arrival, (_, dst, src, _, _) in world.queue:
         latency = arrival - RETRANSMIT_INTERVAL * drops.get((src, dst), 0)
         counts[latency - cfg.latency_lo] += 1
     assert sum(counts) == cfg.n ** 2
@@ -623,3 +626,95 @@ def test_each_deliver_object_is_judged_once_per_world(monkeypatch, proto,
     if adversary == "none":
         # one broadcast per multicast, judged by one receiver for all
         assert len(calls) == len(seen) == report.messages_multicast
+
+
+def _fired(world):
+    """(tick, label) of each timer_fire line, in dispatch order."""
+    out = []
+    for line in world.trace:
+        parts = line.split(" ")
+        if parts[1] == "timer_fire":
+            out.append((int(parts[0]), int(parts[6])))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ops=st.lists(st.one_of(st.integers(0, 6), st.none()), max_size=80),
+       cut=st.integers(0, 12))
+def test_tick_queue_matches_a_heap_reference(ops, cut):
+    """Random interleavings of pushes (delay from the current tick, 0
+    included) and steps dispatch in the order of a heapq of (time,
+    counter); len(world.queue) matches the heap after every operation and
+    its iteration before and after the run; run_to_quiescence stops at
+    the same max_ticks cut-off.  Each event is a timer of the faulty
+    process 3, which with no adversary only writes its timer_fire line."""
+    world = build_world(SimConfig(protocol="e", n=4, t=1, messages=0,
+                                  faulty_set=(3,)))
+    ref, expected = [], []
+    for label, op in enumerate(ops):
+        if op is not None:
+            time = world.clock + op
+            world._push(time, (EV_TIMER, 3, ("q", label)))
+            heapq.heappush(ref, (time, label))
+        elif ref:
+            world.step()
+            expected.append(heapq.heappop(ref))
+            assert world.clock == expected[-1][0]
+        assert len(world.queue) == len(ref)
+    assert [(t, tid[1]) for t, (_, _, tid) in world.queue] == sorted(ref)
+    max_ticks = world.clock + cut
+    while ref and ref[0][0] <= max_ticks:
+        expected.append(heapq.heappop(ref))
+    report = world.run_to_quiescence(max_ticks)
+    assert _fired(world) == expected
+    assert len(world.queue) == len(ref) and report.quiescent == (not ref)
+    assert [(t, tid[1]) for t, (_, _, tid) in world.queue] == sorted(ref)
+
+
+# E, 3T and ACT, with and without an adversary, loss and stability
+_SHAPES = [
+    dict(protocol="e", n=7, t=2),
+    dict(protocol="e", n=7, t=2, adversary="equivocate", p_drop=0.2),
+    dict(protocol="3t", n=13, t=4, adversary="crash", p_drop=0.2),
+    dict(protocol="3t", n=13, t=4, adversary="collusive", stability=False),
+    dict(protocol="act", n=13, t=4, kappa=2, delta=3, p_drop=0.1),
+    dict(protocol="act", n=13, t=4, kappa=2, delta=3, adversary="equivocate",
+         stability=False),
+    dict(protocol="act", n=31, t=10, kappa=3, delta=5,
+         adversary="regime-split", p_drop=0.1),
+    dict(protocol="act", n=13, t=4, kappa=2, delta=3,
+         adversary="seq-burner", p_drop=0.2),
+]
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_trace_on_and_off_give_equal_reports(shape):
+    cfg = SimConfig(messages=4, seed=11, **shape)
+    on = build_world(cfg)
+    off = build_world(SimConfig(messages=4, seed=11, record_trace=False,
+                                **shape))
+    assert off.trace is None
+    report = on.run_to_quiescence()
+    assert report.quiescent and report.messages_multicast == 4
+    assert off.run_to_quiescence() == report
+    assert off._chan_draws == on._chan_draws
+
+
+def test_trace_off_world_never_enters_log(monkeypatch):
+    calls = []
+    log = SimWorld._log
+
+    def counted(self, *args):
+        calls.append(self.trace is None)
+        return log(self, *args)
+    monkeypatch.setattr(SimWorld, "_log", counted)
+    alerts = 0
+    for shape in _SHAPES:
+        report = build_world(SimConfig(messages=4, seed=11,
+                                       record_trace=False,
+                                       **shape)).run_to_quiescence()
+        assert report.quiescent
+        alerts += report.alerts_raised
+    assert calls == [] and alerts > 0
+    build_world(SimConfig(messages=1, **_SHAPES[1])).run_to_quiescence()
+    assert calls and not any(calls)
