@@ -282,6 +282,9 @@ def cmd_trace_check(args) -> int:
     except FileNotFoundError:
         print(f"no such trace: {args.path}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:  # a directory, no permission, a read error
+        print(f"cannot read trace: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except TraceParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

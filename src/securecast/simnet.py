@@ -79,6 +79,9 @@ RETRANSMIT_INTERVAL = 8
 # processes, "auto" picks faulty under an attack strategy, else uniform.
 SENDER_MODES = ("auto", "uniform", "faulty")
 
+# Trace lines write_trace joins into one write.
+_WRITE_CHUNK = 4096
+
 # (src, dst, draw index) in keyed_seed's encoding, after the channel prefix
 _CHAN_FIELDS = u64_fields(3)
 
@@ -259,6 +262,9 @@ class SimWorld:
         # the single enqueue point: every event goes through world._push
         self._push = self.queue.push
         self.trace: Optional[list[str]] = [] if cfg.record_trace else None
+        if cfg.record_trace:
+            # (id(acks), id, digest) -> (acks, signers note); see _signers_note
+            self._notes: dict[tuple, tuple[tuple, Optional[str]]] = {}
 
         self.witness_seed = (cfg.witness_seed if cfg.witness_seed is not None
                              else cfg.derived_seed(b"witness"))
@@ -482,15 +488,23 @@ class SimWorld:
     def _signers_note(self, acks: tuple, mid: MessageId, dig: bytes
                       ) -> Optional[str]:
         """The valid signers of a delivered ack set, one field per wire tag
-        (signers.AV=...;signers.3T=...).  The engine validated the same
-        tuple on delivery, so valid_signers answers from its memo."""
+        (signers.AV=...;signers.3T=...).  Every delivery of one deliver
+        message, re-forwards included, carries the same ack tuple, so the
+        note is built once per tuple: memoized by the tuple's identity, as
+        valid_signers is, each entry keeping its tuple alive."""
+        key = (id(acks), mid, dig)
+        hit = self._notes.get(key)
+        if hit is not None:
+            return hit[1]
         fields = []
         for tag in sorted({a.proto for a in acks}):
             signers = valid_signers(acks, tag, mid, dig, self.keychain)
             if signers:
                 fields.append(f"signers.{tag}=" + ":".join(
                     str(s) for s in sorted(signers)))
-        return ";".join(fields) or None
+        note = ";".join(fields) or None
+        self._notes[key] = (acks, note)
+        return note
 
     # -- dispatch -------------------------------------------------------------
 
@@ -628,14 +642,21 @@ class SimWorld:
             attacked=attacked, attacked_conflicts=attacked_conflicts,
             elapsed=self.clock, quiescent=quiescent)
 
-    def trace_text(self) -> str:
+    def _kept_trace(self) -> list[str]:
         if self.trace is None:
             raise ConfigError("record_trace", "trace recording is disabled")
-        return "\n".join(self.trace) + "\n"
+        return self.trace
+
+    def trace_text(self) -> str:
+        return "\n".join(self._kept_trace()) + "\n"
 
     def write_trace(self, path: str):
+        """Write trace_text() to path a chunk of lines at a time, never
+        joining the whole text; the trace always holds its meta line."""
+        trace = self._kept_trace()
         with open(path, "w") as fh:
-            fh.write(self.trace_text())
+            for start in range(0, len(trace), _WRITE_CHUNK):
+                fh.write("\n".join(trace[start:start + _WRITE_CHUNK]) + "\n")
 
 
 def build_world(config: SimConfig) -> SimWorld:

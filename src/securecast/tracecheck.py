@@ -29,15 +29,23 @@ Checks performed:
   a delivery has matured, matches an earlier delivery by the process it
   names.
 * Self-delivery and Reliability: only asserted for quiescent runs.
+
+The check is one streaming pass: every line goes through the one line
+scanner (_scan), which validates its fields, and the checks keep state per
+message id only, never per line.  check_trace takes the text or any
+iterable of its lines, and check_trace_file feeds it the file a piece of
+whole lines at a time, so the memory a check needs grows with the messages
+a trace carries, not with its length.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .core import PROTO_TAG, MessageId
-from .quorum import QuorumParams, accepts, ack_rules
+from .quorum import AckRule, QuorumParams, accepts, ack_rules
 # Bound here only so the benchmark tracer (bench/tracer.py) can patch it.
 from .quorum import w3t  # noqa: F401
 
@@ -46,8 +54,7 @@ class TraceParseError(Exception):
     pass
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
     lineno: int
     tick: int
     kind: str
@@ -81,32 +88,49 @@ class CheckResult:
         return not self.violations
 
 
-def _int_or_none(s: str) -> Optional[int]:
-    return None if s == "-" else int(s)
+_UNSEEN = object()
+_READ_SIZE = 1 << 16  # characters check_trace_file reads at a time
 
 
-def _subject(s: str) -> Optional[MessageId]:
-    if s == "-":
-        return None
-    sender, seq = s.split(":")
-    return MessageId(int(sender), int(seq))
+def _scan(lines: Iterable[str]) -> Iterator[tuple]:
+    """Yield (lineno, tick, kind, src, dst, proto, role, subject, digest,
+    note) for each non-blank line; the one place a trace line is parsed.
+
+    ``lines`` is an iterable of pieces that each hold whole lines, with or
+    without their line breaks: a file's lines, a list of bare lines, or a
+    one-item tuple holding the whole text.  Each piece is split as
+    str.splitlines() splits, an empty piece being one blank line, so all of
+    these give the records and line numbers of the text itself; line
+    numbers count blank lines.  The MessageId of a subject string is built
+    once.
+    """
+    subjects: dict[str, Optional[MessageId]] = {"-": None}
+    lineno = 0
+    for item in lines:
+        for line in item.splitlines() or ("",):
+            lineno += 1
+            if not line.strip():
+                continue
+            parts = line.split(" ", 8)
+            if len(parts) != 9:
+                raise TraceParseError(
+                    f"line {lineno}: expected 9 fields, got {len(parts)}")
+            tick, kind, src, dst, proto, role, subj, dig, note = parts
+            try:
+                tick = int(tick)
+                src = None if src == "-" else int(src)
+                dst = None if dst == "-" else int(dst)
+                subject = subjects.get(subj, _UNSEEN)
+                if subject is _UNSEEN:
+                    sender, seq = subj.split(":")
+                    subject = subjects[subj] = MessageId(int(sender), int(seq))
+            except ValueError as exc:
+                raise TraceParseError(f"line {lineno}: {exc}") from exc
+            yield lineno, tick, kind, src, dst, proto, role, subject, dig, note
 
 
 def parse_trace(text: str) -> list[TraceRecord]:
-    records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split(" ", 8)
-        if len(parts) != 9:
-            raise TraceParseError(f"line {lineno}: expected 9 fields, got {len(parts)}")
-        try:
-            records.append(TraceRecord(
-                lineno, int(parts[0]), parts[1], _int_or_none(parts[2]),
-                _int_or_none(parts[3]), parts[4], parts[5],
-                _subject(parts[6]), parts[7], parts[8]))
-        except (ValueError, IndexError) as exc:
-            raise TraceParseError(f"line {lineno}: {exc}") from exc
+    records = [TraceRecord._make(r) for r in _scan((text,))]
     if not records or records[0].kind != "meta":
         raise TraceParseError("trace must start with a meta record")
     return records
@@ -121,13 +145,31 @@ def _parse_note(note: str) -> dict[str, str]:
     return out
 
 
-def check_trace(text: str) -> CheckResult:
-    records = parse_trace(text)
-    meta = _parse_note(records[0].note)
-    proto = records[0].proto  # E / 3T / AV
+def _witness_fault(note: str, rules: Iterable[AckRule], subject: MessageId,
+                   proto: str) -> Optional[str]:
+    """Why the signers a delivery note lists meet none of the rules, or
+    None when they meet one."""
+    signers = {tag[len("signers."):]: {int(s) for s in v.split(":")}
+               for tag, v in _parse_note(note).items()
+               if tag.startswith("signers.") and v}
+    if accepts(rules, lambda tag: signers.get(tag, ())):
+        return None
+    counts = ", ".join(f"{len(v)} {tag}" for tag, v in sorted(signers.items()))
+    return (f"delivery of {subject} backed by {counts or 'no'} signers, "
+            f"which meet no {proto} ack rule")
+
+
+def check_trace(trace: Union[str, Iterable[str]]) -> CheckResult:
+    """Check a trace given as its text or as any iterable of its lines (an
+    open text file, or pieces of whole lines; see _scan), in one pass."""
+    records = _scan((trace,) if isinstance(trace, str) else trace)
+    first = next(records, None)
+    if first is None or first[2] != "meta":
+        raise TraceParseError("trace must start with a meta record")
+    lineno, proto, meta = first[0], first[5], _parse_note(first[9])
     kinds = {tag: k for k, tag in PROTO_TAG.items()}
     try:
-        kind = kinds[proto]
+        pkind = kinds[proto]  # E / 3T / AV
         n = int(meta["n"])
         t = int(meta["t"])
         kappa = int(meta["kappa"])
@@ -137,98 +179,109 @@ def check_trace(text: str) -> CheckResult:
                   else {int(x) for x in meta["faulty"].split(":")})
         params = QuorumParams(n, t)
     except (KeyError, ValueError) as exc:
+        for _ in records:  # a malformed later line is still reported first
+            pass
         raise TraceParseError(f"line 1: bad meta record: {exc!r}") from exc
     correct = set(range(n)) - faulty
 
     result = CheckResult()
     bad = result.violations.append
 
+    # State is kept per id, never per line, and what is known per process
+    # sits in one array per id rather than one dict entry per delivery.
     multicast: dict[MessageId, set[str]] = {}
-    delivered: dict[tuple[int, MessageId], tuple[str, int]] = {}
-    per_id_digests: dict[MessageId, dict[str, set[int]]] = {}
-    acks_signed: dict[tuple[int, MessageId], dict[str, int]] = {}
+    # id -> line of each correct process's first delivery, 0 for none
+    first_line: dict[MessageId, array] = {}
+    # id -> digests delivered by correct processes
+    digests_of: dict[MessageId, set[str]] = {}
+    # id -> correct signer -> digests it signed acks for
+    acks_signed: dict[MessageId, dict[int, tuple[str, ...]]] = {}
+    # (id, signers note) -> WitnessRule detail, None when the rule is met;
+    # every delivery of one ack set carries the same note
+    witness_faults: dict[tuple[MessageId, str], Optional[str]] = {}
 
-    for r in records:
-        if r.kind == "mcast" and r.subject is not None:
-            multicast.setdefault(r.subject, set()).add(r.digest)
+    def delivered(p: Optional[int], mid: MessageId) -> bool:
+        firsts = first_line.get(mid)
+        return firsts is not None and p in correct and firsts[p] > 0
 
-        elif r.kind == "send" and r.role == "ack" and r.src in correct \
-                and r.subject is not None:
-            seen = acks_signed.setdefault((r.src, r.subject), {})
-            if r.digest not in seen:
-                if seen:
-                    bad(Violation(
-                        "NoConflictingAcks", r.lineno,
-                        f"process {r.src} signed acks for two digests of "
-                        f"{r.subject}"))
-                seen[r.digest] = r.lineno
+    for lineno, _, kind, src, _, _, role, subject, digest, note in records:
+        if kind == "send":
+            if role == "ack" and src in correct and subject is not None:
+                signed = acks_signed.setdefault(subject, {})
+                seen = signed.get(src, ())
+                if digest not in seen:
+                    if seen:
+                        bad(Violation(
+                            "NoConflictingAcks", lineno,
+                            f"process {src} signed acks for two digests of "
+                            f"{subject}"))
+                    signed[src] = seen + (digest,)
 
-        elif r.kind == "appdlv" and r.subject is not None:
-            if r.src not in correct:
+        elif kind == "appdlv":
+            if subject is None or src not in correct:
                 continue
-            key = (r.src, r.subject)
-            if key in delivered:
+            firsts = first_line.get(subject)
+            if firsts is None:
+                firsts = first_line[subject] = array("q", [0]) * n
+            if firsts[src]:
                 bad(Violation(
-                    "Integrity", r.lineno,
-                    f"process {r.src} delivered {r.subject} twice "
-                    f"(first at line {delivered[key][1]})"))
+                    "Integrity", lineno,
+                    f"process {src} delivered {subject} twice "
+                    f"(first at line {firsts[src]})"))
             else:
-                delivered[key] = (r.digest, r.lineno)
-                per_id_digests.setdefault(r.subject, {}) \
-                    .setdefault(r.digest, set()).add(r.src)
-            if r.subject.sender in correct:
-                digs = multicast.get(r.subject, set())
-                if r.digest not in digs:
+                firsts[src] = lineno
+                digests_of.setdefault(subject, set()).add(digest)
+            if subject.sender in correct:
+                if digest not in multicast.get(subject, ()):
                     bad(Violation(
-                        "Integrity", r.lineno,
-                        f"delivery of {r.subject} does not match any "
-                        f"multicast by correct sender {r.subject.sender}"))
-            signers = {tag[len("signers."):]: {int(s) for s in v.split(":")}
-                       for tag, v in _parse_note(r.note).items()
-                       if tag.startswith("signers.") and v}
-            rules = ack_rules(kind, r.subject, params, witness_seed, kappa,
-                              slack)
-            if not accepts(rules, lambda tag: signers.get(tag, ())):
-                counts = ", ".join(f"{len(v)} {tag}"
-                                   for tag, v in sorted(signers.items()))
+                        "Integrity", lineno,
+                        f"delivery of {subject} does not match any "
+                        f"multicast by correct sender {subject.sender}"))
+            verdict = (subject, note)
+            fault = witness_faults.get(verdict, _UNSEEN)
+            if fault is _UNSEEN:
+                fault = witness_faults[verdict] = _witness_fault(
+                    note, ack_rules(pkind, subject, params, witness_seed,
+                                    kappa, slack), subject, proto)
+            if fault is not None:
+                bad(Violation("WitnessRule", lineno, fault))
+
+        elif kind == "mcast":
+            if subject is not None:
+                multicast.setdefault(subject, set()).add(digest)
+
+        elif kind == "stable":
+            if subject is not None and not delivered(src, subject):
                 bad(Violation(
-                    "WitnessRule", r.lineno,
-                    f"delivery of {r.subject} backed by "
-                    f"{counts or 'no'} signers, which meet no {proto} "
-                    f"ack rule"))
+                    "SMIntegrity", lineno,
+                    f"stability record claims {src} delivered "
+                    f"{subject} without a matching delivery"))
 
-        elif r.kind == "stable" and r.subject is not None:
-            if (r.src, r.subject) not in delivered:
-                bad(Violation(
-                    "SMIntegrity", r.lineno,
-                    f"stability record claims {r.src} delivered "
-                    f"{r.subject} without a matching delivery"))
+        elif kind == "end":
+            result.quiescent = _parse_note(note).get("quiescent") == "true"
 
-        elif r.kind == "end":
-            result.quiescent = _parse_note(r.note).get("quiescent") == "true"
-
-    # Agreement / conflict census.
-    for mid, slots in sorted(per_id_digests.items()):
-        if len(slots) >= 2:
+    # Agreement / conflict census, reported at the last record (lineno).
+    for mid, digs in sorted(digests_of.items()):
+        if len(digs) >= 2:
             result.conflicts.append(mid)
             if proto in ("E", "3T"):
                 bad(Violation(
-                    "Agreement", records[-1].lineno,
-                    f"correct processes delivered {len(slots)} different "
+                    "Agreement", lineno,
+                    f"correct processes delivered {len(digs)} different "
                     f"digests for {mid}"))
 
     if result.quiescent:
-        for mid, digs in sorted(multicast.items()):
-            if mid.sender in correct and (mid.sender, mid) not in delivered:
+        for mid in sorted(multicast):
+            if mid.sender in correct and not delivered(mid.sender, mid):
                 bad(Violation(
-                    "SelfDelivery", records[-1].lineno,
+                    "SelfDelivery", lineno,
                     f"correct sender {mid.sender} never delivered its own "
                     f"{mid}"))
-        for mid in sorted({m for (_, m) in delivered}):
-            missing = [p for p in sorted(correct) if (p, mid) not in delivered]
+        for mid, firsts in sorted(first_line.items()):
+            missing = [p for p in sorted(correct) if not firsts[p]]
             if missing:
                 bad(Violation(
-                    "Reliability", records[-1].lineno,
+                    "Reliability", lineno,
                     f"{mid} was delivered by some correct processes but not "
                     f"by {missing}"))
 
@@ -236,5 +289,11 @@ def check_trace(text: str) -> CheckResult:
 
 
 def check_trace_file(path: str) -> CheckResult:
+    """check_trace over the file, read a piece of whole lines at a time,
+    about _READ_SIZE characters each (faster than line by line)."""
     with open(path) as fh:
-        return check_trace(fh.read())
+        pieces = iter(lambda: fh.read(_READ_SIZE) + fh.readline(), "")
+        try:
+            return check_trace(pieces)
+        except UnicodeDecodeError as exc:
+            raise TraceParseError(f"cannot decode trace: {exc}") from exc

@@ -257,6 +257,23 @@ def test_trace_check_parse_error(capsys, tmp_path):
     assert code == 1 and "parse error" in err
 
 
+def test_trace_check_undecodable_file_is_a_parse_error(capsys, tmp_path):
+    trace = tmp_path / "clean.trace"
+    run_cli(capsys, "simulate", "--protocol", "e", "--n", "4", "--t", "1",
+            "--seed", "0", "--trace-out", str(trace))
+    capsys.readouterr()
+    trace.write_bytes(trace.read_bytes() + b"7 recv 1 2 E ack 0:1 \xff\xfe -\n")
+    code, out, err = run_cli(capsys, "trace-check", str(trace))
+    assert code == 1 and out == ""
+    assert err.startswith("parse error: ") and "decode" in err
+
+
+def test_trace_check_directory_is_unreadable(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "trace-check", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("cannot read trace: ")
+
+
 def test_config_file_flags_override(capsys, tmp_path):
     cfgfile = tmp_path / "run.conf"
     cfgfile.write_text("protocol = 3t\nn = 13\nt = 4\nseed = 5\n# comment\n")

@@ -2,12 +2,13 @@ import gc
 import heapq
 import random
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from securecast import protocols
+from securecast import protocols, simnet
 from securecast.core import keyed_seed
 from securecast.core import KeyChain, ProtocolKind
 from securecast.protocols import (ALERT_LATENCY_BOUND, DELIVER, REGULAR,
@@ -458,11 +459,48 @@ def test_run_report_fields():
     assert r.elapsed > 0
 
 
-def test_trace_disabled_raises_on_export():
+def test_trace_disabled_raises_on_export(tmp_path):
     world = build_world(SimConfig(protocol="e", n=4, t=1, record_trace=False))
     world.run_to_quiescence()
     with pytest.raises(ConfigError):
         world.trace_text()
+    with pytest.raises(ConfigError):
+        world.write_trace(str(tmp_path / "none.trace"))
+    assert not (tmp_path / "none.trace").exists()
+
+
+def test_write_trace_writes_trace_text_in_chunks(monkeypatch, tmp_path):
+    world = build_world(SimConfig(protocol="3t", n=13, t=4, messages=2,
+                                  seed=3, adversary="crash", p_drop=0.1))
+    world.run_to_quiescence()
+    text = world.trace_text().encode()
+    lines = len(world.trace)
+    for chunk in (1, 7, lines - 1, lines, lines + 1, simnet._WRITE_CHUNK):
+        monkeypatch.setattr(simnet, "_WRITE_CHUNK", chunk)
+        path = tmp_path / f"chunk-{chunk}.trace"
+        world.write_trace(str(path))
+        assert path.read_bytes() == text, chunk
+
+
+def test_signers_note_built_once_per_delivered_ack_set(monkeypatch):
+    calls = []
+    real = simnet.valid_signers
+
+    def counted(acks, tag, *rest):
+        calls.append(tag)
+        return real(acks, tag, *rest)
+    monkeypatch.setattr(simnet, "valid_signers", counted)
+    cfg = SimConfig(protocol="3t", n=31, t=10, messages=3, seed=1,
+                    adversary="crash", p_drop=0.1)
+    world = build_world(cfg)
+    world.run_to_quiescence()
+    notes = [line.split(" ", 8)[8] for line in world.trace
+             if line.split(" ", 2)[1] == "appdlv"]
+    assert len(world._notes) == len(calls) < len(notes)
+    assert {note for _, note in world._notes.values()} == set(notes) - {"-"}
+    off = build_world(replace(cfg, record_trace=False))
+    off.run_to_quiescence()
+    assert not hasattr(off, "_notes") and len(calls) == len(world._notes)
 
 
 def test_lossy_adversarial_runs_keep_their_guarantees():
