@@ -22,13 +22,14 @@ Protocol summary:
   delayed so that any pending equivocation alert wins the race.
 
 With the stability oracle on, a process that delivers a message keeps it
-and re-forwards it once, on a timer, to every correct process the oracle
-has not yet reported as having delivered it.  The oracle hands each
-correct engine its notice at the maturity tick, 4 * latency_hi after a
-delivery; a notice names, per id, the correct processes still missing it.
-The engine keeps only the newest notice per id it holds, and forgets the
-id once it is re-forwarded or reported stable everywhere.  Without the
-oracle nothing re-forwards and nothing is kept.
+and re-forwards it once, Timeouts.reforward after the delivery, to every
+correct process the oracle has not yet reported as having delivered it.
+The engine arms no timer for this: a SimWorld hands it the oracle's
+notice at that tick, naming per id the correct processes still missing
+it, and then calls on_timer(("reforward", id)) if the engine still holds
+the id.  The engine keeps only the newest notice per id it holds, and
+forgets the id once it is re-forwarded or reported stable everywhere.
+Without the oracle nothing re-forwards and nothing is kept.
 
 Every process checks a broadcast deliver's ack set against the delivery
 rule before it delivers.  The verdict is a pure function of the message,
@@ -143,10 +144,10 @@ class Timeouts:
         """Every protocol timer from the network's latency bound hi.  A
         recovery ack is held 2*hi + ALERT_LATENCY_BOUND + 2 ticks, longer
         than any alert takes, so a pending alert always wins the race.
-        The re-forward waits 8*hi, twice the oracle's 4*hi maturity lag,
-        so the notice reporting the engine's own delivery has always been
-        handed over; re-forwarding needs the stability oracle and is off
-        without it."""
+        The re-forward runs 8*hi after a delivery, twice the oracle's 4*hi
+        maturity lag, so the oracle has always reported the engine's own
+        delivery by then; the world schedules it, and it needs the
+        stability oracle and is off without it."""
         return cls(6 * hi, 4 * hi, 2 * hi + ALERT_LATENCY_BOUND + 2,
                    8 * hi if stability else None)
 
@@ -484,11 +485,9 @@ class ProcessEngine:
         # no ack or verification is ever signed against it afterwards.
         if mid not in self.recorded:
             self.recorded[mid] = _Recorded(dig)
-        actions: list[Action] = [Deliver(m, msg.acks, dig)]
         if self.timeouts.reforward is not None:
             self.delivered_record[mid] = msg
-            actions.append(SetTimer(("reforward", mid), self.timeouts.reforward))
-        return actions
+        return [Deliver(m, msg.acks, dig)]
 
     # -- alerts and stability ---------------------------------------------
 
@@ -574,10 +573,12 @@ class ProcessEngine:
 
     def _on_reforward(self, mid: MessageId) -> list[Action]:
         """Send the delivered message to every correct process the oracle
-        has not reported, then forget it.  The timer outlasts the oracle's
-        lag, so at a correct process the notice reporting its own delivery
-        has always been handed over.  An adversary's shadow engine hears
-        no notices and targets every other process."""
+        has not reported, then forget it.  A SimWorld calls this for a
+        correct engine right after handing it the oracle's notice of the
+        re-forward tick, and only while the engine still holds the id.  An
+        adversary's shadow engine hears no notices; its re-forward is a
+        timer the world arms at its delivery, and it targets every other
+        process."""
         msg = self.delivered_record.pop(mid, None)
         if msg is None:
             return []  # stable everywhere already

@@ -10,10 +10,13 @@ Channel randomness is counter based: a channel (src, dst) holds only the
 number of draws it has made, and its draw k is the u64
 keyed_seed(world_seed, b"chan", src, dst, k).  A send takes one draw for
 its latency, lo + u % (hi - lo + 1), then, when p_drop > 0, one more per
-transmission attempt, each a loss while u / 2**64 < p_drop.  Processes and
-the alert plane use Mersenne Twister streams seeded the same keyed way; a
-process builds its stream only when it first samples.  The oracle draws
-nothing.
+transmission attempt, each a loss while u / 2**64 < p_drop.  The alert
+plane is counter based the same way, under the label b"alert": an alert
+from src to dst takes one draw u of that pair and arrives 1 + u %
+ALERT_LATENCY_BOUND ticks later, so a world that raises no alert draws
+nothing for it.  Processes use Mersenne Twister streams seeded the same
+keyed way, each built only when the process first samples.  The oracle
+draws nothing.
 
 Events run in (time, insertion) order from a TickQueue: one FIFO bucket
 per tick plus a heap of the distinct ticks, so an event costs a list append
@@ -33,16 +36,22 @@ happens; deliveries maturing at the same tick are batched, and only the
 first of a batch schedules a wake-up.  Per message id the oracle keeps the
 correct processes whose delivery has not yet matured, and forgets the id
 once that set is empty.  At a wake-up it writes one "stable" trace record
-per matured delivery and hands one sm_notify to every correct engine at
-that tick, without queueing it or tracing a send or receive.  The notice
-carries (tick, ((id, missing), ...)): one entry per id the batch touched,
-with the frozenset of correct processes still missing it; one notice and
-its sets are shared by every receiver, and an empty set means the id is
-stable everywhere.  Sets only shrink, so the notice of the latest tick is
-the one that counts.  Every correct process learns of every correct
-delivery at the tick it matures, at a cost of one call per correct
-process per maturity tick and no event.  Only real deliveries are ever
-reported.
+per matured delivery and hands nothing to the engines.
+
+The oracle is consulted where it is needed: at the re-forward tick,
+Timeouts.reforward (8 * latency_hi) after each correct delivery.  Those
+checks are batched per tick the same way, one wake-up per distinct tick.
+At a wake-up the world builds one sm_notify, (tick, ((id, missing),
+...)), with per due id the frozenset of correct processes the oracle
+still has missing (empty: stable everywhere), hands it to each due engine
+directly, with no queued message and no send or receive line, and calls
+the re-forward of every engine that still holds its id.  The due wake-up
+of a tick is pushed 4 * latency_hi ticks before that tick's maturity
+wake-up, so it runs first: the set an engine sees is the newest the
+oracle had reported.  A re-forward that runs writes one timer_fire line;
+an id stable everywhere costs no event, no send and no trace line.  A
+faulty process's delivery is not reported; its re-forward stays a timer
+that the adversary handles.  Only real deliveries are ever reported.
 """
 
 from __future__ import annotations
@@ -71,6 +80,7 @@ EV_MSG = 0
 EV_TIMER = 1
 EV_MCAST = 2
 EV_ORACLE = 3
+EV_REFORWARD = 4
 
 # Ticks between a lost transmission and its retry.
 RETRANSMIT_INTERVAL = 8
@@ -316,8 +326,8 @@ class SimWorld:
         self._chan_prefix = keyed_prefix(self.world_seed, b"chan")
         self._latency_span = cfg.latency_hi - cfg.latency_lo + 1
         self._drop_cut = cfg.p_drop * 2.0 ** 64  # a draw below it is a loss
-        self._fast_rng = random.Random(
-            keyed_seed(self.world_seed, b"fastplane"))
+        # per alert channel, keyed src * n + dst: draws made
+        self._alert_draws: dict[int, int] = {}
 
         # Aggregates, maintained whether or not the trace is kept.
         self.deliveries: dict[int, int] = {}
@@ -330,6 +340,8 @@ class SimWorld:
         # id -> correct processes whose delivery has not matured yet;
         # dropped once empty
         self._unstable: dict[MessageId, set[int]] = {}
+        # re-forward tick -> the (deliverer, id) pairs checked then
+        self._due: dict[int, list[tuple[int, MessageId]]] = {}
         self.correct = tuple(p for p in range(cfg.n) if p not in self.faulty)
 
         self._schedule_workload()
@@ -423,10 +435,17 @@ class SimWorld:
             push(arrival, (EV_MSG, dst, src, msg, "net"))
 
     def _fast_send(self, src: int, dst: int, msg: WireMessage, now: int):
+        """Send msg on the lossless alert plane: its latency is 1 plus draw
+        k of alert channel (src, dst), keyed_seed(world_seed, b"alert", src,
+        dst, k), modulo ALERT_LATENCY_BOUND."""
         if self.trace is not None:
             self._log(now, "send", src, dst, msg.proto, msg.role, msg.subject,
                       msg.digest, "fast")
-        arrival = now + self._fast_rng.randint(1, ALERT_LATENCY_BOUND)
+        key = src * self.config.n + dst
+        k = self._alert_draws.get(key, 0)
+        self._alert_draws[key] = k + 1
+        arrival = now + 1 + keyed_seed(self.world_seed, b"alert", src, dst,
+                                       k) % ALERT_LATENCY_BOUND
         self._push(arrival, (EV_MSG, dst, src, msg, "fast"))
 
     def _apply(self, pid: int, actions: list, now: int):
@@ -439,12 +458,7 @@ class SimWorld:
             elif kind is Broadcast:
                 self._channel_send(pid, range(self.config.n), act.msg, now)
             elif kind is SetTimer:
-                tid, delay = act
-                if self.trace is not None:
-                    self._log(now, "timer_set", pid, None, None, tid[0],
-                              tid[1] if len(tid) > 1 else None, None,
-                              f"delay={delay}")
-                self._push(now + delay, (EV_TIMER, pid, tid))
+                self._set_timer(pid, act.timer_id, act.delay, now)
             elif kind is RaiseAlert:
                 ev = act.evidence
                 self.alerts_raised += 1
@@ -456,6 +470,12 @@ class SimWorld:
                 for dst in range(self.config.n):
                     if dst != pid:
                         self._fast_send(pid, dst, alert, now)
+
+    def _set_timer(self, pid: int, tid: tuple, delay: int, now: int):
+        if self.trace is not None:
+            self._log(now, "timer_set", pid, None, None, tid[0],
+                      tid[1] if len(tid) > 1 else None, None, f"delay={delay}")
+        self._push(now + delay, (EV_TIMER, pid, tid))
 
     def _record_delivery(self, pid: int, dlv: Deliver, now: int):
         message, acks, dig = dlv
@@ -476,13 +496,24 @@ class SimWorld:
             if correct and acks:
                 note = self._signers_note(acks, mid, dig)
             self._log(now, "appdlv", pid, None, None, "deliver", mid, dig, note)
-        if correct and self.config.stability:
+        if self.config.stability:
+            if not correct:
+                # a shadow engine's re-forward stays a timer for the adversary
+                self._set_timer(pid, ("reforward", mid),
+                                self.timeouts.reforward, now)
+                return
+            # one wake-up per distinct tick; the tick is the key of its batch
             tick = now + self.stability_lag
             batch = self._maturing.get(tick)
             if batch is None:
                 batch = self._maturing[tick] = []
-                # no process; the tick is the key of the batch
                 self._push(tick, (EV_ORACLE, None, tick))
+            batch.append((pid, mid))
+            tick = now + self.timeouts.reforward
+            batch = self._due.get(tick)
+            if batch is None:
+                batch = self._due[tick] = []
+                self._push(tick, (EV_REFORWARD, None, tick))
             batch.append((pid, mid))
 
     def _signers_note(self, acks: tuple, mid: MessageId, dig: bytes
@@ -567,6 +598,9 @@ class SimWorld:
         elif kind == EV_ORACLE:
             self.stability_oracle_tick(item)
 
+        elif kind == EV_REFORWARD:
+            self._reforward_tick(item)
+
     def _drain_adv_log(self, time: int):
         log = self.adversary.mcast_log
         if not log:
@@ -579,34 +613,44 @@ class SimWorld:
 
     def stability_oracle_tick(self, item: tuple):
         """Report the deliveries that mature now: one stable record each,
-        then one sm_notify, handed to every correct engine at this tick,
-        naming, per id the batch touched, the correct processes still
-        missing it.  Driven by delivery wake-ups, so a quiesced world
-        schedules nothing new."""
+        and each deliverer taken off its id's missing set.  Driven by
+        delivery wake-ups, so a quiesced world schedules nothing new."""
         _, _, tick = item
-        proto = PROTO_TAG[self.kind]
         unstable = self._unstable
-        touched: dict[MessageId, set[int]] = {}
         trace = self.trace
         for deliverer, mid in self._maturing.pop(tick):
             if trace is not None:
-                self._log(tick, "stable", deliverer, None, proto, SM_NOTIFY,
-                          mid, None, None)
-            missing = touched.get(mid)
+                self._log(tick, "stable", deliverer, None,
+                          PROTO_TAG[self.kind], SM_NOTIFY, mid, None, None)
+            missing = unstable.get(mid)
             if missing is None:
-                # a kept set is never empty
-                missing = unstable.get(mid) or set(self.correct)
-                unstable[mid] = touched[mid] = missing
+                missing = unstable[mid] = set(self.correct)
             missing.discard(deliverer)
-        for mid, missing in touched.items():
             if not missing:
                 del unstable[mid]
-        # one notice and one frozenset per id, shared by every receiver
-        msg = WireMessage(proto, SM_NOTIFY, None, stable=(tick, tuple(
-            (mid, frozenset(missing)) for mid, missing in touched.items())))
+
+    def _reforward_tick(self, item: tuple):
+        """Run the re-forward check of the correct deliveries made
+        Timeouts.reforward ticks ago.  One notice, naming per due id the
+        correct processes the oracle still has missing, goes to each due
+        engine; each engine that still holds its due id then re-forwards
+        it.  A released id costs no event, no send and no trace line."""
+        _, _, tick = item
+        due = self._due.pop(tick)
+        unstable = self._unstable
+        notice = WireMessage(PROTO_TAG[self.kind], SM_NOTIFY, None, stable=(
+            tick, tuple((mid, frozenset(unstable.get(mid, ())))
+                        for mid in dict.fromkeys(mid for _, mid in due))))
         engines = self.engines
-        for p in self.correct:
-            self._apply(p, engines[p].handle(None, msg, tick), tick)
+        for pid in dict.fromkeys(pid for pid, _ in due):
+            self._apply(pid, engines[pid].handle(None, notice, tick), tick)
+        for pid, mid in due:
+            eng = engines[pid]
+            if mid in eng.delivered_record:
+                if self.trace is not None:
+                    self._log(tick, "timer_fire", pid, None, None,
+                              "reforward", mid, None, None)
+                self._apply(pid, eng.on_timer(("reforward", mid), tick), tick)
 
     # -- top level -------------------------------------------------------------
 

@@ -446,7 +446,7 @@ def notice(tick, *entries):
         (mid, frozenset(missing)) for mid, missing in entries)))
 
 
-def test_deliver_sets_reforward_timer_and_respects_stability():
+def test_deliver_keeps_the_message_for_reforward_and_respects_stability():
     kc = KeyChain(4, b"unit")
     sender = make_engine(me=0, n=4, t=1, keychain=kc)
     receiver = make_engine(me=2, n=4, t=1, keychain=kc)
@@ -455,9 +455,9 @@ def test_deliver_sets_reforward_timer_and_respects_stability():
     # A notice about an id not delivered here is not kept.
     assert receiver.handle(None, notice(2, (mid, {1, 2, 3})), now=2) == []
     assert receiver.stability == {}
+    # The delivery arms no timer: the world schedules the re-forward check.
     out = receiver.handle(0, msg, now=3)
-    tmr = [a for a in timers(out) if a.timer_id[0] == "reforward"]
-    assert tmr and tmr[0].timer_id == ("reforward", mid)
+    assert out == [Deliver(msg.body, msg.acks, message_digest(msg.body))]
     assert receiver.delivered_record == {mid: msg}
     # The newest notice wins; the receiver itself may still be listed.
     assert receiver.handle(None, notice(23, (mid, {1, 2, 3})), now=24) == []
@@ -686,13 +686,10 @@ def test_holdback_chain_released_in_order_with_same_actions(judged):
         assert receiver.handle(0, m, now=3) == []
     assert sorted(receiver.holdback[0]) == [2, 3, 4]
     out = receiver.handle(0, msgs[0], now=4)
-    reforward = receiver.timeouts.reforward
-    expected = []
-    for m in msgs:
-        expected += [Deliver(m.body, m.acks, message_digest(m.body)),
-                     SetTimer(("reforward", m.subject), reforward)]
-    assert out == expected
+    assert out == [Deliver(m.body, m.acks, message_digest(m.body))
+                   for m in msgs]
     assert receiver.delivery[0] == 4 and receiver.holdback[0] == {}
+    assert receiver.delivered_record == {m.subject: m for m in msgs}
     assert len(judged) == 4  # each held message was judged once, on arrival
 
 

@@ -209,45 +209,149 @@ def test_stability_notifications_reach_everyone():
         assert eng.stability == {} and eng.delivered_record == {}
 
 
-def test_stability_oracle_informs_every_correct_process_with_drops():
+def _missing_at(matured, correct, mid, tick):
+    """The correct processes the oracle still lists as missing mid just
+    before the maturity batch of tick: none matured before it."""
+    return {q for q in correct if matured.get((q, mid), tick) >= tick}
+
+
+def test_stability_oracle_drives_each_reforward_with_drops():
+    """Every live re-forward runs at exactly delivery + 8hi and targets
+    exactly the correct processes the oracle still lists as missing, minus
+    the re-forwarder; an id stable everywhere by then costs no event, no
+    send and no trace line.  A faulty deliverer's re-forward stays a timer
+    set at its delivery."""
+    live = released = faulty_timers = 0
     for proto, extra in (("e", {}), ("3t", {}),
                          ("act", {"kappa": 2, "delta": 2})):
-        cfg = SimConfig(protocol=proto, n=10, t=3, adversary="crash",
-                        messages=3, seed=11, p_drop=0.3, **extra)
-        world = build_world(cfg)
-        seen = watch_notices(world)
-        report = world.run_to_quiescence()
-        assert report.quiescent, proto
-        correct = set(world.correct)
-        assert len(correct) == 10 - len(world.faulty)
-        matured, stable_at = {}, {}
-        for line in world.trace:
-            parts = line.split(" ", 8)
-            if parts[1] == "appdlv" and int(parts[2]) in correct:
-                matured[(int(parts[2]), parts[6])] = \
-                    int(parts[0]) + world.stability_lag
-            elif parts[1] == "stable":
-                stable_at.setdefault(int(parts[0]), set()).add(parts[6])
-        assert len(matured) == len(correct) * 3, proto
-        ids = {str(mid) for mid in report.delivered_digests}
-        for p in correct:
-            # Every correct process hears of every tick, and each notice
-            # names exactly the correct processes not matured by its tick.
-            assert {tick for tick, _ in seen[p]} == set(stable_at), (proto, p)
-            cleared = set()
-            for tick, batch in seen[p]:
-                assert {str(mid) for mid, _ in batch} == stable_at[tick]
-                for mid, missing in batch:
-                    assert missing == {q for q in correct if matured.get(
-                        (q, str(mid)), tick + 1) > tick}, (proto, p, tick)
-                    if not missing:
-                        cleared.add(str(mid))
-            assert cleared == ids, (proto, p)
-        # All receivers share one frozenset per id per tick.
-        for tick in stable_at:
-            shared = {id(missing) for p in correct for t, batch in seen[p]
-                      if t == tick for _, missing in batch}
-            assert len(shared) == len(stable_at[tick]), (proto, tick)
+        for seed in (11, 12, 13):
+            cfg = SimConfig(protocol=proto, n=10, t=3, adversary="crash",
+                            messages=3, seed=seed, p_drop=0.3, **extra)
+            world = build_world(cfg)
+            wait = world.timeouts.reforward
+            assert wait == 8 * cfg.latency_hi
+            correct = set(world.correct)
+            pushed = []
+            push = world._push
+
+            def watched_push(time, item, _push=push):
+                pushed.append((world.clock, time, item))
+                _push(time, item)
+            world._push = watched_push
+            fired = []
+            for eng in engines_of(world):
+                def on_timer(tid, now, _eng=eng, _orig=eng.on_timer):
+                    out = _orig(tid, now)
+                    if tid[0] == "reforward":
+                        fired.append((now, _eng.me, str(tid[1]),
+                                      [a.to for a in out if type(a) is Send]))
+                    return out
+                eng.on_timer = on_timer
+            report = world.run_to_quiescence()
+            assert report.quiescent, (proto, seed)
+
+            delivered, matured, marks, set_at = {}, {}, {}, {}
+            for line in world.trace:
+                parts = line.split(" ", 8)
+                tick, kind, src = int(parts[0]), parts[1], parts[2]
+                if kind == "appdlv":
+                    delivered[(int(src), parts[6])] = tick
+                    if int(src) in correct:
+                        matured[(int(src), parts[6])] = \
+                            tick + world.stability_lag
+                elif kind in ("timer_set", "timer_fire") \
+                        and parts[5] == "reforward":
+                    marks.setdefault(kind, []).append(
+                        (tick, int(src), parts[6]))
+            expect_live = []
+            for (p, mid), tick in sorted(delivered.items()):
+                if p not in correct:
+                    set_at[(p, mid)] = tick
+                    continue
+                due = tick + wait
+                missing = _missing_at(matured, correct, mid, due)
+                assert p not in missing
+                if missing:
+                    expect_live.append((due, p, mid, sorted(missing)))
+                else:
+                    released += 1
+            # live re-forwards: the right tick, the right targets, one
+            # trace line each, and nothing else called
+            assert sorted(fired) == sorted(expect_live), (proto, seed)
+            correct_fires = sorted(m for m in marks.get("timer_fire", [])
+                                   if m[1] in correct)
+            assert correct_fires == sorted(f[:3] for f in expect_live)
+            assert not [m for m in marks.get("timer_set", [])
+                        if m[1] in correct]
+            assert not [item for _, _, item in pushed
+                        if item[0] == EV_TIMER and item[1] in correct
+                        and item[2][0] == "reforward"]
+            # a faulty deliverer's re-forward: a timer armed at delivery
+            faulty_sets = sorted(m for m in marks.get("timer_set", []))
+            assert faulty_sets == sorted((t, p, mid) for (p, mid), t
+                                         in set_at.items())
+            assert sorted((t + wait, p, mid) for t, p, mid in faulty_sets) \
+                == sorted(m for m in marks.get("timer_fire", [])
+                          if m[1] not in correct)
+            live += len(expect_live)
+            faulty_timers += len(faulty_sets)
+    assert live and released and faulty_timers, (live, released,
+                                                 faulty_timers)
+
+
+def test_world_hands_one_notice_per_due_engine_per_reforward_tick():
+    """The oracle hands nothing to the engines at maturity ticks.  At each
+    re-forward tick, every engine with a delivery due then gets one notice,
+    shared by all of them, naming each id due then; there is one wake-up
+    per distinct maturity and re-forward tick, and no notice is queued or
+    traced as a send or receive."""
+    cfg = SimConfig(protocol="3t", n=13, t=4, adversary="silent", messages=4,
+                    seed=5, p_drop=0.2)
+    world = build_world(cfg)
+    seen = watch_notices(world)
+    pushed = []
+    push = world._push
+
+    def watched_push(time, item):
+        pushed.append(item)
+        push(time, item)
+    world._push = watched_push
+    world.run_to_quiescence()
+    correct = 13 - len(world.faulty)
+    due: dict[int, dict[int, set]] = {}
+    maturity, stable = set(), 0
+    for line in world.trace:
+        parts = line.split(" ", 8)
+        if parts[1] == "stable":
+            maturity.add(int(parts[0]))
+            stable += 1
+        elif parts[1] == "appdlv":
+            tick = int(parts[0]) + world.timeouts.reforward
+            due.setdefault(tick, {}).setdefault(int(parts[2]), set()).add(
+                parts[6])
+    assert stable == sum(len(ids) for by_p in due.values()
+                         for ids in by_p.values()) == correct * 4
+    assert len(maturity) < stable  # deliveries share maturity ticks
+    for p in world.correct:
+        ticks = sorted(t for t, by_p in due.items() if p in by_p)
+        assert [tick for tick, _ in seen[p]] == ticks, p
+        for tick, batch in seen[p]:
+            assert sorted(str(mid) for mid, _ in batch) == sorted(
+                set().union(*due[tick].values()))
+    notices = {}
+    for p in world.correct:
+        for tick, batch in seen[p]:
+            notices.setdefault(tick, set()).add(id(batch))
+    assert all(len(ids) == 1 for ids in notices.values())
+    wakeups = [item[0] for item in pushed
+               if item[0] in (simnet.EV_ORACLE, simnet.EV_REFORWARD)]
+    assert wakeups.count(simnet.EV_ORACLE) == len(maturity)
+    assert wakeups.count(simnet.EV_REFORWARD) == len(due)
+    assert any(item[0] == EV_MSG for item in pushed)
+    assert not any(item[0] == EV_MSG and item[3].role == SM_NOTIFY
+                   for item in pushed)
+    assert not any(" sm_notify " in l and l.split(" ", 2)[1] != "stable"
+                   for l in world.trace)
 
 
 @pytest.mark.parametrize("proto, extra", [
@@ -357,6 +461,34 @@ def test_default_mode_costs_at_most_3n_events_per_message():
     assert events <= 3 * cfg.n * report.messages_multicast, events
 
 
+def _events_per_message(cfg):
+    world = build_world(cfg)
+    events = 0
+    step = world.step
+
+    def counted():
+        nonlocal events
+        events += 1
+        step()
+    world.step = counted
+    report = world.run_to_quiescence()
+    assert report.quiescent and report.conflicts == 0
+    assert report.messages_multicast == cfg.messages
+    return events / cfg.messages
+
+
+def test_default_mode_costs_within_5_percent_of_stability_off():
+    """With no faults every re-forward check finds its id stable
+    everywhere, so default mode adds only the oracle's and the re-forward
+    check's per-tick wake-ups: fault-free ACT at n=100 costs at most 1.05x
+    the events per message of the same run with stability off."""
+    cfg = SimConfig(protocol="act", n=100, t=10, kappa=3, delta=5,
+                    messages=100, seed=1, record_trace=False)
+    on = _events_per_message(cfg)
+    off = _events_per_message(replace(cfg, stability=False))
+    assert on <= 1.05 * off, (on, off)
+
+
 def test_act_n1000_with_stability_delivers_everywhere():
     cfg = SimConfig(protocol="act", n=1000, t=100, kappa=4, delta=10,
                     adversary="silent", num_faulty=10, messages=10, seed=1,
@@ -371,41 +503,6 @@ def test_act_n1000_with_stability_delivers_everywhere():
         assert pids == set(world.correct)
     assert all(e.stability == {} and e.delivered_record == {}
                for e in engines_of(world))
-
-
-def test_oracle_sends_one_notice_per_receiver_per_maturity_tick():
-    cfg = SimConfig(protocol="3t", n=13, t=4, adversary="silent", messages=4,
-                    seed=5, p_drop=0.2)
-    world = build_world(cfg)
-    seen = watch_notices(world)
-    pushed = []
-    push = world._push
-
-    def watched_push(time, item):
-        pushed.append(item)
-        push(time, item)
-    world._push = watched_push
-    world.run_to_quiescence()
-    correct = 13 - len(world.faulty)
-    ticks, deliveries, stable = set(), 0, 0
-    for line in world.trace:
-        parts = line.split(" ", 8)
-        if parts[1] == "stable":
-            ticks.add(int(parts[0]))
-            stable += 1
-        elif parts[1] == "appdlv":
-            deliveries += 1
-    assert stable == deliveries == correct * 4
-    assert len(ticks) < stable  # deliveries share maturity ticks
-    # Exactly one notice per correct receiver per maturity tick, in tick
-    # order, and never through the event queue.
-    for p in world.correct:
-        assert [tick for tick, _ in seen[p]] == sorted(ticks), p
-    assert any(item[0] == EV_MSG for item in pushed)
-    assert not any(item[0] == EV_MSG and item[3].role == SM_NOTIFY
-                   for item in pushed)
-    assert not any(" sm_notify " in l and l.split(" ", 2)[1] != "stable"
-                   for l in world.trace)
 
 
 def test_disabled_stability_produces_no_oracle_traffic():
@@ -584,15 +681,51 @@ def test_channel_latency_uniform_and_loss_rate_matches_p_drop():
     assert abs(lost / attempts - cfg.p_drop) <= 3 * sigma
 
 
+def test_alert_draws_are_keyed_seeds_and_drive_every_alert():
+    """Alert k from src to dst arrives 1 + keyed_seed(world_seed, b"alert",
+    src, dst, k) % ALERT_LATENCY_BOUND ticks after it is sent, and a world
+    that raises no alert draws nothing for the plane."""
+    sent = 0
+    for seed in range(6):
+        world = build_world(SimConfig(protocol="act", n=13, t=4, kappa=2,
+                                      delta=3, adversary="equivocate",
+                                      messages=2, seed=seed))
+        assert world.run_to_quiescence().quiescent
+        draws, expect, got = {}, {}, {}
+        for line in world.trace:
+            tick, kind, src, dst, *_, note = line.split(" ", 8)
+            if note != "fast":
+                continue
+            key = (int(src), int(dst))
+            if kind == "recv":
+                got.setdefault(key, []).append(int(tick))
+                continue
+            k = draws.get(key, 0)
+            draws[key] = k + 1
+            expect.setdefault(key, []).append(int(tick) + 1 + keyed_seed(
+                world.world_seed, b"alert", *key, k) % ALERT_LATENCY_BOUND)
+        assert {k: sorted(v) for k, v in got.items()} == \
+            {k: sorted(v) for k, v in expect.items()}
+        assert world._alert_draws == {s * 13 + d: k
+                                      for (s, d), k in draws.items()}
+        sent += sum(draws.values())
+    assert sent > 0
+    quiet = build_world(SimConfig(protocol="act", n=13, t=4, kappa=2,
+                                  delta=3, messages=2, seed=0))
+    assert quiet.run_to_quiescence().alerts_raised == 0
+    assert quiet._alert_draws == {}
+
+
 def test_world_holds_no_per_channel_or_unused_engine_streams():
     world = build_world(SimConfig(protocol="3t", n=31, t=10, adversary="crash",
                                   messages=3, seed=2, p_drop=0.1))
     assert world.run_to_quiescence().quiescent
-    # A channel is two ints; the only stream is the alert plane's.
+    # A channel is two ints, an alert channel one; the world holds no
+    # stream of its own.
     assert world._chan_draws
     assert all(type(k) is int for k in world._chan_draws.values())
     fields = vars(world).values()
-    assert sum(isinstance(v, random.Random) for v in fields) == 1
+    assert not any(isinstance(v, random.Random) for v in fields)
     assert not any(isinstance(v, random.Random)
                    for d in fields if isinstance(d, dict) for v in d.values())
     # A 3T engine samples only to pick its first contacts as a sender.
