@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .analysis import (AnalysisParams, BoundReport, bound_report,
                        format_number, monte_carlo_conflict_rate,
@@ -29,13 +28,19 @@ EXIT_VIOLATION = 2
 
 
 def _worker_cap(requested: int) -> int:
+    """--parallel, capped by SECURECAST_THREADS when that is set and not
+    empty; a cap that is not a whole number >= 1 is a config error."""
     cap = os.environ.get("SECURECAST_THREADS")
-    if cap:
-        try:
-            return max(1, min(requested, int(cap)))
-        except ValueError:
-            pass
-    return max(1, requested)
+    if not cap:
+        return max(1, requested)
+    try:
+        limit = int(cap)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ConfigError("SECURECAST_THREADS",
+                          f"need a whole number >= 1, got {cap!r}")
+    return max(1, min(requested, limit))
 
 
 def _add_sim_flags(p: argparse.ArgumentParser):
@@ -101,11 +106,12 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _sim_config(args) -> SimConfig:
+def _sim_config(args, stability: bool = True) -> SimConfig:
+    """Defaults, then the --config file, then explicit flags."""
     values = {"protocol": "e", "n": 4, "t": 1, "kappa": 0, "delta": 0,
               "slack_c": 0, "messages": 1, "adversary": "none",
               "num_faulty": None, "crash_after": 3, "seed": 0, "p_drop": 0.0,
-              "latency_hi": 5, "stability": True}
+              "latency_hi": 5, "stability": stability}
     if getattr(args, "config", None):
         values.update(_load_config_file(args.config))
     for key in list(values):
@@ -179,15 +185,19 @@ def _check_trials(trials: int):
 def cmd_montecarlo(args) -> int:
     try:
         _check_trials(args.trials)
-        cfg = _sim_config(args)
-        cfg = replace(cfg, record_trace=False, stability=False)
+        # Monte Carlo worlds run without the stability oracle; a config
+        # file asking for it is refused rather than ignored
+        cfg = _sim_config(args, stability=False)
+        if cfg.stability:
+            raise ConfigError("stability", "montecarlo runs with stability "
+                              "off; stability=true is not supported here")
         cfg.validate()
         params = AnalysisParams(cfg.n, cfg.t, cfg.kappa, cfg.delta, cfg.slack_c)
+        workers = _worker_cap(args.parallel)
     except (ConfigError, InvalidParamsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     bound = overall_conflict_bound(params).specific
-    workers = _worker_cap(args.parallel)
     result = monte_carlo_conflict_rate(cfg, args.trials, parallel=workers,
                                        bound=bound)
     if result.warning:
@@ -225,6 +235,7 @@ def cmd_sweep(args) -> int:
         grid = _parse_grid(args.grid)
         if args.montecarlo:
             _check_trials(args.trials)
+            workers = _worker_cap(args.parallel)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -259,8 +270,7 @@ def cmd_sweep(args) -> int:
                             stability=False)
             bound = rep.overall_conflict.specific
             mc = monte_carlo_conflict_rate(cfg, args.trials,
-                                           parallel=_worker_cap(args.parallel),
-                                           bound=bound)
+                                           parallel=workers, bound=bound)
             verdict = "PASS" if mc.ci_low <= bound else "FAIL"
             if verdict == "FAIL":
                 exit_code = EXIT_VIOLATION

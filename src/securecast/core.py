@@ -134,7 +134,6 @@ _AVREG_HEAD = _enc(b"avreg")
 _ACK_HEADS = {p: _enc(b"ack", p.encode()) for p in (PROTO_E, PROTO_3T, PROTO_AV)}
 
 
-@lru_cache(maxsize=1 << 16)
 def message_digest(m: MulticastMessage) -> bytes:
     """digest(_enc(b"msg", _u64(sender), _u64(seq), payload))."""
     (sender, seq), payload = m
@@ -173,20 +172,16 @@ class KeyChain:
     that private keys of correct processes cannot be broken.
     """
 
-    def __init__(self, n: int, secret: bytes, faulty: frozenset[int] = frozenset(),
-                 log_signs: bool = False):
+    def __init__(self, n: int, secret: bytes,
+                 faulty: frozenset[int] = frozenset()):
         self.n = n
         self.faulty = frozenset(faulty)
         self._secret = secret
         # process -> _key(process), derived on its first sign or verify:
         # most worlds touch a few of the n keys
         self._keys: dict[int, tuple] = {}
-        self.sign_log: list[tuple[int, object]] = []
-        self._log_signs = log_signs
+        # (signer, signed bytes) -> token: the one HMAC cache of a world
         self._verify_memo: dict[tuple[int, bytes], bytes] = {}
-        self._ack_memo: dict[Ack, bool] = {}
-        # (id(acks), proto, subject, digest) -> (acks, valid signers)
-        self._signers_memo: dict[tuple, tuple[tuple, frozenset[int]]] = {}
 
     def _key(self, p: int) -> tuple:
         """Process p's (key, tag, inner, outer).  The key is SHA-256 of
@@ -222,8 +217,6 @@ class KeyChain:
         if caller != signer and not (caller == ADVERSARY and signer in self.faulty):
             raise ForgeryAttemptError(
                 f"caller {caller!r} does not hold the key of process {signer}")
-        if self._log_signs:
-            self.sign_log.append((signer, caller))
         return Signature(signer, digest(data), self._key(signer)[1],
                          self._mac(signer, data))
 
@@ -251,19 +244,10 @@ def ack_valid(ack: Ack, keychain: KeyChain) -> bool:
 
     An AV ack embeds the sender's own signature; it only counts if that
     inner signature verifies too, which is what ties AV ack sets back to an
-    actual multicast by the sender.  Validity is a pure function of the ack
-    under this world's keys, so results are memoized: an ack set broadcast
-    to the whole group is verified once, not once per recipient.
+    actual multicast by the sender.  Nothing is cached here: the key
+    chain's verify keeps one token per (signer, signed bytes), so checking
+    an ack again costs its encodings, not another HMAC.
     """
-    cached = keychain._ack_memo.get(ack)
-    if cached is not None:
-        return cached
-    ok = _ack_valid_uncached(ack, keychain)
-    keychain._ack_memo[ack] = ok
-    return ok
-
-
-def _ack_valid_uncached(ack: Ack, keychain: KeyChain) -> bool:
     if ack.proto == PROTO_AV:
         if ack.sender_sig is None:
             return False
@@ -284,23 +268,12 @@ def valid_signers(acks, proto: str, subject: MessageId, dig: bytes,
     """Distinct signers with a valid ack for exactly (proto, subject, digest).
 
     Junk entries are ignored rather than poisoning the set, so validity of
-    an ack set is monotone: removing an ack can never help.  The engines of
-    a world judge each deliver message once and share the verdict
-    (ProcessEngine._verdict), so a broadcast ack set reaches this function
-    once per tag, not once per receiver.  Tuple inputs are still memoized,
-    for the trace's per-delivery signer notes and for engines that do not
-    share verdicts.  The memo is keyed by the tuple's identity, not its
-    contents, because hashing a few hundred acks per lookup costs more
-    than the answer; each entry keeps its tuple alive, so an id is never
-    reused while its entry exists.  An equal but distinct tuple misses and
-    is validated afresh.
+    an ack set is monotone: removing an ack can never help.  A pure
+    function of its arguments with no cache of its own: the engines of a
+    world judge each deliver message once and share the verdict
+    (ProcessEngine._verdict), and the trace builds each delivered ack set's
+    signer note once (SimWorld._signers_note).
     """
-    key = None
-    if type(acks) is tuple:
-        key = (id(acks), proto, subject, dig)
-        hit = keychain._signers_memo.get(key)
-        if hit is not None:
-            return hit[1]
     out: set[int] = set()
     for a in acks:
         if a.proto != proto or a.subject != subject or a.digest != dig:
@@ -309,7 +282,4 @@ def valid_signers(acks, proto: str, subject: MessageId, dig: bytes,
             continue
         if ack_valid(a, keychain):
             out.add(a.signer)
-    signers = frozenset(out)
-    if key is not None:
-        keychain._signers_memo[key] = (acks, signers)
-    return signers
+    return frozenset(out)

@@ -5,6 +5,10 @@ Witness selection is a keyed pseudorandom function of (message id, seed):
 a SHA-256 of the inputs keys a Mersenne Twister stream, so every party
 holding the seed computes the same sets, and without the seed the map is
 indistinguishable from uniform for the purposes of the simulation.
+The two selections are cached by (id, parameters, seed) in small bounded
+caches, the only state here that outlives a world: a world looks an id's
+sets up again within a few dozen other lookups, and a Monte Carlo world's
+seed never recurs, so a larger cache would only hold dead entries.
 
 The delivery rule (ack_rules and accepts) is written here once; the
 engines, the adversary and the trace checker all ask it.
@@ -71,13 +75,18 @@ def check_dissemination_properties(params: QuorumParams, q: int) -> bool:
     return 2 * q - params.n > params.t and q <= params.n - params.t
 
 
-@lru_cache(maxsize=1 << 16)
+# Above the largest reuse distance measured in one world (31 lookups, at
+# n=1000, where a w3t entry is ~16 KB)
+WITNESS_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=WITNESS_CACHE_SIZE)
 def _w3t_members(sender: int, seq: int, n: int, t: int, seed: int) -> frozenset[int]:
     rng = random.Random(keyed_seed(seed, b"w3t", sender, seq))
     return frozenset(rng.sample(range(n), 3 * t + 1))
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=WITNESS_CACHE_SIZE)
 def _w_active_members(sender: int, seq: int, n: int, kappa: int,
                       seed: int) -> frozenset[int]:
     rng = random.Random(keyed_seed(seed, b"wactive", sender, seq))

@@ -204,8 +204,11 @@ class SimConfig:
                               f"{self.adversary} applies to the act protocol only")
         if not 0.0 <= self.p_drop < 1.0:
             raise ConfigError("p_drop", "drop probability must be in [0, 1)")
-        if self.latency_lo < 1 or self.latency_hi < self.latency_lo:
+        if self.latency_lo < 1:
             raise ConfigError("latency_lo", "need 1 <= latency_lo <= latency_hi")
+        if self.latency_hi < self.latency_lo:
+            raise ConfigError("latency_hi", f"need latency_hi >= latency_lo "
+                              f"= {self.latency_lo}, got {self.latency_hi}")
         if self.senders not in SENDER_MODES:
             raise ConfigError("senders", f"unknown sender mode {self.senders!r}")
         if self.crash_after < 0:
@@ -292,8 +295,7 @@ class SimWorld:
             rng = random.Random(keyed_seed(self.adversary_seed, b"faultyset"))
             self.faulty = frozenset(rng.sample(range(cfg.n), nf)) if nf else frozenset()
 
-        self.keychain = KeyChain(cfg.n, secret, faulty=self.faulty,
-                                 log_signs=cfg.record_trace)
+        self.keychain = KeyChain(cfg.n, secret, faulty=self.faulty)
         self.params = QuorumParams(cfg.n, cfg.t)
         self.kind = ProtocolKind(cfg.protocol)
         self.timeouts = Timeouts.for_latency(cfg.latency_hi, cfg.stability)
@@ -521,8 +523,10 @@ class SimWorld:
         """The valid signers of a delivered ack set, one field per wire tag
         (signers.AV=...;signers.3T=...).  Every delivery of one deliver
         message, re-forwards included, carries the same ack tuple, so the
-        note is built once per tuple: memoized by the tuple's identity, as
-        valid_signers is, each entry keeping its tuple alive."""
+        note is built once per tuple.  The memo is keyed by the tuple's
+        identity, since hashing a few hundred acks costs more than the
+        note; each entry keeps its tuple alive, so an identity is never
+        reused while its entry exists."""
         key = (id(acks), mid, dig)
         hit = self._notes.get(key)
         if hit is not None:

@@ -1,7 +1,7 @@
 import pytest
 
 from securecast import adversary
-from securecast.core import (PROTO_3T, PROTO_AV, PROTO_E, MessageId,
+from securecast.core import (PROTO_3T, PROTO_AV, PROTO_E, KeyChain, MessageId,
                              valid_signers)
 from securecast.quorum import accepts, w_active
 from securecast.simnet import SimConfig, build_world, run_world
@@ -138,16 +138,24 @@ def test_faulty_set_is_nonadaptive():
     assert c.faulty != a.faulty or c.adversary_seed != a.adversary_seed
 
 
-def test_adversary_cannot_forge_in_any_run():
-    # Structural confinement: a full adversarial run never produces a
-    # signature log entry where a correct process's key was used by anyone
-    # but itself.
+def test_adversary_cannot_forge_in_any_run(monkeypatch):
+    # Structural confinement: a full adversarial run never signs with a
+    # correct process's key on behalf of anyone but that process.
+    signs = []
+    sign = KeyChain.sign
+
+    def logged(self, signer, data, caller=None):
+        signs.append((signer, signer if caller is None else caller))
+        return sign(self, signer, data, caller)
+    monkeypatch.setattr(KeyChain, "sign", logged)
     for adv in ("equivocate", "collusive"):
         cfg = SimConfig(protocol="act", n=13, t=4, kappa=2, delta=3,
                         adversary=adv, messages=1, seed=2)
+        signs.clear()
         world = build_world(cfg)
         world.run_to_quiescence()
-        for signer, caller in world.keychain.sign_log:
+        assert signs
+        for signer, caller in signs:
             if signer not in world.faulty:
                 assert caller == signer
 

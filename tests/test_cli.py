@@ -119,6 +119,7 @@ def test_analyze_rejects_bad_params(capsys):
     (("analyze", "--n", "0", "--t", "0"), "n must be >= 1"),
     (("simulate", "--protocol", "e", "--n", "4", "--t", "1",
       "--adversary", "crash", "--crash-after", "-3"), "crash_after"),
+    (("simulate", "--latency-hi", "0"), "latency_hi: need latency_hi >="),
 ])
 def test_negative_counts_are_config_errors(capsys, argv, message):
     code, _, err = run_cli(capsys, *argv)
@@ -137,6 +138,52 @@ def test_montecarlo_rejects_too_few_trials(capsys, argv, trials):
     code, out, err = run_cli(capsys, *argv, "--trials", trials)
     assert code == 1
     assert err.startswith("config error: trials") and "PASS" not in out
+
+
+MC_ARGV = ("montecarlo", "--protocol", "act", "--n", "31", "--t", "10",
+           "--kappa", "3", "--delta", "5", "--adversary", "regime-split",
+           "--seed", "50", "--trials", "20")
+
+
+def test_montecarlo_refuses_a_config_asking_for_stability(capsys, tmp_path):
+    # Monte Carlo worlds run without the oracle: a config line turning it
+    # on is refused, one turning it off changes nothing.
+    code, plain, _ = run_cli(capsys, *MC_ARGV)
+    assert code == 0
+    cfgfile = tmp_path / "run.conf"
+    cfgfile.write_text("stability = true\n")
+    code, out, err = run_cli(capsys, *MC_ARGV, "--config", str(cfgfile))
+    assert code == 1 and out == ""
+    assert err.startswith("config error: stability:")
+    cfgfile.write_text("stability = false\n")
+    code, out, _ = run_cli(capsys, *MC_ARGV, "--config", str(cfgfile))
+    assert code == 0 and out == plain
+
+
+SWEEP_ARGV = ("sweep", "--grid", "delta=5..5", "--n", "31", "--t", "10",
+              "--kappa", "3", "--montecarlo", "--trials", "20")
+
+
+@pytest.mark.parametrize("argv", [MC_ARGV, SWEEP_ARGV])
+@pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5"])
+def test_bad_thread_cap_is_a_config_error(capsys, monkeypatch, argv, cap):
+    monkeypatch.setenv("SECURECAST_THREADS", cap)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("config error: SECURECAST_THREADS:")
+    assert "PASS" not in out
+
+
+@pytest.mark.parametrize("argv", [MC_ARGV, SWEEP_ARGV])
+def test_thread_cap_unset_or_valid_gives_the_same_rows(capsys, monkeypatch,
+                                                       argv):
+    monkeypatch.delenv("SECURECAST_THREADS", raising=False)
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0 and "PASS" in plain
+    for cap in ("", "1", "4"):
+        monkeypatch.setenv("SECURECAST_THREADS", cap)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == plain, cap
 
 
 def test_montecarlo_pass(capsys):

@@ -14,8 +14,8 @@ from securecast.core import (ADVERSARY, PROTO_3T, PROTO_AV, PROTO_E,
                              sender_sig_data, valid_signers)
 
 
-def make_keychain(n=5, faulty=(), log=False):
-    return KeyChain(n, b"test-secret", faulty=frozenset(faulty), log_signs=log)
+def make_keychain(n=5, faulty=()):
+    return KeyChain(n, b"test-secret", faulty=frozenset(faulty))
 
 
 def test_digest_deterministic():
@@ -75,17 +75,6 @@ def test_third_party_cannot_sign_at_all():
         kc.sign(1, b"forged", caller=2)
 
 
-def test_sign_log_attributes_every_call():
-    kc = make_keychain(faulty={4}, log=True)
-    kc.sign(0, b"a")
-    kc.sign(4, b"b", caller=ADVERSARY)
-    assert kc.sign_log == [(0, 0), (4, ADVERSARY)]
-    # Every verifying signature of a correct process traces back to itself.
-    for signer, caller in kc.sign_log:
-        if signer not in kc.faulty:
-            assert caller == signer
-
-
 def test_ack_valid_checks_embedded_sender_sig():
     kc = make_keychain()
     mid = MessageId(2, 1)
@@ -129,7 +118,7 @@ def test_valid_signers_filters_junk_monotonically():
         assert valid_signers(subset, PROTO_E, mid, d, kc) <= full
 
 
-def test_valid_signers_memo_is_per_tuple_object():
+def test_valid_signers_same_answer_for_equal_tuples():
     kc = make_keychain()
     mid = MessageId(0, 1)
     d = digest(b"m")
@@ -137,7 +126,7 @@ def test_valid_signers_memo_is_per_tuple_object():
     other = tuple(build_ack(kc, PROTO_E, i, mid, digest(b"o"))
                   for i in range(3))
     assert valid_signers(good, PROTO_E, mid, d, kc) == {0, 1, 2}
-    assert valid_signers(good, PROTO_E, mid, d, kc) == {0, 1, 2}  # memo hit
+    assert valid_signers(good, PROTO_E, mid, d, kc) == {0, 1, 2}  # again
     for _ in range(20):
         # Equal but distinct tuples get the same answer, and a tuple built
         # right after one is dropped never inherits that one's answer.

@@ -1,6 +1,7 @@
 import gc
 import heapq
 import random
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from securecast import protocols, simnet
+from securecast import protocols, quorum, simnet
 from securecast.core import keyed_seed
 from securecast.core import KeyChain, ProtocolKind
 from securecast.protocols import (ALERT_LATENCY_BOUND, DELIVER, REGULAR,
@@ -761,6 +762,47 @@ def test_finished_world_freed_without_the_cycle_collector(proto, adversary,
     finally:
         if enabled:
             gc.enable()
+
+
+MC_N31 = SimConfig(protocol="act", n=31, t=10, kappa=3, delta=5,
+                   adversary="regime-split", messages=1, seed=1 << 32,
+                   record_trace=False, stability=False)
+
+
+def test_monte_carlo_worlds_leave_nothing_behind():
+    # Only the bounded witness caches outlive a world, so once a warm-up
+    # longer than those caches has filled them, memory stays flat.
+    warm, measured = 300, 1500
+    assert warm > quorum.WITNESS_CACHE_SIZE
+    tracemalloc.start()
+    try:
+        for i in range(warm):
+            run_world(replace(MC_N31, seed=MC_N31.seed + i))
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(warm, warm + measured):
+            run_world(replace(MC_N31, seed=MC_N31.seed + i))
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth / measured < 100
+
+
+@pytest.mark.parametrize("cfg, worlds, macs", [
+    (SimConfig(protocol="act", n=100, t=10, kappa=3, delta=5,
+               adversary="silent", messages=5, seed=3, record_trace=False),
+     1, 221),
+    (replace(MC_N31, seed=5 << 32), 200, 7798)])
+def test_hmac_work_per_world_is_pinned(monkeypatch, cfg, worlds, macs):
+    # Each (signer, signed bytes) is HMACed at most once per world; a cache
+    # cut that makes a world redo that work changes these counts.
+    calls = []
+    mac = KeyChain._mac
+    monkeypatch.setattr(KeyChain, "_mac",
+                        lambda self, p, data: calls.append(1) or mac(
+                            self, p, data))
+    for i in range(worlds):
+        run_world(replace(cfg, seed=cfg.seed + i))
+    assert len(calls) == macs
 
 
 @pytest.mark.parametrize("proto, adversary, extra", [
