@@ -39,7 +39,8 @@ once: a SimWorld gives one memo to all of its engines and to the
 adversary's shadow engines, and a standalone engine keeps its own.  The
 memo is split by rule, so engines whose rules differ never share a
 verdict.  A receiver that has already delivered the id drops the deliver
-without judging it.
+without judging it.  A valid verdict is an immutable _Recorded, and every
+engine that delivers on the deliver records that one object.
 """
 
 from __future__ import annotations
@@ -152,8 +153,9 @@ class Timeouts:
                    8 * hi if stability else None)
 
 
-@dataclass
-class _Recorded:
+class _Recorded(NamedTuple):
+    """What an engine has received for an id; immutable, because engines
+    share the one their verdict memo holds."""
     digest: bytes
     sender_sig: Optional[Signature] = None
 
@@ -205,10 +207,11 @@ class ProcessEngine:
         self._protos = frozenset((PROTO_TAG[kind], PROTO_3T)
                                  if kind is ProtocolKind.ACT
                                  else (PROTO_TAG[kind],))
-        # id(deliver) -> (deliver, digest if it meets the rule else None),
-        # shared with every engine given the same verdicts under this rule;
-        # each entry keeps its message alive, so an id is never reused
-        self._verdicts: dict[int, tuple[WireMessage, Optional[bytes]]] = (
+        # id(deliver) -> (deliver, _Recorded(digest) if it meets the rule
+        # else None), shared with every engine given the same verdicts under
+        # this rule; each entry keeps its message alive, so an id is never
+        # reused
+        self._verdicts: dict[int, tuple[WireMessage, Optional[_Recorded]]] = (
             {} if verdicts is None else verdicts.setdefault(
                 (kind, params, witness_seed, kappa, slack_c, keychain), {}))
 
@@ -259,7 +262,8 @@ class ProcessEngine:
             return True, []
         if rec.digest == dig:
             if rec.sender_sig is None and sender_sig is not None:
-                rec.sender_sig = sender_sig
+                # the record may be shared: replace it, never mutate it
+                self.recorded[mid] = _Recorded(dig, sender_sig)
             return True, []
         self.conflicted.add(mid)
         if sender_sig is not None and rec.sender_sig is not None:
@@ -432,14 +436,15 @@ class ProcessEngine:
 
     # -- delivery ---------------------------------------------------------
 
-    def _verdict(self, msg: WireMessage) -> Optional[bytes]:
-        """The body's digest if the deliver's acks meet the delivery rule,
-        else None; judged once per deliver object among the engines that
-        share this engine's verdicts."""
+    def _verdict(self, msg: WireMessage) -> Optional[_Recorded]:
+        """The record of the body's digest if the deliver's acks meet the
+        delivery rule, else None; judged once per deliver object among the
+        engines that share this engine's verdicts, which all get the same
+        record."""
         hit = self._verdicts.get(id(msg))
         if hit is not None:
             return hit[1]
-        dig = None
+        rec = None
         acks = msg.acks
         if acks is not None:
             mid = msg.body.id
@@ -447,9 +452,9 @@ class ProcessEngine:
             keychain = self.keychain
             if accepts(self._rules(mid), lambda tag: valid_signers(
                     acks, tag, mid, d, keychain)):
-                dig = d
-        self._verdicts[id(msg)] = (msg, dig)
-        return dig
+                rec = _Recorded(d)
+        self._verdicts[id(msg)] = (msg, rec)
+        return rec
 
     def on_deliver(self, src: int, msg: WireMessage, now: int) -> list[Action]:
         m = msg.body
@@ -459,15 +464,15 @@ class ProcessEngine:
         last = self.delivery.get(mid.sender, 0)
         if mid.seq <= last:
             return []  # duplicate, suppressed whatever its acks
-        dig = self._verdict(msg)
-        if dig is None:
+        rec = self._verdict(msg)
+        if rec is None:
             return []
         if mid.seq > last + 1:
             slot = self.holdback.setdefault(mid.sender, {})
             if mid.seq not in slot and len(slot) < self.holdback_cap:
                 slot[mid.seq] = msg
             return []
-        actions = self._do_deliver(msg, dig)
+        actions = self._do_deliver(msg, rec)
         queue = self.holdback.get(mid.sender)
         if queue:
             # held messages were judged valid before they were held
@@ -477,17 +482,19 @@ class ProcessEngine:
                 seq += 1
         return actions
 
-    def _do_deliver(self, msg: WireMessage, dig: bytes) -> list[Action]:
+    def _do_deliver(self, msg: WireMessage, rec: _Recorded) -> list[Action]:
         m = msg.body
         mid = m.id
         self.delivery[mid.sender] = mid.seq
         # A delivered message counts as received for conflict detection:
-        # no ack or verification is ever signed against it afterwards.
+        # no ack or verification is ever signed against it afterwards.  The
+        # record is the verdict memo's, one object for every engine that
+        # delivers on this deliver.
         if mid not in self.recorded:
-            self.recorded[mid] = _Recorded(dig)
+            self.recorded[mid] = rec
         if self.timeouts.reforward is not None:
             self.delivered_record[mid] = msg
-        return [Deliver(m, msg.acks, dig)]
+        return [Deliver(m, msg.acks, rec.digest)]
 
     # -- alerts and stability ---------------------------------------------
 

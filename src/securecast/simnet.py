@@ -10,7 +10,11 @@ Channel randomness is counter based: a channel (src, dst) holds only the
 number of draws it has made, and its draw k is the u64
 keyed_seed(world_seed, b"chan", src, dst, k).  A send takes one draw for
 its latency, lo + u % (hi - lo + 1), then, when p_drop > 0, one more per
-transmission attempt, each a loss while u / 2**64 < p_drop.  The alert
+transmission attempt, each a loss while u / 2**64 < p_drop.  The channels
+of one source are one row of 2n unsigned 32-bit ints, built on its first
+send: the draw count per destination, then the last arrival tick per
+destination, which keeps each channel FIFO.  Channel state is thus at
+most 8n^2 bytes (8 MB at n=1000), however long a world runs.  The alert
 plane is counter based the same way, under the label b"alert": an alert
 from src to dst takes one draw u of that pair and arrives 1 + u %
 ALERT_LATENCY_BOUND ticks later, so a world that raises no alert draws
@@ -58,6 +62,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 from dataclasses import dataclass, replace
 from functools import partial
 from heapq import heappop, heappush
@@ -84,6 +89,10 @@ EV_REFORWARD = 4
 
 # Ticks between a lost transmission and its retry.
 RETRANSMIT_INTERVAL = 8
+
+# The largest latency_hi a world accepts.  Channel rows keep arrival ticks
+# as unsigned 32-bit ints, and under this bound they stay far below 2**32.
+MAX_LATENCY = 1 << 24
 
 # Who multicasts: "faulty" senders only, "uniform" draws among the correct
 # processes, "auto" picks faulty under an attack strategy, else uniform.
@@ -209,6 +218,9 @@ class SimConfig:
         if self.latency_hi < self.latency_lo:
             raise ConfigError("latency_hi", f"need latency_hi >= latency_lo "
                               f"= {self.latency_lo}, got {self.latency_hi}")
+        if self.latency_hi > MAX_LATENCY:
+            raise ConfigError("latency_hi", f"must be <= {MAX_LATENCY}, "
+                              f"got {self.latency_hi}")
         if self.senders not in SENDER_MODES:
             raise ConfigError("senders", f"unknown sender mode {self.senders!r}")
         if self.crash_after < 0:
@@ -284,6 +296,9 @@ class SimWorld:
         self.adversary_seed = (cfg.adversary_seed if cfg.adversary_seed is not None
                                else cfg.derived_seed(b"adversary"))
         self.world_seed = cfg.derived_seed(b"world")
+        # the world's process ids: every pid it records a delivery under is
+        # one of these n objects, whichever fan-out produced the delivery
+        self._pids = tuple(range(cfg.n))
         secret = hashlib.sha256(_enc(b"secret", _u64(self.world_seed))).digest()
 
         # The faulty set is a function of the adversary seed alone: chosen
@@ -322,9 +337,9 @@ class SimWorld:
                 faulty=self.faulty, witness_seed=self.witness_seed,
                 make_engine=make_engine), crash_after=cfg.crash_after)
 
-        # per channel, keyed src * n + dst: draws made, last arrival tick
-        self._chan_draws: dict[int, int] = {}
-        self._chan_last: dict[int, int] = {}
+        # per source, None until its first send, then one row: draws made
+        # on channel (src, dst) at [dst], its last arrival tick at [n + dst]
+        self._chan_rows: list[Optional[array]] = [None] * cfg.n
         self._chan_prefix = keyed_prefix(self.world_seed, b"chan")
         self._latency_span = cfg.latency_hi - cfg.latency_lo + 1
         self._drop_cut = cfg.p_drop * 2.0 ** 64  # a draw below it is a loss
@@ -344,7 +359,7 @@ class SimWorld:
         self._unstable: dict[MessageId, set[int]] = {}
         # re-forward tick -> the (deliverer, id) pairs checked then
         self._due: dict[int, list[tuple[int, MessageId]]] = {}
-        self.correct = tuple(p for p in range(cfg.n) if p not in self.faulty)
+        self.correct = tuple(p for p in self._pids if p not in self.faulty)
 
         self._schedule_workload()
         if self.trace is not None:
@@ -401,21 +416,21 @@ class SimWorld:
         """Send msg from src to each process in dsts, in order, over the
         lossy FIFO channels.  Each draw is _chan_draw's, inlined."""
         trace = self.trace
-        draws = self._chan_draws
-        lasts = self._chan_last
+        n = self.config.n
+        row = self._chan_rows[src]
+        if row is None:
+            row = self._chan_rows[src] = array("I", [0]) * (2 * n)
         prefix = self._chan_prefix
         pack = _CHAN_FIELDS.pack
         lo = self.config.latency_lo
         span = self._latency_span
         cut = self._drop_cut
         push = self._push
-        base = src * self.config.n
         for dst in dsts:
             if trace is not None:
                 self._log(now, "send", src, dst, msg.proto, msg.role,
                           msg.subject, msg.digest, None)
-            key = base + dst
-            k = draws.get(key, 0)
+            k = row[dst]
             arrival = now + lo + digest64(
                 prefix + pack(8, src, 8, dst, 8, k)) % span
             k += 1
@@ -428,12 +443,12 @@ class SimWorld:
                                   "retransmit")
                     arrival += RETRANSMIT_INTERVAL
                 k += 1
-            draws[key] = k
+            row[dst] = k
             # FIFO per ordered pair: never overtake an earlier message.
-            last = lasts.get(key, 0)
+            last = row[n + dst]
             if arrival < last:
                 arrival = last
-            lasts[key] = arrival
+            row[n + dst] = arrival
             push(arrival, (EV_MSG, dst, src, msg, "net"))
 
     def _fast_send(self, src: int, dst: int, msg: WireMessage, now: int):
@@ -482,6 +497,7 @@ class SimWorld:
     def _record_delivery(self, pid: int, dlv: Deliver, now: int):
         message, acks, dig = dlv
         mid = message.id
+        pid = self._pids[pid]   # the world's own int, whoever sent the deliver
         deliveries = self.deliveries
         deliveries[pid] = deliveries.get(pid, 0) + 1
         correct = pid not in self.faulty

@@ -120,6 +120,7 @@ def test_analyze_rejects_bad_params(capsys):
     (("simulate", "--protocol", "e", "--n", "4", "--t", "1",
       "--adversary", "crash", "--crash-after", "-3"), "crash_after"),
     (("simulate", "--latency-hi", "0"), "latency_hi: need latency_hi >="),
+    (("simulate", "--latency-hi", str(10 ** 12)), "latency_hi: must be <="),
 ])
 def test_negative_counts_are_config_errors(capsys, argv, message):
     code, _, err = run_cli(capsys, *argv)

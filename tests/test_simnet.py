@@ -3,6 +3,7 @@ import heapq
 import random
 import tracemalloc
 import weakref
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 
 from securecast import protocols, quorum, simnet
 from securecast.core import keyed_seed
-from securecast.core import KeyChain, ProtocolKind
-from securecast.protocols import (ALERT_LATENCY_BOUND, DELIVER, REGULAR,
-                                  SM_NOTIFY, ProcessEngine, Send, Timeouts, WireMessage)
+from securecast.core import PROTO_AV, KeyChain, MessageId, ProtocolKind
+from securecast.protocols import (ALERT_LATENCY_BOUND, DELIVER, INFORM,
+                                  REGULAR, SM_NOTIFY, VERIFY, ProcessEngine,
+                                  Send, Timeouts, WireMessage)
 from securecast.quorum import QuorumParams
 from securecast.simnet import (EV_MSG, EV_TIMER, RETRANSMIT_INTERVAL,
                                ConfigError, SimConfig, SimWorld, build_world,
@@ -652,7 +654,14 @@ def test_channel_draws_are_keyed_seeds_and_drive_every_send():
         last[key], draws[key] = arrival, k
         expect.setdefault(key, []).append(arrival)
     assert got == expect
-    assert world._chan_draws == {s * c.n + d: k for (s, d), k in draws.items()}
+    # Each source's row holds exactly those draw counts and last arrivals.
+    for src, row in enumerate(world._chan_rows):
+        dsts = [d for (s, d) in draws if s == src]
+        if not dsts:
+            assert row is None
+            continue
+        assert list(row) == [draws.get((src, d), 0) for d in range(c.n)] + \
+            [last.get((src, d), 0) for d in range(c.n)]
 
 
 def test_channel_latency_uniform_and_loss_rate_matches_p_drop():
@@ -721,10 +730,12 @@ def test_world_holds_no_per_channel_or_unused_engine_streams():
     world = build_world(SimConfig(protocol="3t", n=31, t=10, adversary="crash",
                                   messages=3, seed=2, p_drop=0.1))
     assert world.run_to_quiescence().quiescent
-    # A channel is two ints, an alert channel one; the world holds no
-    # stream of its own.
-    assert world._chan_draws
-    assert all(type(k) is int for k in world._chan_draws.values())
+    # A source's channels are one row of 2n unsigned ints, an alert
+    # channel one int; the world holds no stream of its own.
+    rows = [row for row in world._chan_rows if row is not None]
+    assert rows and len(world._chan_rows) == world.config.n
+    assert all(type(row) is array and row.typecode == "I"
+               and len(row) == 2 * world.config.n for row in rows)
     fields = vars(world).values()
     assert not any(isinstance(v, random.Random) for v in fields)
     assert not any(isinstance(v, random.Random)
@@ -738,6 +749,103 @@ def test_world_holds_no_per_channel_or_unused_engine_streams():
                                     seed=2))
     e_world.run_to_quiescence()
     assert all(eng._rng is None for eng in e_world.engines)
+
+
+def test_channel_state_is_one_row_per_source_whatever_the_run_length():
+    sizes, draws = [], []
+    for messages in (50, 200):
+        world = build_world(SimConfig(protocol="3t", n=31, t=10,
+                                      adversary="crash", p_drop=0.1,
+                                      messages=messages, seed=5,
+                                      record_trace=False))
+        assert world.run_to_quiescence().quiescent
+        n = world.config.n
+        assert len(world._chan_rows) == n
+        rows = [row for row in world._chan_rows if row is not None]
+        assert all(len(row) == 2 * n and row.itemsize == 4 for row in rows)
+        sizes.append(sum(len(row) * row.itemsize for row in rows))
+        draws.append(sum(sum(row[:n]) for row in rows))
+    # four times the traffic on channel state of the same size
+    assert sizes[0] == sizes[1] <= 8 * n * n
+    assert draws[1] > 3 * draws[0]
+
+
+def test_engines_share_one_record_per_deliver():
+    world = build_world(SimConfig(protocol="act", n=31, t=10, kappa=3,
+                                  delta=5, messages=2, seed=4))
+    report = world.run_to_quiescence()
+    assert report.quiescent and len(report.delivered_digests) == 2
+    # processes that heard of an id before its deliver recorded it then
+    heard: dict[str, set[int]] = {}
+    for line in world.trace:
+        _, kind, _, dst, _, role, subject, _ = line.split(" ", 7)
+        if kind == "recv" and role in (REGULAR, INFORM):
+            heard.setdefault(subject, set()).add(int(dst))
+    engines = engines_of(world)
+    memo = [rec for _, rec in engines[0]._verdicts.values()]
+    for mid in report.delivered_digests:
+        late = [e for e in engines
+                if e.me != mid.sender and e.me not in heard[str(mid)]]
+        assert len(late) > world.config.n // 3
+        shared = late[0].recorded[mid]
+        assert shared.sender_sig is None
+        assert any(rec is shared for rec in memo)
+        assert all(e.recorded[mid] is shared for e in late)
+    # A signature learned after delivery replaces that engine's record only.
+    eng, peer = late[0], late[1]
+    sig = world.engines[mid.sender].recorded[mid].sender_sig
+    inform = WireMessage(PROTO_AV, INFORM, mid, digest=shared.digest,
+                         sender_sig=sig)
+    out = eng.handle(peer.me, inform, world.clock + 1)
+    assert [a.msg.role for a in out] == [VERIFY]
+    assert eng.recorded[mid] == (shared.digest, sig)
+    assert all(e.recorded[mid] is shared for e in late[1:])
+    assert shared.sender_sig is None
+
+
+def test_delivered_pids_are_the_worlds_n_int_objects():
+    # Above 256 every int is its own object.  Whichever fan-out delivered a
+    # message (a correct sender's broadcast, or the adversary's when the
+    # faulty set holds a whole active witness set), the world records one
+    # of its n process ids.
+    n, t, kappa, ws = 300, 10, 3, 99
+    params = QuorumParams(n, t)
+    faulty = {0}.union(*(quorum.w_active(MessageId(0, seq), kappa, params, ws)
+                         for seq in (1, 2)))
+    for shape in (dict(adversary="none"),
+                  dict(adversary="regime-split", faulty_set=tuple(faulty),
+                       messages=2 * len(faulty))):
+        cfg = dict(protocol="act", n=n, t=t, kappa=kappa, delta=5,
+                   messages=3, seed=7, witness_seed=ws, record_trace=False,
+                   stability=False)
+        world = build_world(SimConfig(**{**cfg, **shape}))
+        report = world.run_to_quiescence()
+        pids = [p for slot in report.delivered_digests.values()
+                for group in slot.values() for p in group]
+        assert len(pids) > 1.5 * n, shape
+        assert len({id(p) for p in pids + list(report.deliveries)}) <= n
+
+
+@pytest.mark.parametrize("stability", [True, False])
+def test_retained_bytes_per_message_are_pinned(stability):
+    # A quiesced fault-free ACT n=100 world keeps ~20.2 KB per message, most
+    # of it per-id engine state that is never released; a delivery record
+    # per engine pushes it past the pin.
+    def retained(messages):
+        cfg = SimConfig(protocol="act", n=100, t=10, kappa=3, delta=5,
+                        messages=messages, seed=3, stability=stability,
+                        record_trace=False)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            world = build_world(cfg)
+            assert world.run_to_quiescence().quiescent
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    per_message = (retained(300) - retained(100)) / 200
+    assert per_message <= 24_000
 
 
 @pytest.mark.parametrize("proto, adversary, extra", [
@@ -910,7 +1018,7 @@ def test_trace_on_and_off_give_equal_reports(shape):
     report = on.run_to_quiescence()
     assert report.quiescent and report.messages_multicast == 4
     assert off.run_to_quiescence() == report
-    assert off._chan_draws == on._chan_draws
+    assert off._chan_rows == on._chan_rows
 
 
 def test_trace_off_world_never_enters_log(monkeypatch):
