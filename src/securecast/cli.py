@@ -210,6 +210,10 @@ def cmd_montecarlo(args) -> int:
     return EXIT_OK if verdict == "PASS" else EXIT_VIOLATION
 
 
+# The sweep's variables; a point takes each from the grid, else its flag.
+_GRID_VARS = ("n", "t", "kappa", "delta", "slack_c")
+
+
 def _parse_grid(spec: str) -> dict[str, list[int]]:
     grid = {}
     if not spec.strip():
@@ -220,7 +224,7 @@ def _parse_grid(spec: str) -> dict[str, list[int]]:
                               f"expected name=lo..hi")
         name, rng = part.split("=", 1)
         name = name.strip()
-        if name not in ("n", "t", "kappa", "delta", "slack_c"):
+        if name not in _GRID_VARS:
             raise ConfigError("grid", f"unknown grid variable {name!r}")
         lo, hi = rng.split("..", 1)
         try:
@@ -239,8 +243,7 @@ def cmd_sweep(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    base = {"n": args.n or 100, "t": args.t or 10, "kappa": args.kappa or 3,
-            "delta": args.delta or 5, "slack_c": args.slack_c or 0}
+    base = {name: getattr(args, name) for name in _GRID_VARS}
     names = sorted(grid)
     points = [{}]
     for name in names:
@@ -259,18 +262,22 @@ def cmd_sweep(args) -> int:
             params = AnalysisParams(vals["n"], vals["t"], vals["kappa"],
                                     vals["delta"], vals["slack_c"])
             rep = bound_report(params)
-        except InvalidParamsError:
+            if args.montecarlo:
+                cfg = SimConfig(protocol="act", adversary="regime-split",
+                                seed=args.seed, record_trace=False,
+                                stability=False, **vals)
+                cfg.validate()
+        except (InvalidParamsError, ConfigError):
             continue  # infeasible grid point, skipped
         row = rep.csv_row()
         if args.montecarlo:
-            cfg = SimConfig(protocol="act", n=vals["n"], t=vals["t"],
-                            kappa=vals["kappa"], delta=vals["delta"],
-                            slack_c=vals["slack_c"], adversary="regime-split",
-                            seed=args.seed or 0, record_trace=False,
-                            stability=False)
             bound = rep.overall_conflict.specific
             mc = monte_carlo_conflict_rate(cfg, args.trials,
                                            parallel=workers, bound=bound)
+            if mc.warning:
+                print(f"warning: n={cfg.n} t={cfg.t} kappa={cfg.kappa} "
+                      f"delta={cfg.delta} slack_c={cfg.slack_c}: "
+                      f"{mc.warning}", file=sys.stderr)
             verdict = "PASS" if mc.ci_low <= bound else "FAIL"
             if verdict == "FAIL":
                 exit_code = EXIT_VIOLATION
@@ -340,12 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="bound table over a parameter grid")
     p.add_argument("--grid", required=True,
                    help='e.g. "kappa=1..6,delta=1..12"')
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--kappa", type=int)
-    p.add_argument("--delta", type=int)
-    p.add_argument("--slack-c", type=int, dest="slack_c")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--t", type=int, default=10)
+    p.add_argument("--kappa", type=int, default=3)
+    p.add_argument("--delta", type=int, default=5)
+    p.add_argument("--slack-c", type=int, dest="slack_c", default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--montecarlo", action="store_true")
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--parallel", type=int, default=1)

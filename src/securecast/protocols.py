@@ -24,12 +24,11 @@ Protocol summary:
 With the stability oracle on, a process that delivers a message keeps it
 and re-forwards it once, Timeouts.reforward after the delivery, to every
 correct process the oracle has not yet reported as having delivered it.
-The engine arms no timer for this: a SimWorld hands it the oracle's
-notice at that tick, naming per id the correct processes still missing
-it, and then calls on_timer(("reforward", id)) if the engine still holds
-the id.  The engine keeps only the newest notice per id it holds, and
-forgets the id once it is re-forwarded or reported stable everywhere.
-Without the oracle nothing re-forwards and nothing is kept.
+The engine arms no timer for this: at that tick a SimWorld calls
+reforward(id, missing) with the oracle's set of correct processes still
+missing the id, and the engine sends to them and forgets the id; an empty
+set (stable everywhere) only forgets it.  Without the oracle nothing
+re-forwards and nothing is kept.
 
 Every process checks a broadcast deliver's ack set against the delivery
 rule before it delivers.  The verdict is a pure function of the message,
@@ -47,7 +46,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from types import MappingProxyType
+from typing import Collection, NamedTuple, Optional, Union
 
 from .core import (PROTO_3T, PROTO_AV, PROTO_E, PROTO_TAG, Ack, KeyChain,
                    MessageId, MulticastMessage, ProtocolKind, Signature,
@@ -67,7 +67,7 @@ DELIVER = "deliver"
 INFORM = "inform"
 VERIFY = "verify"
 ALERT = "alert"
-SM_NOTIFY = "sm_notify"
+SM_NOTIFY = "sm_notify"         # the trace role of the oracle's stable records
 
 
 class EvidencePair(NamedTuple):
@@ -91,11 +91,6 @@ class WireMessage:
     ack: Optional[Ack] = None
     sender_sig: Optional[Signature] = None
     evidence: Optional[EvidencePair] = None
-    # sm_notify only, whose subject is None: (tick, ((id, missing), ...)),
-    # per id the batch of that tick touched, the correct processes whose
-    # delivery has not matured yet; empty means stable everywhere
-    stable: Optional[tuple[int, tuple[tuple[MessageId, frozenset[int]],
-                                      ...]]] = None
 
 
 # Actions are named tuples, cheap to build: a world dispatches on their
@@ -132,6 +127,9 @@ Action = Union[Send, Broadcast, Deliver, SetTimer, RaiseAlert]
 # Hard latency bound of the out-of-band alert plane, in ticks.
 ALERT_LATENCY_BOUND = 3
 
+# Deliveries held per sender while waiting for an earlier sequence number.
+HOLDBACK_CAP = 64
+
 
 @dataclass(frozen=True)
 class Timeouts:
@@ -147,8 +145,8 @@ class Timeouts:
         than any alert takes, so a pending alert always wins the race.
         The re-forward runs 8*hi after a delivery, twice the oracle's 4*hi
         maturity lag, so the oracle has always reported the engine's own
-        delivery by then; the world schedules it, and it needs the
-        stability oracle and is off without it."""
+        delivery by then; the world calls it with the oracle's missing set,
+        and it is off without the stability oracle."""
         return cls(6 * hi, 4 * hi, 2 * hi + ALERT_LATENCY_BOUND + 2,
                    8 * hi if stability else None)
 
@@ -184,11 +182,14 @@ class _Probe:
 class ProcessEngine:
     """One correct process's protocol state machine."""
 
+    # Always empty; kept only for bench/tracer.py's state count to read.
+    stability = MappingProxyType({})
+
     def __init__(self, me: int, kind: ProtocolKind, params: QuorumParams,
                  keychain: KeyChain, witness_seed: int, stream_seed: int,
                  kappa: int = 0, delta: int = 0, slack_c: int = 0,
                  timeouts: Timeouts = Timeouts.for_latency(5),
-                 holdback_cap: int = 64, verdicts: Optional[dict] = None):
+                 verdicts: Optional[dict] = None):
         if kind is ProtocolKind.ACT:
             check_act_params(params.n, params.t, kappa, delta, slack_c)
         self.me = me
@@ -202,7 +203,6 @@ class ProcessEngine:
         self.stream_seed = stream_seed
         self._rng: Optional[random.Random] = None
         self.timeouts = timeouts
-        self.holdback_cap = holdback_cap
         # the wire tags this engine accepts; ACT recovery traffic is 3T
         self._protos = frozenset((PROTO_TAG[kind], PROTO_3T)
                                  if kind is ProtocolKind.ACT
@@ -223,10 +223,8 @@ class ProcessEngine:
         self.probes: dict[MessageId, _Probe] = {}
         self.holdback: dict[int, dict[int, WireMessage]] = {}
         self.known_faulty: set[int] = set()
-        # id -> (tick, correct processes missing it) of the newest notice,
-        # and id -> the deliver to re-forward; both kept only with
-        # stability on and only until the re-forward or stable everywhere
-        self.stability: dict[MessageId, tuple[int, frozenset[int]]] = {}
+        # id -> the deliver to re-forward, kept only with stability on and
+        # only until the re-forward
         self.delivered_record: dict[MessageId, WireMessage] = {}
 
     # -- helpers ----------------------------------------------------------
@@ -326,8 +324,6 @@ class ProcessEngine:
             return self.on_verify(src, msg, now)
         if role == ALERT:
             return self.on_alert(src, msg, now)
-        if role == SM_NOTIFY:
-            return self.on_sm_notify(src, msg, now)
         return []
 
     def on_regular(self, src: int, msg: WireMessage, now: int) -> list[Action]:
@@ -469,7 +465,7 @@ class ProcessEngine:
             return []
         if mid.seq > last + 1:
             slot = self.holdback.setdefault(mid.sender, {})
-            if mid.seq not in slot and len(slot) < self.holdback_cap:
+            if mid.seq not in slot and len(slot) < HOLDBACK_CAP:
                 slot[mid.seq] = msg
             return []
         actions = self._do_deliver(msg, rec)
@@ -496,7 +492,7 @@ class ProcessEngine:
             self.delivered_record[mid] = msg
         return [Deliver(m, msg.acks, rec.digest)]
 
-    # -- alerts and stability ---------------------------------------------
+    # -- alerts and re-forwards -------------------------------------------
 
     def on_alert(self, src: int, msg: WireMessage, now: int) -> list[Action]:
         ev = msg.evidence
@@ -513,23 +509,20 @@ class ProcessEngine:
         self.conflicted.add(mid)
         return []
 
-    def on_sm_notify(self, src: int, msg: WireMessage, now: int) -> list[Action]:
-        """Keep the newest notice per id still to be re-forwarded.  A world
-        hands notices over in tick order, but the engine does not rely on
-        it: the oracle's sets only shrink, so an older tick never replaces
-        a newer one."""
-        tick, entries = msg.stable
-        for mid, missing in entries:
-            if mid not in self.delivered_record:
-                continue  # not delivered here, or already re-forwarded
-            if not missing:
-                del self.delivered_record[mid]
-                self.stability.pop(mid, None)
-                continue
-            known = self.stability.get(mid)
-            if known is None or known[0] < tick:
-                self.stability[mid] = (tick, missing)
-        return []
+    def reforward(self, mid: MessageId, missing: Optional[Collection[int]]
+                  ) -> list[Action]:
+        """Send the delivered message to the processes in missing, never to
+        itself, and forget it; an empty missing set only forgets it.  A
+        SimWorld calls this for a correct engine at its re-forward tick
+        with the oracle's set of correct processes still missing the id.
+        missing=None targets every other process: an adversary's shadow
+        engine hears no oracle, and its re-forward is a timer the world
+        arms at its delivery."""
+        msg = self.delivered_record.pop(mid, None)
+        if msg is None:
+            return []
+        targets = range(self.params.n) if missing is None else sorted(missing)
+        return [Send(p, msg) for p in targets if p != self.me]
 
     # -- timers -----------------------------------------------------------
 
@@ -542,7 +535,7 @@ class ProcessEngine:
         if kind == "delayed_ack":
             return self._on_delayed_ack(timer_id[1], timer_id[2], timer_id[3])
         if kind == "reforward":
-            return self._on_reforward(timer_id[1])
+            return self.reforward(timer_id[1], None)
         return []
 
     def on_recovery_timeout(self, mid: MessageId, now: int) -> list[Action]:
@@ -577,18 +570,3 @@ class ProcessEngine:
         if rec is None or rec.digest != dig:
             return []
         return [self._ack_to(PROTO_3T, dst, mid, dig)]
-
-    def _on_reforward(self, mid: MessageId) -> list[Action]:
-        """Send the delivered message to every correct process the oracle
-        has not reported, then forget it.  A SimWorld calls this for a
-        correct engine right after handing it the oracle's notice of the
-        re-forward tick, and only while the engine still holds the id.  An
-        adversary's shadow engine hears no notices; its re-forward is a
-        timer the world arms at its delivery, and it targets every other
-        process."""
-        msg = self.delivered_record.pop(mid, None)
-        if msg is None:
-            return []  # stable everywhere already
-        known = self.stability.pop(mid, None)
-        targets = range(self.params.n) if known is None else sorted(known[1])
-        return [Send(p, msg) for p in targets if p != self.me]

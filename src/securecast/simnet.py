@@ -45,17 +45,16 @@ per matured delivery and hands nothing to the engines.
 The oracle is consulted where it is needed: at the re-forward tick,
 Timeouts.reforward (8 * latency_hi) after each correct delivery.  Those
 checks are batched per tick the same way, one wake-up per distinct tick.
-At a wake-up the world builds one sm_notify, (tick, ((id, missing),
-...)), with per due id the frozenset of correct processes the oracle
-still has missing (empty: stable everywhere), hands it to each due engine
-directly, with no queued message and no send or receive line, and calls
-the re-forward of every engine that still holds its id.  The due wake-up
-of a tick is pushed 4 * latency_hi ticks before that tick's maturity
-wake-up, so it runs first: the set an engine sees is the newest the
-oracle had reported.  A re-forward that runs writes one timer_fire line;
-an id stable everywhere costs no event, no send and no trace line.  A
-faulty process's delivery is not reported; its re-forward stays a timer
-that the adversary handles.  Only real deliveries are ever reported.
+At a wake-up the world calls ProcessEngine.reforward(id, missing) of each
+due deliverer, missing being the correct processes the oracle still has
+missing the id (empty: stable everywhere, which only releases the id).
+The due wake-up of a tick is pushed 4 * latency_hi ticks before that
+tick's maturity wake-up, so it runs first: the set an engine sees is the
+newest the oracle had reported.  A re-forward with a non-empty set writes
+one timer_fire line; an id stable everywhere costs no event, no send and
+no trace line.  A faulty process's delivery is not reported; its
+re-forward stays a timer that the adversary handles.  Only real
+deliveries are ever reported.
 """
 
 from __future__ import annotations
@@ -650,27 +649,21 @@ class SimWorld:
                 del unstable[mid]
 
     def _reforward_tick(self, item: tuple):
-        """Run the re-forward check of the correct deliveries made
-        Timeouts.reforward ticks ago.  One notice, naming per due id the
-        correct processes the oracle still has missing, goes to each due
-        engine; each engine that still holds its due id then re-forwards
-        it.  A released id costs no event, no send and no trace line."""
+        """Run the re-forwards of the correct deliveries made
+        Timeouts.reforward ticks ago: each deliverer gets the set of correct
+        processes the oracle still has missing its id, or an empty one if
+        the id is stable everywhere, which only releases it.  The engines
+        read the live set before any delivery can change it, so it is not
+        copied.  A released id costs no event, no send and no trace line."""
         _, _, tick = item
-        due = self._due.pop(tick)
         unstable = self._unstable
-        notice = WireMessage(PROTO_TAG[self.kind], SM_NOTIFY, None, stable=(
-            tick, tuple((mid, frozenset(unstable.get(mid, ())))
-                        for mid in dict.fromkeys(mid for _, mid in due))))
         engines = self.engines
-        for pid in dict.fromkeys(pid for pid, _ in due):
-            self._apply(pid, engines[pid].handle(None, notice, tick), tick)
-        for pid, mid in due:
-            eng = engines[pid]
-            if mid in eng.delivered_record:
-                if self.trace is not None:
-                    self._log(tick, "timer_fire", pid, None, None,
-                              "reforward", mid, None, None)
-                self._apply(pid, eng.on_timer(("reforward", mid), tick), tick)
+        for pid, mid in self._due.pop(tick):
+            missing = unstable.get(mid, ())
+            if missing and self.trace is not None:
+                self._log(tick, "timer_fire", pid, None, None, "reforward",
+                          mid, None, None)
+            self._apply(pid, engines[pid].reforward(mid, missing), tick)
 
     # -- top level -------------------------------------------------------------
 

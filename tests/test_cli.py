@@ -274,6 +274,31 @@ def test_sweep_skips_negative_delta(capsys):
     assert [r.split(",")[delta] for r in rows] == ["0"]
 
 
+def test_sweep_keeps_explicit_zeros(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--grid", "kappa=1..2",
+                           "--n", "30", "--t", "0", "--delta", "0")
+    assert code == 0
+    header, *rows = out.strip().splitlines()
+    cols = header.split(",")
+    t, delta = cols.index("t"), cols.index("delta")
+    assert len(rows) == 2
+    assert all(r.split(",")[t] == "0" and r.split(",")[delta] == "0"
+               for r in rows)
+
+
+def test_sweep_montecarlo_skips_points_the_simulator_rejects(capsys):
+    # n=30, t=10 has a bound but no 3t+1 witness range to simulate
+    code, out, err = run_cli(capsys, "sweep", "--grid", "t=9..10",
+                             "--n", "30", "--kappa", "1", "--delta", "5",
+                             "--montecarlo", "--trials", "2")
+    assert code == 0
+    header, *rows = out.strip().splitlines()
+    t = header.split(",").index("t")
+    assert [r.split(",")[t] for r in rows] == ["9"]
+    # two trials are too few for the bound, and sweep says so
+    assert "warning: n=30 t=9 " in err and "insufficient trials" in err
+
+
 def test_sweep_malformed_grid(capsys):
     code, _, err = run_cli(capsys, "sweep", "--grid", "kappa=banana")
     assert code == 1 and "grid" in err

@@ -440,44 +440,37 @@ def test_deliver_below_quorum_dropped():
     assert receiver.delivery.get(0, 0) == 0
 
 
-def notice(tick, *entries):
-    """An oracle notice: per id, the correct processes still missing it."""
-    return WireMessage(PROTO_E, "sm_notify", None, stable=(tick, tuple(
-        (mid, frozenset(missing)) for mid, missing in entries)))
-
-
 def test_deliver_keeps_the_message_for_reforward_and_respects_stability():
     kc = KeyChain(4, b"unit")
     sender = make_engine(me=0, n=4, t=1, keychain=kc)
     receiver = make_engine(me=2, n=4, t=1, keychain=kc)
     msg = build_valid_deliver(kc, sender)
     mid = msg.subject
-    # A notice about an id not delivered here is not kept.
-    assert receiver.handle(None, notice(2, (mid, {1, 2, 3})), now=2) == []
-    assert receiver.stability == {}
-    # The delivery arms no timer: the world schedules the re-forward check.
+    # A re-forward of an id not delivered here sends nothing.
+    assert receiver.reforward(mid, {1, 2, 3}) == []
+    # The delivery arms no timer: the world schedules the re-forward.
     out = receiver.handle(0, msg, now=3)
     assert out == [Deliver(msg.body, msg.acks, message_digest(msg.body))]
     assert receiver.delivered_record == {mid: msg}
-    # The newest notice wins; the receiver itself may still be listed.
-    assert receiver.handle(None, notice(23, (mid, {1, 2, 3})), now=24) == []
-    assert receiver.stability == {mid: (23, {1, 2, 3})}
-    receiver.handle(None, notice(25, (mid, {2, 3})), now=26)
-    assert receiver.stability == {mid: (25, {2, 3})}
-    # One process missing: exactly one deliver goes out, never to the
-    # receiver, and the id is forgotten.
-    out = receiver.on_timer(("reforward", mid), now=43)
+    # The set is the world's own: read, never changed.  The receiver itself
+    # may be listed; exactly one deliver goes out, never to the receiver,
+    # and the id is forgotten.
+    missing = {2, 3}
+    out = receiver.reforward(mid, missing)
+    assert missing == {2, 3}
     assert [a.to for a in sends(out)] == [3]
     assert sends(out)[0].msg.role == DELIVER
     assert sends(out)[0].msg is msg
-    assert receiver.stability == {} and receiver.delivered_record == {}
+    assert receiver.delivered_record == {}
+    assert receiver.reforward(mid, {3}) == []
     assert receiver.on_timer(("reforward", mid), now=44) == []
-    # A notice after the re-forward is not kept either.
-    receiver.handle(None, notice(26, (mid, {3})), now=45)
+    # No per-engine copy of the oracle's sets exists to keep.
     assert receiver.stability == {}
+    with pytest.raises(TypeError):
+        receiver.stability[mid] = missing
 
 
-def test_stable_everywhere_notice_releases_the_id():
+def test_stable_everywhere_reforward_releases_the_id():
     kc = KeyChain(4, b"unit")
     sender = make_engine(me=0, n=4, t=1, keychain=kc)
     receiver = make_engine(me=2, n=4, t=1, keychain=kc)
@@ -486,35 +479,13 @@ def test_stable_everywhere_notice_releases_the_id():
     receiver.handle(0, first, now=3)
     receiver.handle(0, second, now=4)
     a, b = first.subject, second.subject
-    receiver.handle(None, notice(23, (a, {1}), (b, {1, 3})), now=24)
-    receiver.handle(None, notice(24, (a, ()), (b, {3})), now=25)
-    assert receiver.stability == {b: (24, {3})}
+    # An empty set (stable everywhere) sends nothing and releases the id.
+    assert receiver.reforward(a, ()) == []
     assert set(receiver.delivered_record) == {b}
-    # The timer of a released id sends nothing.
+    # The timer of a released id sends nothing either.
     assert receiver.on_timer(("reforward", a), now=43) == []
-    assert [s.to for s in sends(
-        receiver.on_timer(("reforward", b), now=44))] == [3]
-
-
-def test_stale_notice_does_not_widen_missing_set():
-    kc = KeyChain(7, b"unit")
-    sender = make_engine(me=0, n=7, t=2, keychain=kc)
-    receiver = make_engine(me=2, n=7, t=2, keychain=kc)
-    msg = build_valid_deliver(kc, sender)
-    mid = msg.subject
-    receiver.handle(0, msg, now=3)
-    receiver.handle(None, notice(26, (mid, {4})), now=27)
-    # An older notice arriving later names more processes; it is ignored.
-    receiver.handle(None, notice(25, (mid, {1, 3, 4, 5})), now=28)
-    assert receiver.stability == {mid: (26, {4})}
-    out = receiver.on_timer(("reforward", mid), now=43)
-    assert [a.to for a in sends(out)] == [4]
-    # A stale non-empty notice never revives an id released as stable.
-    other = build_valid_deliver(kc, sender, b"m2")
-    receiver.handle(0, other, now=44)
-    receiver.handle(None, notice(70, (other.subject, ())), now=71)
-    receiver.handle(None, notice(69, (other.subject, {4})), now=72)
-    assert receiver.stability == {} and receiver.delivered_record == {}
+    assert [s.to for s in sends(receiver.reforward(b, {1, 3}))] == [1, 3]
+    assert receiver.delivered_record == {}
 
 
 def test_reforward_without_a_notice_reaches_every_other_process():
@@ -631,11 +602,14 @@ def test_act_slack_accepts_short_active_set():
 def test_holdback_capacity_bounded():
     kc = KeyChain(4, b"unit")
     sender = make_engine(me=0, n=4, t=1, keychain=kc)
-    receiver = make_engine(me=2, n=4, t=1, keychain=kc, holdback_cap=2)
-    msgs = [build_valid_deliver(kc, sender, b"m%d" % i) for i in range(5)]
-    for m in msgs[1:]:  # seqs 2..5 arrive early
+    receiver = make_engine(me=2, n=4, t=1, keychain=kc)
+    cap = protocols.HOLDBACK_CAP
+    msgs = [build_valid_deliver(kc, sender, b"m%d" % i)
+            for i in range(cap + 3)]
+    for m in msgs[1:]:  # seqs 2..cap+3 arrive early
         receiver.handle(0, m, now=3)
-    assert len(receiver.holdback[0]) == 2
+    # the earliest cap are held, the rest dropped
+    assert sorted(receiver.holdback[0]) == list(range(2, cap + 2))
 
 
 # -- delivery verdicts ---------------------------------------------------------

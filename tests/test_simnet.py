@@ -177,53 +177,80 @@ def test_stability_oracle_only_reports_real_deliveries():
     assert sorted(reported) == sorted(delivered)
 
 
-def watch_notices(world):
-    """Record every oracle notice each correct process receives."""
-    seen = {p: [] for p in world.correct}
-    for eng in world.engines:
-        if eng is not None:
-            def handle(src, msg, now, _orig=eng.handle, _log=seen[eng.me]):
-                if msg.role == SM_NOTIFY:
-                    _log.append(msg.stable)
-                return _orig(src, msg, now)
-            eng.handle = handle
-    return seen
-
-
 def engines_of(world):
     return [e for e in world.engines if e is not None]
 
 
+def watch_reforwards(world):
+    """Record every re-forward a correct engine is asked for: (tick, pid,
+    id, the missing set it was passed, the processes it sent to)."""
+    calls = []
+    for eng in engines_of(world):
+        def reforward(mid, missing, _eng=eng, _orig=eng.reforward):
+            passed = None if missing is None else frozenset(missing)
+            out = _orig(mid, missing)
+            calls.append((world.clock, _eng.me, mid, passed,
+                          [a.to for a in out if type(a) is Send]))
+            return out
+        eng.reforward = reforward
+    return calls
+
+
+def check_reforwards(world, calls):
+    """Check every re-forward of a finished traced world against its trace
+    alone: one call per correct delivery, at delivery + 8hi; its missing
+    set is exactly the correct processes with no stable record of the id
+    before that tick, so never the caller; it sends only to that set minus
+    itself, never to a faulty process; and no engine keeps anything.
+    Returns the number of re-forwards with a non-empty missing set."""
+    correct = set(world.correct)
+    delivered, stable_at = {}, {}
+    for line in world.trace:
+        parts = line.split(" ", 8)
+        if parts[1] in ("appdlv", "stable"):
+            key = (int(parts[2]), parts[6])
+            if parts[1] == "stable":
+                stable_at[key] = int(parts[0])
+            elif key[0] in correct:
+                delivered[key] = int(parts[0])
+    wait = world.timeouts.reforward
+    assert wait == 8 * world.config.latency_hi
+    assert sorted((t, p, str(mid)) for t, p, mid, _, _ in calls) == sorted(
+        (t + wait, p, mid) for (p, mid), t in delivered.items())
+    live = 0
+    for tick, p, mid, missing, targets in calls:
+        assert missing == {q for q in correct
+                           if stable_at.get((q, str(mid)), tick) >= tick}
+        assert p not in missing
+        assert set(targets) <= missing - {p}
+        assert not set(targets) & world.faulty
+        live += bool(missing)
+    for eng in engines_of(world):
+        assert eng.stability == {} and eng.delivered_record == {}
+    return live
+
+
 def test_stability_notifications_reach_everyone():
+    """Fault-free, every correct engine hears the oracle once per delivery,
+    by then with the id stable everywhere: nothing is re-forwarded."""
     cfg = SimConfig(protocol="e", n=4, t=1, messages=1, seed=0)
     world = build_world(cfg)
-    seen = watch_notices(world)
+    calls = watch_reforwards(world)
     world.run_to_quiescence()
     [mid] = world.delivered_digests
-    for eng in world.engines:
-        # Between them, the notices report every process, and the newest
-        # one reports the id stable everywhere.
-        entries = [(tick, missing) for tick, batch in seen[eng.me]
-                   for m, missing in batch if m == mid]
-        reported = set().union(*(set(range(4)) - missing
-                                 for _, missing in entries))
-        assert reported == set(range(4))
-        assert max(entries)[1] == frozenset()
-        assert eng.stability == {} and eng.delivered_record == {}
-
-
-def _missing_at(matured, correct, mid, tick):
-    """The correct processes the oracle still lists as missing mid just
-    before the maturity batch of tick: none matured before it."""
-    return {q for q in correct if matured.get((q, mid), tick) >= tick}
+    assert sorted(p for _, p, m, _, _ in calls if m == mid) == list(range(4))
+    assert all(missing == frozenset() and targets == []
+               for _, _, _, missing, targets in calls)
+    assert check_reforwards(world, calls) == 0
+    assert not any(" timer_fire " in l for l in world.trace)
 
 
 def test_stability_oracle_drives_each_reforward_with_drops():
-    """Every live re-forward runs at exactly delivery + 8hi and targets
-    exactly the correct processes the oracle still lists as missing, minus
-    the re-forwarder; an id stable everywhere by then costs no event, no
-    send and no trace line.  A faulty deliverer's re-forward stays a timer
-    set at its delivery."""
+    """Every correct re-forward runs at exactly delivery + 8hi and targets
+    exactly the correct processes the oracle still lists as missing; an
+    id stable everywhere by then costs no event, no send and no trace
+    line.  A faulty deliverer's re-forward stays a timer set at its
+    delivery."""
     live = released = faulty_timers = 0
     for proto, extra in (("e", {}), ("3t", {}),
                          ("act", {"kappa": 2, "delta": 2})):
@@ -232,7 +259,6 @@ def test_stability_oracle_drives_each_reforward_with_drops():
                             messages=3, seed=seed, p_drop=0.3, **extra)
             world = build_world(cfg)
             wait = world.timeouts.reforward
-            assert wait == 8 * cfg.latency_hi
             correct = set(world.correct)
             pushed = []
             push = world._push
@@ -241,49 +267,37 @@ def test_stability_oracle_drives_each_reforward_with_drops():
                 pushed.append((world.clock, time, item))
                 _push(time, item)
             world._push = watched_push
-            fired = []
+            calls = watch_reforwards(world)
+            timed = []
             for eng in engines_of(world):
-                def on_timer(tid, now, _eng=eng, _orig=eng.on_timer):
-                    out = _orig(tid, now)
-                    if tid[0] == "reforward":
-                        fired.append((now, _eng.me, str(tid[1]),
-                                      [a.to for a in out if type(a) is Send]))
-                    return out
+                def on_timer(tid, now, _orig=eng.on_timer):
+                    timed.append(tid[0])
+                    return _orig(tid, now)
                 eng.on_timer = on_timer
             report = world.run_to_quiescence()
             assert report.quiescent, (proto, seed)
+            now_live = check_reforwards(world, calls)
+            # each sends to its whole missing set, and only a live one
+            # writes a trace line
+            assert all(targets == sorted(missing)
+                       for _, _, _, missing, targets in calls)
+            assert "reforward" not in timed
 
-            delivered, matured, marks, set_at = {}, {}, {}, {}
+            marks, set_at = {}, {}
             for line in world.trace:
                 parts = line.split(" ", 8)
                 tick, kind, src = int(parts[0]), parts[1], parts[2]
-                if kind == "appdlv":
-                    delivered[(int(src), parts[6])] = tick
-                    if int(src) in correct:
-                        matured[(int(src), parts[6])] = \
-                            tick + world.stability_lag
+                if kind == "appdlv" and int(src) not in correct:
+                    set_at[(int(src), parts[6])] = tick
                 elif kind in ("timer_set", "timer_fire") \
                         and parts[5] == "reforward":
                     marks.setdefault(kind, []).append(
                         (tick, int(src), parts[6]))
-            expect_live = []
-            for (p, mid), tick in sorted(delivered.items()):
-                if p not in correct:
-                    set_at[(p, mid)] = tick
-                    continue
-                due = tick + wait
-                missing = _missing_at(matured, correct, mid, due)
-                assert p not in missing
-                if missing:
-                    expect_live.append((due, p, mid, sorted(missing)))
-                else:
-                    released += 1
-            # live re-forwards: the right tick, the right targets, one
-            # trace line each, and nothing else called
-            assert sorted(fired) == sorted(expect_live), (proto, seed)
             correct_fires = sorted(m for m in marks.get("timer_fire", [])
                                    if m[1] in correct)
-            assert correct_fires == sorted(f[:3] for f in expect_live)
+            assert correct_fires == sorted(
+                (t, p, str(mid)) for t, p, mid, missing, _ in calls
+                if missing)
             assert not [m for m in marks.get("timer_set", [])
                         if m[1] in correct]
             assert not [item for _, _, item in pushed
@@ -296,22 +310,23 @@ def test_stability_oracle_drives_each_reforward_with_drops():
             assert sorted((t + wait, p, mid) for t, p, mid in faulty_sets) \
                 == sorted(m for m in marks.get("timer_fire", [])
                           if m[1] not in correct)
-            live += len(expect_live)
+            live += now_live
+            released += len(calls) - now_live
             faulty_timers += len(faulty_sets)
     assert live and released and faulty_timers, (live, released,
                                                  faulty_timers)
 
 
-def test_world_hands_one_notice_per_due_engine_per_reforward_tick():
+def test_world_calls_one_reforward_per_due_delivery_per_reforward_tick():
     """The oracle hands nothing to the engines at maturity ticks.  At each
-    re-forward tick, every engine with a delivery due then gets one notice,
-    shared by all of them, naming each id due then; there is one wake-up
-    per distinct maturity and re-forward tick, and no notice is queued or
+    re-forward tick, every engine with a delivery due then is asked to
+    re-forward each id due then, once; there is one wake-up per distinct
+    maturity and re-forward tick, and no oracle message is queued or
     traced as a send or receive."""
     cfg = SimConfig(protocol="3t", n=13, t=4, adversary="silent", messages=4,
                     seed=5, p_drop=0.2)
     world = build_world(cfg)
-    seen = watch_notices(world)
+    calls = watch_reforwards(world)
     pushed = []
     push = world._push
 
@@ -336,16 +351,10 @@ def test_world_hands_one_notice_per_due_engine_per_reforward_tick():
                          for ids in by_p.values()) == correct * 4
     assert len(maturity) < stable  # deliveries share maturity ticks
     for p in world.correct:
-        ticks = sorted(t for t, by_p in due.items() if p in by_p)
-        assert [tick for tick, _ in seen[p]] == ticks, p
-        for tick, batch in seen[p]:
-            assert sorted(str(mid) for mid, _ in batch) == sorted(
-                set().union(*due[tick].values()))
-    notices = {}
-    for p in world.correct:
-        for tick, batch in seen[p]:
-            notices.setdefault(tick, set()).add(id(batch))
-    assert all(len(ids) == 1 for ids in notices.values())
+        asked = sorted((t, str(mid)) for t, q, mid, _, _ in calls if q == p)
+        assert asked == sorted((t, mid) for t, by_p in due.items()
+                               for mid in by_p.get(p, ())), p
+    check_reforwards(world, calls)
     wakeups = [item[0] for item in pushed
                if item[0] in (simnet.EV_ORACLE, simnet.EV_REFORWARD)]
     assert wakeups.count(simnet.EV_ORACLE) == len(maturity)
@@ -365,26 +374,11 @@ def test_reforward_reaches_only_unreported_correct_processes(proto, extra):
         cfg = SimConfig(protocol=proto, n=10, t=3, adversary="crash",
                         messages=3, seed=seed, p_drop=0.3, **extra)
         world = build_world(cfg)
-        seen = watch_notices(world)
-        for eng in engines_of(world):
-            def on_timer(tid, now, _eng=eng, _orig=eng.on_timer):
-                out = _orig(tid, now)
-                if tid[0] == "reforward":
-                    reported = set()
-                    for _, batch in seen[_eng.me]:
-                        for mid, missing in batch:
-                            if mid == tid[1]:
-                                reported |= set(world.correct) - missing
-                    targets = {a.to for a in out if isinstance(a, Send)}
-                    assert _eng.me not in targets
-                    assert not targets & world.faulty, (seed, tid)
-                    assert not targets & reported, (seed, tid)
-                    nonlocal sent
-                    sent += len(targets)
-                return out
-            eng.on_timer = on_timer
+        calls = watch_reforwards(world)
         report = world.run_to_quiescence()
         assert report.quiescent and report.conflicts == 0
+        check_reforwards(world, calls)
+        sent += sum(len(targets) for *_, targets in calls)
     assert sent > 0  # the check above was exercised
 
 
@@ -409,11 +403,10 @@ def test_engine_stability_state_released_after_quiescence(stability):
 
 @pytest.mark.parametrize("hi", [1, 2, 5, 8])
 def test_reforward_fires_after_own_delivery_is_reported(hi):
-    """The re-forward timer (8 * latency_hi) outlasts the oracle's lag
-    (4 * latency_hi), and the oracle hands its notice to every correct
-    engine at the maturity tick, so a live re-forward always knows that
-    its own delivery was reported.  At 50% loss some ids are still
-    missing somewhere when the timer fires, so the check is exercised at
+    """The re-forward (8 * latency_hi after a delivery) outlasts the
+    oracle's lag (4 * latency_hi), so the missing set a correct engine is
+    handed never names the engine itself.  At 50% loss some ids are still
+    missing somewhere at the re-forward tick, so the check is exercised at
     every latency_hi."""
     checked = {0.2: 0, 0.5: 0}
     for p_drop in checked:
@@ -425,19 +418,25 @@ def test_reforward_fires_after_own_delivery_is_reported(hi):
                                 latency_lo=lo, latency_hi=hi,
                                 record_trace=False, **extra)
                 world = build_world(cfg)
-                for eng in engines_of(world):
-                    def on_timer(tid, now, _eng=eng, _orig=eng.on_timer,
-                                 _p=p_drop):
-                        mid = tid[-1]
-                        if tid[0] == "reforward" and \
-                                mid in _eng.delivered_record:
-                            known = _eng.stability.get(mid)
-                            assert known is not None, (proto, lo, tid)
-                            assert _eng.me not in known[1], (proto, lo, tid)
-                            checked[_p] += 1
-                        return _orig(tid, now)
-                    eng.on_timer = on_timer
+                delivered = {}
+                record = world._record_delivery
+
+                def record_delivery(pid, dlv, now, _record=record,
+                                    _seen=delivered):
+                    _seen[(pid, dlv.message.id)] = now
+                    _record(pid, dlv, now)
+                world._record_delivery = record_delivery
+                calls = watch_reforwards(world)
                 assert world.run_to_quiescence().quiescent
+                assert sorted((t, p, mid) for t, p, mid, _, _ in calls) == \
+                    sorted((t + 8 * hi, p, mid) for (p, mid), t
+                           in delivered.items() if p in world.correct)
+                for _, p, mid, missing, targets in calls:
+                    assert missing is not None, (proto, lo, mid)
+                    assert p not in missing and p not in targets
+                    checked[p_drop] += bool(missing)
+                assert all(e.delivered_record == {}
+                           for e in engines_of(world))
     assert checked[0.5] > 0, checked
 
 
