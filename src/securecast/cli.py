@@ -125,10 +125,23 @@ def _sim_config(args, stability: bool = True) -> SimConfig:
                      record_trace=bool(getattr(args, "trace_out", None)))
 
 
+def _check_writable(path: str, fld: str):
+    """Refuse an output path that cannot be opened for writing, before any
+    work is done for it.  Opening for append creates a missing file and
+    leaves an existing one as it is; the command overwrites it later."""
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ConfigError(fld, f"{path}: {exc.strerror}") from exc
+
+
 def cmd_simulate(args) -> int:
     try:
         cfg = _sim_config(args)
         world = build_world(cfg)
+        if args.trace_out:
+            _check_writable(args.trace_out, "trace_out")
     except (ConfigError, InvalidParamsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -240,6 +253,8 @@ def cmd_sweep(args) -> int:
         if args.montecarlo:
             _check_trials(args.trials)
             workers = _worker_cap(args.parallel)
+        if args.out:
+            _check_writable(args.out, "out")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -38,8 +38,9 @@ once: a SimWorld gives one memo to all of its engines and to the
 adversary's shadow engines, and a standalone engine keeps its own.  The
 memo is split by rule, so engines whose rules differ never share a
 verdict.  A receiver that has already delivered the id drops the deliver
-without judging it.  A valid verdict is an immutable _Recorded, and every
-engine that delivers on the deliver records that one object.
+without judging it.  A valid verdict is an immutable _Recorded and a
+Deliver action, built once: every engine that delivers on the deliver
+records that one _Recorded and returns that one Deliver.
 """
 
 from __future__ import annotations
@@ -158,6 +159,11 @@ class _Recorded(NamedTuple):
     sender_sig: Optional[Signature] = None
 
 
+# A valid deliver's verdict: the record every engine that delivers on it
+# stores, and the one Deliver action they all return.
+_Verdict = tuple[_Recorded, Deliver]
+
+
 @dataclass
 class _Pending:
     message: MulticastMessage
@@ -207,13 +213,14 @@ class ProcessEngine:
         self._protos = frozenset((PROTO_TAG[kind], PROTO_3T)
                                  if kind is ProtocolKind.ACT
                                  else (PROTO_TAG[kind],))
-        # id(deliver) -> (deliver, _Recorded(digest) if it meets the rule
-        # else None), shared with every engine given the same verdicts under
-        # this rule; each entry keeps its message alive, so an id is never
-        # reused
-        self._verdicts: dict[int, tuple[WireMessage, Optional[_Recorded]]] = (
+        # id(deliver) -> (deliver, (_Recorded(digest), Deliver) if it meets
+        # the rule else None), shared with every engine given the same
+        # verdicts under this rule; each entry keeps its message alive, so
+        # an id is never reused
+        self._verdicts: dict[int, tuple[WireMessage, Optional[_Verdict]]] = (
             {} if verdicts is None else verdicts.setdefault(
                 (kind, params, witness_seed, kappa, slack_c, keychain), {}))
+        self._keeps_delivered = timeouts.reforward is not None
 
         self.own_seq = 0
         self.delivery: dict[int, int] = {}        # sender -> last delivered seq
@@ -432,25 +439,26 @@ class ProcessEngine:
 
     # -- delivery ---------------------------------------------------------
 
-    def _verdict(self, msg: WireMessage) -> Optional[_Recorded]:
-        """The record of the body's digest if the deliver's acks meet the
-        delivery rule, else None; judged once per deliver object among the
-        engines that share this engine's verdicts, which all get the same
-        record."""
+    def _verdict(self, msg: WireMessage) -> Optional[_Verdict]:
+        """The record of the body's digest and the Deliver action if the
+        deliver's acks meet the delivery rule, else None; judged once per
+        deliver object among the engines that share this engine's verdicts,
+        which all get the same record and the same Deliver."""
         hit = self._verdicts.get(id(msg))
         if hit is not None:
             return hit[1]
-        rec = None
+        verdict = None
         acks = msg.acks
         if acks is not None:
-            mid = msg.body.id
-            d = message_digest(msg.body)
+            m = msg.body
+            mid = m.id
+            d = message_digest(m)
             keychain = self.keychain
             if accepts(self._rules(mid), lambda tag: valid_signers(
                     acks, tag, mid, d, keychain)):
-                rec = _Recorded(d)
-        self._verdicts[id(msg)] = (msg, rec)
-        return rec
+                verdict = (_Recorded(d), Deliver(m, acks, d))
+        self._verdicts[id(msg)] = (msg, verdict)
+        return verdict
 
     def on_deliver(self, src: int, msg: WireMessage, now: int) -> list[Action]:
         m = msg.body
@@ -460,15 +468,15 @@ class ProcessEngine:
         last = self.delivery.get(mid.sender, 0)
         if mid.seq <= last:
             return []  # duplicate, suppressed whatever its acks
-        rec = self._verdict(msg)
-        if rec is None:
+        verdict = self._verdict(msg)
+        if verdict is None:
             return []
         if mid.seq > last + 1:
             slot = self.holdback.setdefault(mid.sender, {})
             if mid.seq not in slot and len(slot) < HOLDBACK_CAP:
                 slot[mid.seq] = msg
             return []
-        actions = self._do_deliver(msg, rec)
+        actions = self._do_deliver(msg, verdict)
         queue = self.holdback.get(mid.sender)
         if queue:
             # held messages were judged valid before they were held
@@ -478,19 +486,21 @@ class ProcessEngine:
                 seq += 1
         return actions
 
-    def _do_deliver(self, msg: WireMessage, rec: _Recorded) -> list[Action]:
-        m = msg.body
-        mid = m.id
+    def _do_deliver(self, msg: WireMessage, verdict: _Verdict
+                    ) -> list[Action]:
+        """Deliver on a valid deliver.  The record and the Deliver are the
+        verdict memo's, one object each for every engine that delivers on
+        this deliver."""
+        rec, dlv = verdict
+        mid = dlv.message.id
         self.delivery[mid.sender] = mid.seq
         # A delivered message counts as received for conflict detection:
-        # no ack or verification is ever signed against it afterwards.  The
-        # record is the verdict memo's, one object for every engine that
-        # delivers on this deliver.
+        # no ack or verification is ever signed against it afterwards.
         if mid not in self.recorded:
             self.recorded[mid] = rec
-        if self.timeouts.reforward is not None:
+        if self._keeps_delivered:
             self.delivered_record[mid] = msg
-        return [Deliver(m, msg.acks, rec.digest)]
+        return [dlv]
 
     # -- alerts and re-forwards -------------------------------------------
 

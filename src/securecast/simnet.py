@@ -23,10 +23,16 @@ keyed way, each built only when the process first samples.  The oracle
 draws nothing.
 
 Events run in (time, insertion) order from a TickQueue: one FIFO bucket
-per tick plus a heap of the distinct ticks, so an event costs a list append
-and a list pop, and the heap sees each tick once.  SimWorld.step dispatches
-exactly one event.  With the trace off no trace line is formatted and
-_log is never entered.
+per tick plus a heap of the distinct ticks, so a queue item costs a list
+append and a list pop, and the heap sees each tick once.  A message item
+names its recipients: a single send is one item for one recipient, and a
+send to many (a deliver's Broadcast) is one item per distinct arrival tick,
+listing that tick's recipients in send order.  The items of one fan-out
+are pushed with nothing in between, so each lands exactly where its
+recipients' own items would, and SimWorld.step, which pops one item and
+dispatches it to each recipient in turn, runs every reception in the same
+order as one item per recipient would.  With the trace off no trace line
+is formatted and _log is never entered.
 
 A lost transmission is retried RETRANSMIT_INTERVAL ticks later.  Alerts
 travel on a separate out-of-band plane with no loss and a hard latency
@@ -105,15 +111,15 @@ _CHAN_FIELDS = u64_fields(3)
 
 
 class TickQueue:
-    """Pending events in (time, insertion) order: one FIFO bucket per tick
+    """Pending items in (time, insertion) order: one FIFO bucket per tick
     and a heap of the distinct ticks.
 
     The bucket of the tick being dispatched is taken out of the dict and
-    reversed, so a pop is a list pop.  An event pushed at that same tick
+    reversed, so a pop is a list pop.  An item pushed at that same tick
     opens a fresh bucket, which is drained after the current one, as
     insertion order requires.  A push never goes before the tick of the
     last pop: a simulation does not schedule into the past.  len() is the
-    number of pending events.
+    number of pending items; a message item may name many recipients.
     """
 
     __slots__ = ("_buckets", "_ticks", "_head", "_head_time", "_size")
@@ -313,6 +319,7 @@ class SimWorld:
         self.params = QuorumParams(cfg.n, cfg.t)
         self.kind = ProtocolKind(cfg.protocol)
         self.timeouts = Timeouts.for_latency(cfg.latency_hi, cfg.stability)
+        self._stability = cfg.stability
         # ticks from a correct delivery to the oracle's report of it
         self.stability_lag = 4 * cfg.latency_hi
 
@@ -413,7 +420,10 @@ class SimWorld:
 
     def _channel_send(self, src: int, dsts, msg: WireMessage, now: int):
         """Send msg from src to each process in dsts, in order, over the
-        lossy FIFO channels.  Each draw is _chan_draw's, inlined."""
+        lossy FIFO channels.  Each draw is _chan_draw's, inlined.  A single
+        destination is pushed as one item naming dsts itself; more are one
+        item per distinct arrival tick, naming that tick's destinations in
+        send order."""
         trace = self.trace
         n = self.config.n
         row = self._chan_rows[src]
@@ -425,6 +435,8 @@ class SimWorld:
         span = self._latency_span
         cut = self._drop_cut
         push = self._push
+        # arrival tick -> its recipients in send order; None for one send
+        groups = None if len(dsts) == 1 else {}
         for dst in dsts:
             if trace is not None:
                 self._log(now, "send", src, dst, msg.proto, msg.role,
@@ -448,7 +460,15 @@ class SimWorld:
             if arrival < last:
                 arrival = last
             row[n + dst] = arrival
-            push(arrival, (EV_MSG, dst, src, msg, "net"))
+            if groups is None:
+                push(arrival, (EV_MSG, dsts, src, msg, "net"))
+            elif (group := groups.get(arrival)) is None:
+                groups[arrival] = [dst]
+            else:
+                group.append(dst)
+        if groups:
+            for arrival, group in groups.items():
+                push(arrival, (EV_MSG, group, src, msg, "net"))
 
     def _fast_send(self, src: int, dst: int, msg: WireMessage, now: int):
         """Send msg on the lossless alert plane: its latency is 1 plus draw
@@ -462,7 +482,7 @@ class SimWorld:
         self._alert_draws[key] = k + 1
         arrival = now + 1 + keyed_seed(self.world_seed, b"alert", src, dst,
                                        k) % ALERT_LATENCY_BOUND
-        self._push(arrival, (EV_MSG, dst, src, msg, "fast"))
+        self._push(arrival, (EV_MSG, (dst,), src, msg, "fast"))
 
     def _apply(self, pid: int, actions: list, now: int):
         for act in actions:
@@ -472,7 +492,7 @@ class SimWorld:
             elif kind is Send:
                 self._channel_send(pid, (act.to,), act.msg, now)
             elif kind is Broadcast:
-                self._channel_send(pid, range(self.config.n), act.msg, now)
+                self._channel_send(pid, self._pids, act.msg, now)
             elif kind is SetTimer:
                 self._set_timer(pid, act.timer_id, act.delay, now)
             elif kind is RaiseAlert:
@@ -513,7 +533,7 @@ class SimWorld:
             if correct and acks:
                 note = self._signers_note(acks, mid, dig)
             self._log(now, "appdlv", pid, None, None, "deliver", mid, dig, note)
-        if self.config.stability:
+        if self._stability:
             if not correct:
                 # a shadow engine's re-forward stays a timer for the adversary
                 self._set_timer(pid, ("reforward", mid),
@@ -559,30 +579,37 @@ class SimWorld:
     # -- dispatch -------------------------------------------------------------
 
     def step(self):
-        """Pop and dispatch exactly one event."""
+        """Pop one queue item and dispatch it: a message item to each of
+        its recipients in order, with one recv line, access count and
+        ProcessEngine.handle (or adversary) call each."""
         time, item = self.queue.pop()
         self.clock = time
         kind = item[0]
 
         if kind == EV_MSG:
-            _, dst, src, msg, plane = item
+            _, dsts, src, msg, plane = item
             role = msg.role
-            if self.trace is not None:
-                self._log(time, "recv", src, dst, msg.proto, role,
-                          msg.subject, msg.digest,
-                          plane if plane != "net" else None)
-            if role == REGULAR or role == INFORM:
-                counts = self.access_counts.get(dst)
-                if counts is None:
-                    counts = self.access_counts[dst] = {}
-                counts[role] = counts.get(role, 0) + 1
-            eng = self.engines[dst]
-            if eng is not None:
-                self._apply(dst, eng.handle(src, msg, time), time)
-            elif self.adversary is not None:
-                actions = self.adversary.act(dst, ("message", src, msg), time)
-                self._drain_adv_log(time)
-                self._apply(dst, actions, time)
+            trace = self.trace
+            counted = role == REGULAR or role == INFORM
+            engines = self.engines
+            for dst in dsts:
+                if trace is not None:
+                    self._log(time, "recv", src, dst, msg.proto, role,
+                              msg.subject, msg.digest,
+                              plane if plane != "net" else None)
+                if counted:
+                    counts = self.access_counts.get(dst)
+                    if counts is None:
+                        counts = self.access_counts[dst] = {}
+                    counts[role] = counts.get(role, 0) + 1
+                eng = engines[dst]
+                if eng is not None:
+                    self._apply(dst, eng.handle(src, msg, time), time)
+                elif self.adversary is not None:
+                    actions = self.adversary.act(dst, ("message", src, msg),
+                                                 time)
+                    self._drain_adv_log(time)
+                    self._apply(dst, actions, time)
 
         elif kind == EV_TIMER:
             _, pid, tid = item

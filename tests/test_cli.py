@@ -347,6 +347,38 @@ def test_trace_check_directory_is_unreadable(capsys, tmp_path):
     assert err.startswith("cannot read trace: ")
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_simulate_unwritable_trace_out_is_a_config_error(capsys, tmp_path,
+                                                          monkeypatch, where):
+    """A --trace-out path that cannot be written is refused before the
+    world runs."""
+    from securecast import simnet
+    ran = []
+    monkeypatch.setattr(simnet.SimWorld, "run_to_quiescence",
+                        lambda world, *a: ran.append(world))
+    path = tmp_path / "absent" / "run.trace" if where == "missing-dir" \
+        else tmp_path
+    code, out, err = run_cli(capsys, "simulate", "--protocol", "e", "--n",
+                             "4", "--t", "1", "--trace-out", str(path))
+    assert code == 1 and out == "" and not ran
+    assert err.startswith(f"config error: trace_out: {path}: ")
+    assert not (tmp_path / "absent").exists()
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_sweep_unwritable_out_is_a_config_error(capsys, tmp_path,
+                                                monkeypatch, where):
+    from securecast import cli
+    monkeypatch.setattr(cli, "bound_report", None)  # the sweep never starts
+    path = tmp_path / "absent" / "rows.csv" if where == "missing-dir" \
+        else tmp_path
+    code, out, err = run_cli(capsys, "sweep", "--grid", "kappa=1..2",
+                             "--n", "31", "--t", "10", "--delta", "3",
+                             "--out", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"config error: out: {path}: ")
+
+
 def test_config_file_flags_override(capsys, tmp_path):
     cfgfile = tmp_path / "run.conf"
     cfgfile.write_text("protocol = 3t\nn = 13\nt = 4\nseed = 5\n# comment\n")

@@ -14,8 +14,9 @@ from securecast import protocols, quorum, simnet
 from securecast.core import keyed_seed
 from securecast.core import PROTO_AV, KeyChain, MessageId, ProtocolKind
 from securecast.protocols import (ALERT_LATENCY_BOUND, DELIVER, INFORM,
-                                  REGULAR, SM_NOTIFY, VERIFY, ProcessEngine,
-                                  Send, Timeouts, WireMessage)
+                                  REGULAR, SM_NOTIFY, VERIFY, Broadcast,
+                                  Deliver, ProcessEngine, Send, Timeouts,
+                                  WireMessage)
 from securecast.quorum import QuorumParams
 from securecast.simnet import (EV_MSG, EV_TIMER, RETRANSMIT_INTERVAL,
                                ConfigError, SimConfig, SimWorld, build_world,
@@ -440,43 +441,46 @@ def test_reforward_fires_after_own_delivery_is_reported(hi):
     assert checked[0.5] > 0, checked
 
 
+def _count_events(world) -> list[int]:
+    """Count the events world.step dispatches from here on: one per
+    recipient of a message item (a fan-out is one item per arrival tick),
+    one per timer, multicast and wake-up.  Returns the one-element
+    counter."""
+    events = [0]
+    step = world.step
+    queue = world.queue
+
+    def counted():
+        _, item = next(iter(queue))  # the item step pops next
+        events[0] += len(item[1]) if item[0] == EV_MSG else 1
+        step()
+    world.step = counted
+    return events
+
+
 def test_default_mode_costs_at_most_3n_events_per_message():
     """Default mode stays O(n) per message, on the benchmark's
     traced-3t-n100 config with the trace off: the events the world
-    dispatches, oracle wake-ups and timers included, are at most 3n per
-    multicast message."""
+    dispatches, receptions counted per recipient and oracle wake-ups and
+    timers included, are at most 3n per multicast message."""
     cfg = SimConfig(protocol="3t", n=100, t=10, adversary="crash",
                     p_drop=0.1, messages=10, seed=4294967296,
                     record_trace=False)
     world = build_world(cfg)
-    events = 0
-    step = world.step
-
-    def counted():
-        nonlocal events
-        events += 1
-        step()
-    world.step = counted
+    events = _count_events(world)
     report = world.run_to_quiescence()
     assert report.quiescent and report.conflicts == 0
     assert report.messages_multicast == 10
-    assert events <= 3 * cfg.n * report.messages_multicast, events
+    assert events[0] <= 3 * cfg.n * report.messages_multicast, events
 
 
 def _events_per_message(cfg):
     world = build_world(cfg)
-    events = 0
-    step = world.step
-
-    def counted():
-        nonlocal events
-        events += 1
-        step()
-    world.step = counted
+    events = _count_events(world)
     report = world.run_to_quiescence()
     assert report.quiescent and report.conflicts == 0
     assert report.messages_multicast == cfg.messages
-    return events / cfg.messages
+    return events[0] / cfg.messages
 
 
 def test_default_mode_costs_within_5_percent_of_stability_off():
@@ -678,9 +682,10 @@ def test_channel_latency_uniform_and_loss_rate_matches_p_drop():
             key = (int(src), int(dst))
             drops[key] = drops.get(key, 0) + 1
     counts = [0] * 6
-    for arrival, (_, dst, src, _, _) in world.queue:
-        latency = arrival - RETRANSMIT_INTERVAL * drops.get((src, dst), 0)
-        counts[latency - cfg.latency_lo] += 1
+    for arrival, (_, dsts, src, _, _) in world.queue:
+        for dst in dsts:
+            latency = arrival - RETRANSMIT_INTERVAL * drops.get((src, dst), 0)
+            counts[latency - cfg.latency_lo] += 1
     assert sum(counts) == cfg.n ** 2
     _, pvalue = stats.chisquare(counts)
     assert pvalue > 0.01, counts
@@ -781,7 +786,8 @@ def test_engines_share_one_record_per_deliver():
         if kind == "recv" and role in (REGULAR, INFORM):
             heard.setdefault(subject, set()).add(int(dst))
     engines = engines_of(world)
-    memo = [rec for _, rec in engines[0]._verdicts.values()]
+    memo = [verdict[0] for _, verdict in engines[0]._verdicts.values()
+            if verdict is not None]
     for mid in report.delivered_digests:
         late = [e for e in engines
                 if e.me != mid.sender and e.me not in heard[str(mid)]]
@@ -800,6 +806,75 @@ def test_engines_share_one_record_per_deliver():
     assert eng.recorded[mid] == (shared.digest, sig)
     assert all(e.recorded[mid] is shared for e in late[1:])
     assert shared.sender_sig is None
+
+
+def test_fan_out_is_one_queue_item_per_arrival_tick():
+    """A Broadcast from a fresh source pushes one queue item per distinct
+    arrival tick, listing its recipients in send order; a single send
+    pushes a 1-tuple.  The recipients dispatch in the order, and at the
+    ticks, of one send per destination."""
+    cfg = SimConfig(protocol="e", n=101, t=1, messages=0, seed=5, p_drop=0.3,
+                    latency_lo=2, latency_hi=7, record_trace=False)
+    msg = WireMessage("E", DELIVER, None)
+    world = build_world(cfg)
+    world._apply(3, [Broadcast(msg)], 0)
+    items = list(world.queue)
+    ticks = [tick for tick, _ in items]
+    assert len(set(ticks)) == len(ticks) > 1
+    row = world._chan_rows[3]
+    sent = []
+    for tick, (kind, dsts, src, m, plane) in items:
+        assert (kind, src, m, plane) == (EV_MSG, 3, msg, "net")
+        assert list(dsts) == sorted(dsts)
+        assert all(row[cfg.n + dst] == tick for dst in dsts)
+        sent += dsts
+    assert sorted(sent) == list(range(cfg.n))
+    single = build_world(cfg)
+    for dst in range(cfg.n):
+        single._apply(3, [Send(dst, msg)], 0)
+    assert all(type(dsts) is tuple and len(dsts) == 1
+               for _, (_, dsts, *_) in single.queue)
+    assert [(tick, dst) for tick, item in single.queue for dst in item[1]] \
+        == [(tick, dst) for tick, item in world.queue for dst in item[1]]
+    single._fast_send(3, 7, msg, 0)
+    assert [item[1:] for _, item in single.queue if item[4] == "fast"] == \
+        [((7,), 3, msg, "fast")]
+
+
+def test_one_deliver_action_per_deliver_and_one_handle_per_recipient(
+        monkeypatch):
+    """Every engine that delivers on one deliver object returns the one
+    Deliver its verdict holds; ProcessEngine.handle still runs once per
+    recipient, in the order of the recv lines to correct processes."""
+    calls = []
+    handle = ProcessEngine.handle
+
+    def counted(eng, src, msg, now):
+        out = handle(eng, src, msg, now)
+        calls.append((now, src, eng.me, out))
+        return out
+    monkeypatch.setattr(ProcessEngine, "handle", counted)
+    world = build_world(SimConfig(protocol="act", n=31, t=10, kappa=3,
+                                  delta=5, adversary="crash", p_drop=0.2,
+                                  messages=4, seed=3))
+    assert world.run_to_quiescence().quiescent
+    recvs = []
+    for line in world.trace:
+        tick, kind, src, dst, _ = line.split(" ", 4)
+        if kind == "recv" and world.engines[int(dst)] is not None:
+            recvs.append((int(tick), int(src), int(dst)))
+    # the adversary's shadow engines are ProcessEngines too
+    assert [(now, src, me) for now, src, me, _ in calls
+            if me not in world.faulty] == recvs
+    # a deliver object's acks tuple is its own, so it names the deliver
+    by_acks: dict[int, list] = {}
+    for _, _, me, out in calls:
+        for act in out:
+            if type(act) is Deliver:
+                by_acks.setdefault(id(act.acks), []).append(act)
+    assert max(map(len, by_acks.values())) >= len(world.correct) - 1
+    for got in by_acks.values():
+        assert all(act is got[0] for act in got)
 
 
 def test_delivered_pids_are_the_worlds_n_int_objects():
