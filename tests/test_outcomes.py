@@ -1,9 +1,10 @@
 """Pinned run outcomes: what a world decides, independent of how its events
 are scheduled within a tick.
 
-Each entry of data/outcomes.json is one stability-on world at n=13, t=4,
-p_drop=0.2, for E, 3T and ACT under no adversary and every strategy that
-applies, seeds 0-14.  It holds the report's quiescent flag, conflict and
+Each entry of data/outcomes.json is one world at n=13, t=4, p_drop=0.2,
+for E, 3T and ACT under no adversary and every strategy that applies,
+seeds 0-14, once with the stability oracle on and once with it off (keys
+ending in /off), the mode of every Monte Carlo run.  It holds the report's quiescent flag, conflict and
 alert counts, final tick, per-process delivery counts, and a hash of its
 delivered digests.  Regenerate with `PYTHONPATH=src python3
 tests/test_outcomes.py` only for a deliberate change to what a run decides,
@@ -33,14 +34,14 @@ def _shapes():
             yield proto, adversary
 
 
-def _config(proto, adversary, seed):
+def _config(proto, adversary, seed, stability):
     return SimConfig(protocol=proto, n=13, t=4, adversary=adversary,
-                     messages=4, seed=seed, p_drop=0.2, record_trace=False,
-                     **(_ACT if proto == "act" else {}))
+                     messages=4, seed=seed, p_drop=0.2, stability=stability,
+                     record_trace=False, **(_ACT if proto == "act" else {}))
 
 
-def outcome(proto, adversary, seed):
-    report = run_world(_config(proto, adversary, seed))
+def outcome(proto, adversary, seed, stability=True):
+    report = run_world(_config(proto, adversary, seed, stability))
     digests = sorted(
         (str(mid), sorted((dig.hex(), sorted(pids))
                           for dig, pids in slots.items()))
@@ -50,13 +51,13 @@ def outcome(proto, adversary, seed):
             hashlib.sha256(json.dumps(digests).encode()).hexdigest()[:16]]
 
 
-def _key(proto, adversary, seed):
-    return f"{proto}/{adversary}/{seed}"
+def _key(proto, adversary, seed, stability=True):
+    return f"{proto}/{adversary}/{seed}" + ("" if stability else "/off")
 
 
 def all_outcomes():
-    return {_key(p, a, s): outcome(p, a, s)
-            for p, a in _shapes() for s in SEEDS}
+    return {_key(p, a, s, on): outcome(p, a, s, on)
+            for p, a in _shapes() for s in SEEDS for on in (True, False)}
 
 
 @pytest.mark.parametrize("proto, adversary", list(_shapes()))
@@ -67,15 +68,28 @@ def test_outcomes_match_the_pinned_fingerprint(proto, adversary):
         assert outcome(proto, adversary, seed) == pinned[key], key
 
 
-def test_fingerprint_covers_alerts_and_conflicts():
-    """The pinned set is not vacuous: some worlds alert, some attacked
-    worlds end in a conflict, and every world quiesces."""
+@pytest.mark.parametrize("proto, adversary", list(_shapes()))
+def test_stability_off_outcomes_match_the_pinned_fingerprint(proto,
+                                                             adversary):
     pinned = json.loads(DATA.read_text())
-    assert len(pinned) == 17 * len(SEEDS)
+    for seed in SEEDS:
+        key = _key(proto, adversary, seed, stability=False)
+        assert outcome(proto, adversary, seed, False) == pinned[key], key
+
+
+def test_fingerprint_covers_alerts_and_conflicts():
+    """The pinned set is not vacuous: in both stability modes some worlds
+    alert, some attacked worlds end in a conflict, and every world
+    quiesces."""
+    pinned = json.loads(DATA.read_text())
+    assert len(pinned) == 2 * 17 * len(SEEDS)
     assert all(v[0] for v in pinned.values())
-    assert sum(v[2] > 0 for v in pinned.values()) > 0
-    assert any(v[1] for k, v in pinned.items()
-               if k.split("/")[1] in ATTACK_STRATEGIES)
+    for off in (False, True):
+        mode = {k: v for k, v in pinned.items() if k.endswith("/off") == off}
+        assert len(mode) == 17 * len(SEEDS)
+        assert sum(v[2] > 0 for v in mode.values()) > 0
+        assert any(v[1] for k, v in mode.items()
+                   if k.split("/")[1] in ATTACK_STRATEGIES)
 
 
 if __name__ == "__main__":
