@@ -212,6 +212,7 @@ class Adversary:
         alternating which one goes first per destination."""
         ctx = self.ctx
         a, b = self._two_messages(mid, payload)
+        recovery = []
 
         if ctx.kind is ProtocolKind.E:
             targets = range(ctx.n)
@@ -229,30 +230,24 @@ class Adversary:
         else:
             a.sender_sig = self._sign_sender(pid, mid, a.digest)
             b.sender_sig = self._sign_sender(pid, mid, b.digest)
-            wa = sorted(ctx.w_active(mid))
+            targets = sorted(ctx.w_active(mid))
             ra = WireMessage(PROTO_AV, REGULAR, mid, digest=a.digest,
                              sender_sig=a.sender_sig)
             rb = WireMessage(PROTO_AV, REGULAR, mid, digest=b.digest,
                              sender_sig=b.sender_sig)
             ta = WireMessage(PROTO_3T, REGULAR, mid, digest=a.digest)
             tb = WireMessage(PROTO_3T, REGULAR, mid, digest=b.digest)
-            out = []
-            for i, dst in enumerate(wa):
-                first, second = (ra, rb) if i % 2 == 0 else (rb, ra)
-                out += [Send(dst, first), Send(dst, second)]
             # Concurrent recovery attempt, one side per half of the range,
             # racing the delayed acknowledgments against the alerts.
-            for i, dst in enumerate(sorted(ctx.w3t(mid))):
-                out.append(Send(dst, ta if i % 2 == 0 else tb))
-            self.attacks[mid] = _Attack(a, b)
-            return out
+            recovery = [Send((dst,), ta if i % 2 == 0 else tb)
+                        for i, dst in enumerate(sorted(ctx.w3t(mid)))]
 
         out = []
         for i, dst in enumerate(targets):
             first, second = (ra, rb) if i % 2 == 0 else (rb, ra)
-            out += [Send(dst, first), Send(dst, second)]
+            out += [Send((dst,), first), Send((dst,), second)]
         self.attacks[mid] = _Attack(a, b)
-        return out
+        return out + recovery
 
     def _fabricate_case1(self, pid: int, mid: MessageId,
                          payload: bytes) -> list:
@@ -270,10 +265,8 @@ class Adversary:
                          body=a.message, acks=tuple(a.acks))
         db = WireMessage(PROTO_AV, DELIVER, mid, digest=b.digest,
                          body=b.message, acks=tuple(b.acks))
-        out = []
-        for dst in range(self.ctx.n):
-            out.append(Send(dst, da if dst % 2 == 0 else db))
-        return out
+        return [Send((dst,), da if dst % 2 == 0 else db)
+                for dst in range(self.ctx.n)]
 
     def _collusive_multicast(self, pid: int, mid: MessageId,
                              payload: bytes) -> list:
@@ -297,9 +290,9 @@ class Adversary:
         a.targets = wa
         a.acks = [self._ack(PROTO_AV, w, mid, a.digest, a.sender_sig)
                   for w in sorted(wa & ctx.faulty)]
-        out = [Send(dst, WireMessage(PROTO_AV, REGULAR, mid, digest=a.digest,
-                                     sender_sig=a.sender_sig))
-               for dst in sorted(wa)]
+        out = [Send(sorted(wa), WireMessage(PROTO_AV, REGULAR, mid,
+                                            digest=a.digest,
+                                            sender_sig=a.sender_sig))]
 
         pool = w3 - wa
         if len(pool) >= need:
@@ -309,8 +302,10 @@ class Adversary:
             b.targets = s
             b.acks = [self._ack(PROTO_3T, w, mid, b.digest)
                       for w in sorted(s & ctx.faulty)]
-            rb = WireMessage(PROTO_3T, REGULAR, mid, digest=b.digest)
-            out += [Send(dst, rb) for dst in sorted(s - ctx.faulty)]
+            correct = sorted(s - ctx.faulty)
+            if correct:
+                out.append(Send(correct, WireMessage(PROTO_3T, REGULAR, mid,
+                                                     digest=b.digest)))
             self.attacks[mid] = _Attack(a, b)
         else:
             self.attacks[mid] = _Attack(a, None)
@@ -337,11 +332,11 @@ class Adversary:
             proto = msg.proto
             ack = self._ack(proto, pid, msg.subject, msg.digest,
                             msg.sender_sig if proto == PROTO_AV else None)
-            return [Send(src, WireMessage(proto, ACK, msg.subject,
-                                          digest=msg.digest, ack=ack))]
+            return [Send((src,), WireMessage(proto, ACK, msg.subject,
+                                             digest=msg.digest, ack=ack))]
         if msg.role == INFORM and msg.digest is not None:
-            return [Send(src, WireMessage(PROTO_AV, VERIFY, msg.subject,
-                                          digest=msg.digest))]
+            return [Send((src,), WireMessage(PROTO_AV, VERIFY, msg.subject,
+                                             digest=msg.digest))]
         return []
 
     def _collect(self, ack: Ack) -> list:
@@ -371,12 +366,9 @@ class Adversary:
         msg = WireMessage(PROTO_TAG[self.ctx.kind], DELIVER, mid,
                           digest=side.digest, body=side.message,
                           acks=tuple(side.acks))
-        atk = self.attacks[mid]
-        both = atk.b is not None
-        out = []
-        for dst in range(self.ctx.n):
-            if both and (dst % 2 == 0) != even:
-                continue
-            out.append(Send(dst, msg))
-        return out
+        n = self.ctx.n
+        if self.attacks[mid].b is None:
+            return [Send(range(n), msg)]
+        # two sides: each delivers to its own half, even or odd pids
+        return [Send(range(0 if even else 1, n, 2), msg)]
 

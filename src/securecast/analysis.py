@@ -163,6 +163,8 @@ def p_kappa_c(params: AnalysisParams) -> PKappaC:
     exact = float(acc)
     if c == 0:
         bound = (1 / 3) ** k
+    elif k == n:
+        bound = math.inf    # the closed form's limit as kappa reaches n
     else:
         bound = (k * n / (c * (n - k))) ** c * (1 / 3) ** (k - c)
     assert exact <= bound + 1e-12, (exact, bound, params)

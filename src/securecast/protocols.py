@@ -3,9 +3,11 @@
 A ProcessEngine owns one process's protocol state.  Every handler consumes
 a single input (a wire message, a timer, or a local multicast request) and
 returns the list of actions it wants performed: sends, application-level
-deliveries, timer requests, and alerts.  All nondeterminism comes from the
-engine's own keyed RNG stream, built on first use, so a run is a pure
-function of configuration and seeds.
+deliveries, timer requests, and alerts.  A Send names its destinations in
+send order, so a fan-out (a multicast's regular, a widening, a probe's
+informs, a deliver, a re-forward) is one Send, and no Send names none.
+All nondeterminism comes from the engine's own keyed RNG stream, built on
+first use, so a run is a pure function of configuration and seeds.
 
 Protocol summary:
 
@@ -30,7 +32,7 @@ missing the id, and the engine sends to them and forgets the id; an empty
 set (stable everywhere) only forgets it.  Without the oracle nothing
 re-forwards and nothing is kept.
 
-Every process checks a broadcast deliver's ack set against the delivery
+Every process checks a deliver's ack set against the delivery
 rule before it delivers.  The verdict is a pure function of the message,
 its acks and the rule (protocol kind, n, t, witness seed, kappa, slack and
 key chain), so engines that share a verdict memo judge each deliver object
@@ -48,7 +50,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Collection, NamedTuple, Optional, Union
+from typing import Collection, NamedTuple, Optional, Sequence, Union
 
 from .core import (PROTO_3T, PROTO_AV, PROTO_E, PROTO_TAG, Ack, KeyChain,
                    MessageId, MulticastMessage, ProtocolKind, Signature,
@@ -99,11 +101,7 @@ class WireMessage:
 # equal tuples across action types.
 
 class Send(NamedTuple):
-    to: int
-    msg: WireMessage
-
-
-class Broadcast(NamedTuple):
+    to: Sequence[int]           # the destinations in send order, never empty
     msg: WireMessage
 
 
@@ -122,7 +120,7 @@ class RaiseAlert(NamedTuple):
     evidence: EvidencePair
 
 
-Action = Union[Send, Broadcast, Deliver, SetTimer, RaiseAlert]
+Action = Union[Send, Deliver, SetTimer, RaiseAlert]
 
 
 # Hard latency bound of the out-of-band alert plane, in ticks.
@@ -253,8 +251,8 @@ class ProcessEngine:
     def _ack_to(self, proto: str, dst: int, mid: MessageId, dig: bytes,
                 sender_sig: Optional[Signature] = None) -> Send:
         ack = build_ack(self.keychain, proto, self.me, mid, dig, sender_sig)
-        return Send(dst, WireMessage(proto, ACK, mid, digest=dig, ack=ack,
-                                     sender_sig=sender_sig))
+        return Send((dst,), WireMessage(proto, ACK, mid, digest=dig, ack=ack,
+                                        sender_sig=sender_sig))
 
     def _record_or_conflict(self, mid: MessageId, dig: bytes,
                             sender_sig: Optional[Signature]):
@@ -286,32 +284,28 @@ class ProcessEngine:
         m = MulticastMessage(mid, payload)
         dig = message_digest(m)
         rule = next(self._rules(mid))
-        actions: list[Action] = []
 
         if self.kind is ProtocolKind.E:
             self.recorded.setdefault(mid, _Recorded(dig))
             self.pending[mid] = _Pending(m, dig, "e", rule)
             msg = WireMessage(PROTO_E, REGULAR, mid, digest=dig)
-            actions += [Send(p, msg) for p in range(self.params.n)]
+            return [Send(range(self.params.n), msg)]
 
-        elif self.kind is ProtocolKind.THREE_T:
+        if self.kind is ProtocolKind.THREE_T:
             self.recorded.setdefault(mid, _Recorded(dig))
             first = frozenset(sample_witness_subset(
                 self.rng, rule.members, rule.count))
             self.pending[mid] = _Pending(m, dig, "3t", rule, contacted=first)
             msg = WireMessage(PROTO_3T, REGULAR, mid, digest=dig)
-            actions += [Send(p, msg) for p in sorted(first)]
-            actions.append(SetTimer(("expand", mid), self.timeouts.t3_expand))
+            return [Send(sorted(first), msg),
+                    SetTimer(("expand", mid), self.timeouts.t3_expand)]
 
-        else:
-            sig = self.keychain.sign(self.me, sender_sig_data(mid, dig))
-            self.recorded.setdefault(mid, _Recorded(dig, sig))
-            self.pending[mid] = _Pending(m, dig, "active", rule, sender_sig=sig)
-            msg = WireMessage(PROTO_AV, REGULAR, mid, digest=dig, sender_sig=sig)
-            actions += [Send(p, msg) for p in sorted(rule.members)]
-            actions.append(SetTimer(("recovery", mid), self.timeouts.act_active))
-
-        return actions
+        sig = self.keychain.sign(self.me, sender_sig_data(mid, dig))
+        self.recorded.setdefault(mid, _Recorded(dig, sig))
+        self.pending[mid] = _Pending(m, dig, "active", rule, sender_sig=sig)
+        msg = WireMessage(PROTO_AV, REGULAR, mid, digest=dig, sender_sig=sig)
+        return [Send(sorted(rule.members), msg),
+                SetTimer(("recovery", mid), self.timeouts.act_active)]
 
     # -- receiving --------------------------------------------------------
 
@@ -373,7 +367,7 @@ class ProcessEngine:
         self.probes[mid] = _Probe(msg.digest, msg.sender_sig, targets)
         inform = WireMessage(PROTO_AV, INFORM, mid, digest=msg.digest,
                              sender_sig=msg.sender_sig)
-        return [Send(p, inform) for p in sorted(targets)] + actions
+        return [Send(sorted(targets), inform)]
 
     def on_inform(self, src: int, msg: WireMessage, now: int) -> list[Action]:
         if self.kind is not ProtocolKind.ACT or msg.proto != PROTO_AV:
@@ -388,7 +382,7 @@ class ProcessEngine:
         if not ok:
             return actions
         verify = WireMessage(PROTO_AV, VERIFY, mid, digest=msg.digest)
-        return [Send(src, verify)]
+        return [Send((src,), verify)]
 
     def on_verify(self, src: int, msg: WireMessage, now: int) -> list[Action]:
         if self.kind is not ProtocolKind.ACT:
@@ -435,7 +429,7 @@ class ProcessEngine:
         acks = tuple(pend.acks[s] for s in sorted(pend.acks))
         deliver = WireMessage(PROTO_TAG[self.kind], DELIVER, mid,
                               digest=pend.digest, body=pend.message, acks=acks)
-        return [Broadcast(deliver)]
+        return [Send(range(self.params.n), deliver)]
 
     # -- delivery ---------------------------------------------------------
 
@@ -532,7 +526,8 @@ class ProcessEngine:
         if msg is None:
             return []
         targets = range(self.params.n) if missing is None else sorted(missing)
-        return [Send(p, msg) for p in targets if p != self.me]
+        to = [p for p in targets if p != self.me]
+        return [Send(to, msg)] if to else []
 
     # -- timers -----------------------------------------------------------
 
@@ -560,7 +555,7 @@ class ProcessEngine:
         pend.rule = next(self._rules(mid, ProtocolKind.THREE_T))
         pend.contacted = pend.rule.members
         msg = WireMessage(PROTO_3T, REGULAR, mid, digest=pend.digest)
-        return [Send(p, msg) for p in sorted(pend.contacted)]
+        return [Send(sorted(pend.contacted), msg)]
 
     def _on_expand(self, mid: MessageId) -> list[Action]:
         pend = self.pending.get(mid)
@@ -571,7 +566,7 @@ class ProcessEngine:
             return []
         pend.contacted = pend.rule.members
         msg = WireMessage(PROTO_3T, REGULAR, mid, digest=pend.digest)
-        return [Send(p, msg) for p in sorted(rest)]
+        return [Send(sorted(rest), msg)]
 
     def _on_delayed_ack(self, mid: MessageId, dig: bytes, dst: int) -> list[Action]:
         if mid.sender in self.known_faulty or mid in self.conflicted:

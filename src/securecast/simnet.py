@@ -24,15 +24,15 @@ draws nothing.
 
 Events run in (time, insertion) order from a TickQueue: one FIFO bucket
 per tick plus a heap of the distinct ticks, so a queue item costs a list
-append and a list pop, and the heap sees each tick once.  A message item
-names its recipients: a single send is one item for one recipient, and a
-send to many (a deliver's Broadcast) is one item per distinct arrival tick,
-listing that tick's recipients in send order.  The items of one fan-out
-are pushed with nothing in between, so each lands exactly where its
-recipients' own items would, and SimWorld.step, which pops one item and
-dispatches it to each recipient in turn, runs every reception in the same
-order as one item per recipient would.  With the trace off no trace line
-is formatted and _log is never entered.
+append and a list pop, and the heap sees each tick once.  A Send names its
+destinations, and on either plane it is pushed as one message item per
+distinct arrival tick, listing that tick's recipients in send order.  The
+items of one send are pushed with nothing in between, each at least a tick
+ahead, so each lands exactly where its recipients' own items would, and
+SimWorld.step, which pops one item and dispatches it to each recipient in
+turn, runs every reception in the same order as one item per recipient
+would.  With the trace off no trace line is formatted and _log is never
+entered.
 
 A lost transmission is retried RETRANSMIT_INTERVAL ticks later.  Alerts
 travel on a separate out-of-band plane with no loss and a hard latency
@@ -41,26 +41,25 @@ latency_hi (Timeouts.for_latency), the recovery ack delay among them, so it
 always exceeds that bound: the race the ACT protocol relies on.
 
 The stability mechanism is a trusted oracle that knows the correct set.
-A correct process's delivery matures 4 * latency_hi ticks after it
-happens; deliveries maturing at the same tick are batched, and only the
-first of a batch schedules a wake-up.  Per message id the oracle keeps the
-correct processes whose delivery has not yet matured, and forgets the id
-once that set is empty.  At a wake-up it writes one "stable" trace record
-per matured delivery and hands nothing to the engines.
+The correct deliveries of one tick form one batch, and the first of them
+schedules the batch's two wake-ups.  The batch matures 4 * latency_hi
+ticks later: the oracle writes one "stable" trace record per delivery and
+hands nothing to the engines.  Per message id it keeps the correct
+processes whose delivery has not yet matured, and forgets the id once
+that set is empty.
 
-The oracle is consulted where it is needed: at the re-forward tick,
-Timeouts.reforward (8 * latency_hi) after each correct delivery.  Those
-checks are batched per tick the same way, one wake-up per distinct tick.
-At a wake-up the world calls ProcessEngine.reforward(id, missing) of each
-due deliverer, missing being the correct processes the oracle still has
-missing the id (empty: stable everywhere, which only releases the id).
-The due wake-up of a tick is pushed 4 * latency_hi ticks before that
-tick's maturity wake-up, so it runs first: the set an engine sees is the
-newest the oracle had reported.  A re-forward with a non-empty set writes
-one timer_fire line; an id stable everywhere costs no event, no send and
-no trace line.  A faulty process's delivery is not reported; its
-re-forward stays a timer that the adversary handles.  Only real
-deliveries are ever reported.
+The oracle is consulted where it is needed: at the batch's re-forward
+tick, Timeouts.reforward (8 * latency_hi) after its deliveries.  Then the
+world calls ProcessEngine.reforward(id, missing) of each deliverer,
+missing being the correct processes the oracle still has missing the id
+(empty: stable everywhere, which only releases the id), and drops the
+batch.  A re-forward wake-up is pushed 4 * latency_hi ticks before the
+maturity wake-up of the same tick, so it runs first: the set an engine
+sees is the newest the oracle had reported.  A re-forward with a
+non-empty set writes one timer_fire line; an id stable everywhere costs no
+event, no send and no trace line.  A faulty process's delivery is not
+reported; its re-forward stays a timer that the adversary handles.  Only
+real deliveries are ever reported.
 """
 
 from __future__ import annotations
@@ -82,8 +81,8 @@ from .core import (PROTO_TAG, KeyChain, MessageId, ProtocolKind, _enc, _u64,
 # benchmark tracer (bench/tracer.py) patches message_digest in this module.
 from .core import message_digest  # noqa: F401
 from .protocols import (ALERT, ALERT_LATENCY_BOUND, INFORM, REGULAR,
-                        SM_NOTIFY, Broadcast, Deliver, ProcessEngine,
-                        RaiseAlert, Send, SetTimer, Timeouts, WireMessage)
+                        SM_NOTIFY, Deliver, ProcessEngine, RaiseAlert, Send,
+                        SetTimer, Timeouts, WireMessage)
 from .quorum import InvalidParamsError, QuorumParams, check_act_params
 
 EV_MSG = 0
@@ -302,7 +301,7 @@ class SimWorld:
                                else cfg.derived_seed(b"adversary"))
         self.world_seed = cfg.derived_seed(b"world")
         # the world's process ids: every pid it records a delivery under is
-        # one of these n objects, whichever fan-out produced the delivery
+        # one of these n objects, whichever send produced the delivery
         self._pids = tuple(range(cfg.n))
         secret = hashlib.sha256(_enc(b"secret", _u64(self.world_seed))).digest()
 
@@ -358,13 +357,12 @@ class SimWorld:
         self.alerts_raised = 0
         self.access_counts: dict[int, dict[str, int]] = {}
         self.messages_multicast = 0
-        # maturity tick -> the (deliverer, id) pairs the oracle reports then
-        self._maturing: dict[int, list[tuple[int, MessageId]]] = {}
+        # delivery tick -> the (deliverer, id) pairs of its correct
+        # deliveries: read at their maturity, dropped at their re-forward
+        self._delivered: dict[int, list[tuple[int, MessageId]]] = {}
         # id -> correct processes whose delivery has not matured yet;
         # dropped once empty
         self._unstable: dict[MessageId, set[int]] = {}
-        # re-forward tick -> the (deliverer, id) pairs checked then
-        self._due: dict[int, list[tuple[int, MessageId]]] = {}
         self.correct = tuple(p for p in self._pids if p not in self.faulty)
 
         self._schedule_workload()
@@ -418,12 +416,24 @@ class SimWorld:
         return digest64(self._chan_prefix
                         + _CHAN_FIELDS.pack(8, src, 8, dst, 8, k))
 
+    def _push_fan_out(self, src: int, dsts, arrivals: list, msg: WireMessage,
+                      plane: str):
+        """Push one message item per distinct arrival tick, naming that
+        tick's destinations in send order; arrivals[i] is dsts[i]'s tick."""
+        groups: dict[int, list[int]] = {}
+        for dst, arrival in zip(dsts, arrivals):
+            group = groups.get(arrival)
+            if group is None:
+                groups[arrival] = [dst]
+            else:
+                group.append(dst)
+        push = self._push
+        for arrival, group in groups.items():
+            push(arrival, (EV_MSG, group, src, msg, plane))
+
     def _channel_send(self, src: int, dsts, msg: WireMessage, now: int):
         """Send msg from src to each process in dsts, in order, over the
-        lossy FIFO channels.  Each draw is _chan_draw's, inlined.  A single
-        destination is pushed as one item naming dsts itself; more are one
-        item per distinct arrival tick, naming that tick's destinations in
-        send order."""
+        lossy FIFO channels.  Each draw is _chan_draw's, inlined."""
         trace = self.trace
         n = self.config.n
         row = self._chan_rows[src]
@@ -434,9 +444,7 @@ class SimWorld:
         lo = self.config.latency_lo
         span = self._latency_span
         cut = self._drop_cut
-        push = self._push
-        # arrival tick -> its recipients in send order; None for one send
-        groups = None if len(dsts) == 1 else {}
+        arrivals = []
         for dst in dsts:
             if trace is not None:
                 self._log(now, "send", src, dst, msg.proto, msg.role,
@@ -460,29 +468,28 @@ class SimWorld:
             if arrival < last:
                 arrival = last
             row[n + dst] = arrival
-            if groups is None:
-                push(arrival, (EV_MSG, dsts, src, msg, "net"))
-            elif (group := groups.get(arrival)) is None:
-                groups[arrival] = [dst]
-            else:
-                group.append(dst)
-        if groups:
-            for arrival, group in groups.items():
-                push(arrival, (EV_MSG, group, src, msg, "net"))
+            arrivals.append(arrival)
+        self._push_fan_out(src, dsts, arrivals, msg, "net")
 
-    def _fast_send(self, src: int, dst: int, msg: WireMessage, now: int):
-        """Send msg on the lossless alert plane: its latency is 1 plus draw
-        k of alert channel (src, dst), keyed_seed(world_seed, b"alert", src,
-        dst, k), modulo ALERT_LATENCY_BOUND."""
-        if self.trace is not None:
-            self._log(now, "send", src, dst, msg.proto, msg.role, msg.subject,
-                      msg.digest, "fast")
-        key = src * self.config.n + dst
-        k = self._alert_draws.get(key, 0)
-        self._alert_draws[key] = k + 1
-        arrival = now + 1 + keyed_seed(self.world_seed, b"alert", src, dst,
-                                       k) % ALERT_LATENCY_BOUND
-        self._push(arrival, (EV_MSG, (dst,), src, msg, "fast"))
+    def _fast_send(self, src: int, dsts, msg: WireMessage, now: int):
+        """Send msg from src to each process in dsts, in order, on the
+        lossless alert plane: the latency to dst is 1 plus draw k of alert
+        channel (src, dst), keyed_seed(world_seed, b"alert", src, dst, k),
+        modulo ALERT_LATENCY_BOUND."""
+        trace = self.trace
+        n = self.config.n
+        draws = self._alert_draws
+        arrivals = []
+        for dst in dsts:
+            if trace is not None:
+                self._log(now, "send", src, dst, msg.proto, msg.role,
+                          msg.subject, msg.digest, "fast")
+            key = src * n + dst
+            k = draws.get(key, 0)
+            draws[key] = k + 1
+            arrivals.append(now + 1 + keyed_seed(
+                self.world_seed, b"alert", src, dst, k) % ALERT_LATENCY_BOUND)
+        self._push_fan_out(src, dsts, arrivals, msg, "fast")
 
     def _apply(self, pid: int, actions: list, now: int):
         for act in actions:
@@ -490,9 +497,7 @@ class SimWorld:
             if kind is Deliver:
                 self._record_delivery(pid, act, now)
             elif kind is Send:
-                self._channel_send(pid, (act.to,), act.msg, now)
-            elif kind is Broadcast:
-                self._channel_send(pid, self._pids, act.msg, now)
+                self._channel_send(pid, act.to, act.msg, now)
             elif kind is SetTimer:
                 self._set_timer(pid, act.timer_id, act.delay, now)
             elif kind is RaiseAlert:
@@ -503,9 +508,8 @@ class SimWorld:
                               ev.digest_a, f"accused={ev.subject.sender}")
                 alert = WireMessage(PROTO_TAG[self.kind], ALERT, ev.subject,
                                     evidence=ev)
-                for dst in range(self.config.n):
-                    if dst != pid:
-                        self._fast_send(pid, dst, alert, now)
+                self._fast_send(pid, self._pids[:pid] + self._pids[pid + 1:],
+                                alert, now)
 
     def _set_timer(self, pid: int, tid: tuple, delay: int, now: int):
         if self.trace is not None:
@@ -539,17 +543,13 @@ class SimWorld:
                 self._set_timer(pid, ("reforward", mid),
                                 self.timeouts.reforward, now)
                 return
-            # one wake-up per distinct tick; the tick is the key of its batch
-            tick = now + self.stability_lag
-            batch = self._maturing.get(tick)
+            batch = self._delivered.get(now)
             if batch is None:
-                batch = self._maturing[tick] = []
+                # the tick's first delivery: its maturity, then its re-forward
+                batch = self._delivered[now] = []
+                tick = now + self.stability_lag
                 self._push(tick, (EV_ORACLE, None, tick))
-            batch.append((pid, mid))
-            tick = now + self.timeouts.reforward
-            batch = self._due.get(tick)
-            if batch is None:
-                batch = self._due[tick] = []
+                tick = now + self.timeouts.reforward
                 self._push(tick, (EV_REFORWARD, None, tick))
             batch.append((pid, mid))
 
@@ -664,7 +664,7 @@ class SimWorld:
         _, _, tick = item
         unstable = self._unstable
         trace = self.trace
-        for deliverer, mid in self._maturing.pop(tick):
+        for deliverer, mid in self._delivered[tick - self.stability_lag]:
             if trace is not None:
                 self._log(tick, "stable", deliverer, None,
                           PROTO_TAG[self.kind], SM_NOTIFY, mid, None, None)
@@ -685,7 +685,7 @@ class SimWorld:
         _, _, tick = item
         unstable = self._unstable
         engines = self.engines
-        for pid, mid in self._due.pop(tick):
+        for pid, mid in self._delivered.pop(tick - self.timeouts.reforward):
             missing = unstable.get(mid, ())
             if missing and self.trace is not None:
                 self._log(tick, "timer_fire", pid, None, None, "reforward",

@@ -144,6 +144,14 @@ def test_p_kappa_c_matches_enumeration_grid():
                 assert r.exact == pytest.approx(enumerate_p_kappa_c(n, k, c)), \
                     (n, k, c)
                 assert r.exact <= r.bound + 1e-12
+    # kappa == n: the closed form's limit is +inf once C > 0
+    for n in range(1, 7):
+        for c in range(0, min(2, n) + 1):
+            r = p_kappa_c(AnalysisParams(n, n // 3, n, 0, slack_c=c))
+            assert r.exact == pytest.approx(enumerate_p_kappa_c(n, n, c)), \
+                (n, c)
+            assert r.exact <= r.bound
+            assert (r.bound == math.inf) == (c > 0), (n, c)
 
 
 def test_loads():

@@ -77,6 +77,23 @@ def test_analyze_row(capsys):
     assert cells["load_fail_3t"] == "0.31"
 
 
+def test_analyze_and_sweep_print_an_infinite_bound_at_kappa_equal_n(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--n", "3", "--t", "1",
+                             "--kappa", "3", "--slack-c", "1")
+    assert code == 0 and not err
+    header, row = out.strip().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["p_kappa_c_bound"] == "inf"
+    code, out, err = run_cli(capsys, "sweep", "--grid", "kappa=1..4",
+                             "--n", "4", "--t", "1", "--delta", "1",
+                             "--slack-c", "1")
+    assert code == 0 and not err
+    header, *rows = out.strip().splitlines()
+    bound = header.split(",").index("p_kappa_c_bound")
+    assert [r.split(",")[bound] for r in rows][-1] == "inf"
+    assert len(rows) == 4
+
+
 def test_analyze_epsilon_solver(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--n", "100", "--t", "10",
                            "--epsilon", "0.001")

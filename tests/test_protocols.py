@@ -5,9 +5,9 @@ from securecast.core import (PROTO_3T, PROTO_AV, PROTO_E, KeyChain, MessageId,
                              MulticastMessage, ProtocolKind, build_ack,
                              message_digest, sender_sig_data)
 from securecast.protocols import (ACK, DELIVER, INFORM, REGULAR, VERIFY,
-                                  Broadcast, Deliver, EvidencePair,
-                                  ProcessEngine, RaiseAlert, Send, SetTimer,
-                                  Timeouts, WireMessage)
+                                  Deliver, EvidencePair, ProcessEngine,
+                                  RaiseAlert, Send, SetTimer, Timeouts,
+                                  WireMessage)
 from securecast.quorum import (InvalidParamsError, QuorumParams, w3t,
                                w_active)
 
@@ -23,6 +23,15 @@ def make_engine(me=0, kind=ProtocolKind.E, n=4, t=1, kappa=0, delta=0,
 
 def sends(actions):
     return [a for a in actions if isinstance(a, Send)]
+
+
+def dests(actions):
+    """The destinations of each Send in actions, in send order."""
+    return [list(a.to) for a in sends(actions)]
+
+
+def delivers_sent(actions):
+    return [a for a in sends(actions) if a.msg.role == DELIVER]
 
 
 def timers(actions):
@@ -61,7 +70,7 @@ def test_init_3t_requires_witness_range():
 def test_e_multicast_contacts_everyone():
     eng = make_engine(n=4, t=1)
     actions = eng.wan_multicast(b"m")
-    assert [a.to for a in sends(actions)] == [0, 1, 2, 3]
+    assert dests(actions) == [[0, 1, 2, 3]]
     assert all(a.msg.proto == PROTO_E and a.msg.role == REGULAR
                for a in sends(actions))
 
@@ -71,12 +80,13 @@ def test_3t_multicast_contacts_2t_plus_1_then_expands():
     actions = eng.wan_multicast(b"m")
     mid = MessageId(0, 1)
     members = w3t(mid, eng.params, SEED)
-    first = {a.to for a in sends(actions)}
-    assert len(first) == 21 and first <= members
+    [first] = dests(actions)
+    assert first == sorted(first)
+    assert len(first) == 21 and set(first) <= members
     assert len(timers(actions)) == 1
     # Expansion reaches exactly the remaining members of the range.
     more = eng.on_timer(("expand", mid), now=100)
-    assert {a.to for a in sends(more)} == members - first
+    assert dests(more) == [sorted(members - set(first))]
 
 
 def test_act_multicast_contacts_active_set_with_signature():
@@ -84,7 +94,7 @@ def test_act_multicast_contacts_active_set_with_signature():
     actions = eng.wan_multicast(b"m")
     mid = MessageId(0, 1)
     wa = w_active(mid, 3, eng.params, SEED)
-    assert {a.to for a in sends(actions)} == wa
+    assert dests(actions) == [sorted(wa)]
     assert all(a.msg.sender_sig is not None for a in sends(actions))
     assert timers(actions) == [SetTimer(("recovery", mid),
                                         eng.timeouts.act_active)]
@@ -102,7 +112,7 @@ def test_first_regular_gets_signed_ack():
     assert len(sends(out)) == 1
     ack_msg = sends(out)[0].msg
     assert ack_msg.role == ACK and ack_msg.ack.signer == 2
-    assert sends(out)[0].to == 1
+    assert dests(out) == [[1]]
 
 
 def test_conflicting_regular_gets_no_ack():
@@ -142,10 +152,10 @@ def test_act_regular_probes_delta_peers():
                           delta=5, keychain=kc)
     mid, dig, reg, _ = regular_for(witness, sender)
     out = witness.handle(1, reg, now=1)
-    informs = [a for a in sends(out) if a.msg.role == INFORM]
-    assert len(informs) == 5
+    [informs] = [list(a.to) for a in sends(out) if a.msg.role == INFORM]
+    assert len(set(informs)) == 5 and informs == sorted(informs)
     members = w3t(mid, witness.params, SEED)
-    assert all(a.to in members and a.to != 2 for a in informs)
+    assert all(p in members and p != 2 for p in informs)
     # No ack yet: all verifications outstanding.
     assert not any(a.msg.role == ACK for a in sends(out))
 
@@ -172,13 +182,13 @@ def test_verify_threshold_releases_ack():
                           delta=5, keychain=kc)
     mid, dig, reg, _ = regular_for(witness, sender)
     out = witness.handle(1, reg, now=1)
-    targets = [a.to for a in sends(out)]
+    [targets] = dests(out)
     ver = WireMessage(PROTO_AV, VERIFY, mid, digest=dig)
     for i, peer in enumerate(targets[:-1]):
         assert witness.handle(peer, ver, now=2 + i) == []
     final = witness.handle(targets[-1], ver, now=10)
     acks = [a for a in sends(final) if a.msg.role == ACK]
-    assert len(acks) == 1 and acks[0].to == 1
+    assert len(acks) == 1 and list(acks[0].to) == [1]
     assert acks[0].msg.ack.proto == PROTO_AV
     assert acks[0].msg.ack.sender_sig == reg.sender_sig
 
@@ -191,7 +201,7 @@ def test_unsolicited_verify_dropped():
                           delta=5, keychain=kc)
     mid, dig, reg, _ = regular_for(witness, sender)
     out = witness.handle(1, reg, now=1)
-    targets = {a.to for a in sends(out)}
+    [targets] = dests(out)
     outsider = next(p for p in range(31) if p not in targets and p != 2)
     ver = WireMessage(PROTO_AV, VERIFY, mid, digest=dig)
     assert witness.handle(outsider, ver, now=2) == []
@@ -211,7 +221,7 @@ def test_inform_fresh_returns_verify_and_is_idempotent():
     out2 = peer.handle(9, inform, now=2)
     for out in (out1, out2):
         assert len(sends(out)) == 1
-        assert sends(out)[0].msg.role == VERIFY and sends(out)[0].to == 9
+        assert sends(out)[0].msg.role == VERIFY and dests(out) == [[9]]
 
 
 def test_conflicting_inform_with_proof_raises_alert():
@@ -248,9 +258,9 @@ def test_ack_threshold_broadcasts_deliver_e():
         out = sender.handle(signer, msg, now=2)
         if signer < 3:
             assert out == []  # below the quorum of 3
-    bcasts = [a for a in out if isinstance(a, Broadcast)]
-    assert len(bcasts) == 1 and bcasts[0].msg.role == DELIVER
-    assert len(bcasts[0].msg.acks) == 3
+    assert dests(out) == [[0, 1, 2, 3]]
+    assert sends(out)[0].msg.role == DELIVER
+    assert len(sends(out)[0].msg.acks) == 3
 
 
 def test_ack_outside_3t_range_ignored():
@@ -295,7 +305,7 @@ def test_act_ack_threshold_is_whole_active_set():
         ack = build_ack(kc, PROTO_AV, w, mid, pend.digest, pend.sender_sig)
         out = sender.handle(w, WireMessage(PROTO_AV, ACK, mid,
                                            digest=pend.digest, ack=ack), now=1)
-    assert any(isinstance(a, Broadcast) for a in out)
+    assert [list(a.to) for a in delivers_sent(out)] == [list(range(31))]
 
 
 # -- recovery ------------------------------------------------------------------
@@ -314,8 +324,8 @@ def test_recovery_timeout_falls_back_to_3t():
         sender.handle(w, WireMessage(PROTO_AV, ACK, mid, digest=pend.digest,
                                      ack=ack), now=1)
     out = sender.on_timer(("recovery", mid), now=50)
-    targets = {a.to for a in sends(out)}
-    assert targets == w3t(mid, sender.params, SEED)
+    [targets] = dests(out)
+    assert targets == sorted(w3t(mid, sender.params, SEED))
     assert len(targets) == 31
     assert pend.regime == "recovery" and pend.acks == {}
     assert all(a.msg.proto == PROTO_3T for a in sends(out))
@@ -354,7 +364,7 @@ def test_recovery_regime_accepts_3t_acks():
         ack = build_ack(kc, PROTO_3T, w, mid, pend.digest)
         out = sender.handle(w, WireMessage(PROTO_3T, ACK, mid,
                                            digest=pend.digest, ack=ack), now=51)
-    assert any(isinstance(a, Broadcast) for a in out)
+    assert [list(a.to) for a in delivers_sent(out)] == [list(range(31))]
 
 
 def test_delayed_ack_honors_delay_and_conviction():
@@ -458,7 +468,7 @@ def test_deliver_keeps_the_message_for_reforward_and_respects_stability():
     missing = {2, 3}
     out = receiver.reforward(mid, missing)
     assert missing == {2, 3}
-    assert [a.to for a in sends(out)] == [3]
+    assert dests(out) == [[3]]
     assert sends(out)[0].msg.role == DELIVER
     assert sends(out)[0].msg is msg
     assert receiver.delivered_record == {}
@@ -484,7 +494,7 @@ def test_stable_everywhere_reforward_releases_the_id():
     assert set(receiver.delivered_record) == {b}
     # The timer of a released id sends nothing either.
     assert receiver.on_timer(("reforward", a), now=43) == []
-    assert [s.to for s in sends(receiver.reforward(b, {1, 3}))] == [1, 3]
+    assert dests(receiver.reforward(b, {1, 3})) == [[1, 3]]
     assert receiver.delivered_record == {}
 
 
@@ -495,7 +505,7 @@ def test_reforward_without_a_notice_reaches_every_other_process():
     msg = build_valid_deliver(kc, sender)
     receiver.handle(0, msg, now=3)
     out = receiver.on_timer(("reforward", msg.subject), now=43)
-    assert [a.to for a in sends(out)] == [0, 1, 3]
+    assert dests(out) == [[0, 1, 3]]
 
 
 def test_no_delivered_record_without_stability():
@@ -586,7 +596,7 @@ def test_act_slack_accepts_short_active_set():
         ack = build_ack(kc, PROTO_AV, w, mid, pend.digest, pend.sender_sig)
         out = sender.handle(w, WireMessage(PROTO_AV, ACK, mid,
                                            digest=pend.digest, ack=ack), now=1)
-    bcasts = [a for a in out if isinstance(a, Broadcast)]
+    bcasts = delivers_sent(out)
     assert len(bcasts) == 1
     # A validator with the same slack accepts the short set; without slack
     # it insists on the whole active witness set.
@@ -610,6 +620,63 @@ def test_holdback_capacity_bounded():
         receiver.handle(0, m, now=3)
     # the earliest cap are held, the rest dropped
     assert sorted(receiver.holdback[0]) == list(range(2, cap + 2))
+
+
+# -- fan-outs -----------------------------------------------------------------
+
+
+def test_every_fan_out_is_one_send_in_per_destination_order():
+    """A multicast's regular, a 3T widening, a probe's informs, an ACT
+    recovery, a deliver and a re-forward are each one Send, naming its
+    destinations in the order one Send per destination went out; a
+    re-forward with nobody left to reach sends nothing."""
+    # E: the regular to all n, then the deliver to all n
+    kc = KeyChain(7, b"unit")
+    e = make_engine(me=3, n=7, t=2, keychain=kc)
+    out = e.wan_multicast(b"m")
+    assert out == sends(out) and dests(out) == [list(range(7))]
+    mid = MessageId(3, 1)
+    dig = e.pending[mid].digest
+    for signer in range(e.pending[mid].rule.count):
+        ack = build_ack(kc, PROTO_E, signer, mid, dig)
+        out = e.handle(signer, WireMessage(PROTO_E, ACK, mid, digest=dig,
+                                           ack=ack), now=2)
+    assert out == sends(out) and dests(out) == [list(range(7))]
+    assert out[0].msg.role == DELIVER
+    # 3T: the first 2t+1 of the range, then the rest, each in pid order
+    three_t = make_engine(kind=ProtocolKind.THREE_T, n=31, t=10)
+    out = three_t.wan_multicast(b"m")
+    mid = MessageId(0, 1)
+    members = w3t(mid, three_t.params, SEED)
+    first = sorted(three_t.pending[mid].contacted)
+    assert dests(out) == [first] and len(first) == 21
+    assert dests(three_t.on_timer(("expand", mid), now=20)) == \
+        [sorted(members - set(first))]
+    # ACT: the kappa regulars, a witness's delta informs, the 3t+1
+    # recovery regulars
+    kc = KeyChain(31, b"unit")
+    act = dict(kind=ProtocolKind.ACT, n=31, t=10, kappa=3, delta=5,
+               keychain=kc)
+    sender, witness = make_engine(me=1, **act), make_engine(me=2, **act)
+    out = sender.wan_multicast(b"m")
+    mid = MessageId(1, 1)
+    assert dests(out) == [sorted(w_active(mid, 3, sender.params, SEED))]
+    out = witness.handle(1, sends(out)[0].msg, now=1)
+    assert out == sends(out) and out[0].msg.role == INFORM
+    assert dests(out) == [sorted(witness.probes[mid].targets)]
+    assert len(out[0].to) == 5
+    out = sender.on_timer(("recovery", mid), now=30)
+    assert out == sends(out)
+    assert dests(out) == [sorted(w3t(mid, sender.params, SEED))]
+    # a re-forward: the sorted missing set minus the re-forwarder
+    sender = make_engine(me=0, n=4, t=1, keychain=KeyChain(4, b"unit"))
+    receiver = make_engine(me=2, n=4, t=1, keychain=sender.keychain)
+    for payload in (b"m1", b"m2", b"m3"):
+        receiver.handle(0, build_valid_deliver(sender.keychain, sender,
+                                               payload), now=3)
+    assert dests(receiver.reforward(MessageId(0, 1), {3, 2, 1})) == [[1, 3]]
+    assert receiver.reforward(MessageId(0, 2), {2}) == []
+    assert receiver.reforward(MessageId(0, 3), ()) == []
 
 
 # -- delivery verdicts ---------------------------------------------------------

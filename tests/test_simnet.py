@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from securecast import protocols, quorum, simnet
+from securecast.adversary import STRATEGIES, Adversary
 from securecast.core import keyed_seed
-from securecast.core import PROTO_AV, KeyChain, MessageId, ProtocolKind
-from securecast.protocols import (ALERT_LATENCY_BOUND, DELIVER, INFORM,
-                                  REGULAR, SM_NOTIFY, VERIFY, Broadcast,
-                                  Deliver, ProcessEngine, Send, Timeouts,
-                                  WireMessage)
+from securecast.core import (PROTO_AV, KeyChain, MessageId, ProtocolKind,
+                             sender_sig_data)
+from securecast.protocols import (ALERT, ALERT_LATENCY_BOUND, DELIVER,
+                                  INFORM, REGULAR, SM_NOTIFY, VERIFY,
+                                  Deliver, EvidencePair, ProcessEngine,
+                                  RaiseAlert, Send, Timeouts, WireMessage)
 from securecast.quorum import QuorumParams
 from securecast.simnet import (EV_MSG, EV_TIMER, RETRANSMIT_INTERVAL,
                                ConfigError, SimConfig, SimWorld, build_world,
@@ -191,7 +193,7 @@ def watch_reforwards(world):
             passed = None if missing is None else frozenset(missing)
             out = _orig(mid, missing)
             calls.append((world.clock, _eng.me, mid, passed,
-                          [a.to for a in out if type(a) is Send]))
+                          [p for a in out if type(a) is Send for p in a.to]))
             return out
         eng.reforward = reforward
     return calls
@@ -809,15 +811,15 @@ def test_engines_share_one_record_per_deliver():
 
 
 def test_fan_out_is_one_queue_item_per_arrival_tick():
-    """A Broadcast from a fresh source pushes one queue item per distinct
-    arrival tick, listing its recipients in send order; a single send
-    pushes a 1-tuple.  The recipients dispatch in the order, and at the
-    ticks, of one send per destination."""
+    """A Send to all n from a fresh source pushes one queue item per
+    distinct arrival tick, listing its recipients in send order; a send to
+    one destination pushes one item for it.  The recipients dispatch in
+    the order, and at the ticks, of one send per destination."""
     cfg = SimConfig(protocol="e", n=101, t=1, messages=0, seed=5, p_drop=0.3,
                     latency_lo=2, latency_hi=7, record_trace=False)
     msg = WireMessage("E", DELIVER, None)
     world = build_world(cfg)
-    world._apply(3, [Broadcast(msg)], 0)
+    world._apply(3, [Send(range(cfg.n), msg)], 0)
     items = list(world.queue)
     ticks = [tick for tick, _ in items]
     assert len(set(ticks)) == len(ticks) > 1
@@ -831,14 +833,97 @@ def test_fan_out_is_one_queue_item_per_arrival_tick():
     assert sorted(sent) == list(range(cfg.n))
     single = build_world(cfg)
     for dst in range(cfg.n):
-        single._apply(3, [Send(dst, msg)], 0)
-    assert all(type(dsts) is tuple and len(dsts) == 1
-               for _, (_, dsts, *_) in single.queue)
+        single._apply(3, [Send((dst,), msg)], 0)
+    assert len(single.queue) == cfg.n
+    assert all(len(dsts) == 1 for _, (_, dsts, *_) in single.queue)
     assert [(tick, dst) for tick, item in single.queue for dst in item[1]] \
         == [(tick, dst) for tick, item in world.queue for dst in item[1]]
-    single._fast_send(3, 7, msg, 0)
+    single._fast_send(3, (7,), msg, 0)
     assert [item[1:] for _, item in single.queue if item[4] == "fast"] == \
-        [((7,), 3, msg, "fast")]
+        [([7], 3, msg, "fast")]
+
+
+def test_one_alert_is_at_most_alert_latency_bound_queue_items():
+    """A RaiseAlert reaches every other process on the alert plane in at
+    most ALERT_LATENCY_BOUND queue items, one per arrival tick, and its
+    recipients dispatch in the (tick, recipient) order of one alert-plane
+    send per destination."""
+    cfg = SimConfig(protocol="act", n=31, t=10, kappa=3, delta=5,
+                    messages=0, seed=5)
+    world = build_world(cfg)
+    mid = MessageId(1, 1)
+    da, db = b"a" * 32, b"b" * 32
+    sign = world.keychain.sign
+    ev = EvidencePair(mid, da, sign(1, sender_sig_data(mid, da)),
+                      db, sign(1, sender_sig_data(mid, db)))
+    world._apply(4, [RaiseAlert(ev)], 10)
+    items = list(world.queue)
+    assert world.alerts_raised == 1
+    assert 1 < len(items) <= ALERT_LATENCY_BOUND
+    [alert] = {id(item[3]): item[3] for _, item in items}.values()
+    assert (alert.role, alert.subject, alert.evidence) == (ALERT, mid, ev)
+    assert all(item[2] == 4 and item[4] == "fast" for _, item in items)
+    single = build_world(cfg)
+    for dst in range(cfg.n):
+        if dst != 4:
+            single._fast_send(4, (dst,), alert, 10)
+    assert len(single.queue) == cfg.n - 1
+    assert [(tick, dst) for tick, item in single.queue for dst in item[1]] \
+        == [(tick, dst) for tick, item in items for dst in item[1]]
+    # one send line per recipient, in send order, as before
+    sends = [line.split(" ")[3] for line in world.trace
+             if line.split(" ")[1] == "send"]
+    assert sends == [str(d) for d in range(cfg.n) if d != 4]
+
+
+def test_each_handler_sends_each_message_in_one_send(monkeypatch):
+    """Every engine handler returns at most one Send, and every Send names
+    at least one destination.  The adversary sends one message to a set in
+    one Send too; only its two-version interleavings (_equivocate,
+    _fabricate_case1) send per destination."""
+    replies = []
+    for name in ("handle", "on_timer", "wan_multicast", "reforward"):
+        def engine_call(*args, _orig=getattr(ProcessEngine, name)):
+            out = _orig(*args)
+            replies.append((False, out))
+            return out
+        monkeypatch.setattr(ProcessEngine, name, engine_call)
+    interleaved = []
+    for name in ("_equivocate", "_fabricate_case1"):
+        def interleave(*args, _orig=getattr(Adversary, name)):
+            out = _orig(*args)
+            interleaved.append(out)
+            return out
+        monkeypatch.setattr(Adversary, name, interleave)
+    act = Adversary.act
+
+    def adversary_call(*args):
+        out = act(*args)
+        replies.append((True, out))
+        return out
+    monkeypatch.setattr(Adversary, "act", adversary_call)
+    fan_outs = 0
+    for protocol in ("e", "3t", "act"):
+        for adversary in ("none",) + STRATEGIES:
+            if protocol != "act" and adversary in ("regime-split",
+                                                   "seq-burner"):
+                continue
+            for stability in (True, False):
+                replies.clear()
+                cfg = SimConfig(protocol=protocol, n=13, t=4, kappa=2,
+                                delta=3, adversary=adversary, messages=4,
+                                seed=1, p_drop=0.2, stability=stability,
+                                record_trace=False)
+                assert run_world(cfg).quiescent
+                for by_adversary, out in replies:
+                    sent = [a for a in out if type(a) is Send]
+                    assert all(len(a.to) > 0 for a in sent)
+                    fan_outs += sum(len(a.to) > 1 for a in sent)
+                    if not by_adversary:
+                        assert len(sent) <= 1, out
+                    elif not any(out is x for x in interleaved):
+                        assert len({id(a.msg) for a in sent}) == len(sent)
+    assert fan_outs > 0 and interleaved
 
 
 def test_one_deliver_action_per_deliver_and_one_handle_per_recipient(
