@@ -4,9 +4,9 @@ A ProcessEngine owns one process's protocol state.  Every handler consumes
 a single input (a wire message, a timer, or a local multicast request) and
 returns the list of actions it wants performed: sends, application-level
 deliveries, timer requests, and alerts.  A Send names its destinations in
-send order, so a fan-out (a multicast's regular, a widening, a probe's
-informs, a deliver, a re-forward) is one Send, and no Send names none.
-All nondeterminism comes from the engine's own keyed RNG stream, built on
+send order, at least one, so a fan-out (a multicast's regular, a widening,
+a probe's informs, a deliver, a re-forward) is one Send.  All
+nondeterminism comes from the engine's own keyed RNG stream, built on
 first use, so a run is a pure function of configuration and seeds.
 
 Protocol summary:
