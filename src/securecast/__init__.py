@@ -9,7 +9,7 @@ from .quorum import (AckRule, InvalidParamsError, QuorumParams, accepts,
                      ack_rules, check_dissemination_properties,
                      dissemination_quorum_size, w3t, w_active)
 from .protocols import (Deliver, ProcessEngine, RaiseAlert, Send, SetTimer,
-                        Timeouts, WireMessage)
+                        Setting, Timeouts, WireMessage)
 from .adversary import Adversary
 from .simnet import (ConfigError, RunReport, SimConfig, SimWorld, build_world,
                      run_world)

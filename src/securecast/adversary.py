@@ -27,56 +27,29 @@ Strategies:
                   sequence number until it reaches an id whose faulty
                   active witnesses alone meet the delivery rule, then
                   attacks it.
+
+The adversary reads the delivery rule, the witness sets and the keys from
+the world's Setting.  Its shadow engines, the honest part of crash,
+equivocate and seq-burner, are ProcessEngines on that one setting too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import (ADVERSARY, PROTO_3T, PROTO_AV, PROTO_E, PROTO_TAG, Ack,
-                   KeyChain, MessageId, MulticastMessage, ProtocolKind,
-                   build_ack, message_digest, sender_sig_data, valid_signers)
+                   MessageId, MulticastMessage, ProtocolKind, build_ack,
+                   message_digest, sender_sig_data, valid_signers)
 from .protocols import (ACK, DELIVER, INFORM, REGULAR, VERIFY,
-                        ProcessEngine, Send, WireMessage)
-from .quorum import QuorumParams, accepts, ack_rules, w3t, w_active
+                        ProcessEngine, Send, Setting, WireMessage)
+# w3t and w_active are reached through Setting; bound anyway because the
+# benchmark tracer (bench/tracer.py) patches them in every module.
+from .quorum import accepts, w3t, w_active  # noqa: F401
 
 # The strategies that attack agreement; silent and crash only withhold.
 ATTACK_STRATEGIES = ("equivocate", "collusive", "regime-split", "seq-burner")
 STRATEGIES = ("silent", "crash") + ATTACK_STRATEGIES
-
-
-@dataclass
-class AdversaryContext:
-    kind: ProtocolKind
-    params: QuorumParams
-    kappa: int
-    delta: int
-    slack_c: int
-    keychain: KeyChain
-    faulty: frozenset[int]
-    witness_seed: int
-    make_engine: Callable[[int], ProcessEngine]
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-    def w3t(self, mid: MessageId) -> frozenset[int]:
-        return w3t(mid, self.params, self.witness_seed)
-
-    def w_active(self, mid: MessageId) -> frozenset[int]:
-        return w_active(mid, self.kappa, self.params, self.witness_seed)
-
-    def rules(self, mid: MessageId):
-        return ack_rules(self.kind, mid, self.params, self.witness_seed,
-                         self.kappa, self.slack_c)
-
-    def faulty_suffice(self, mid: MessageId) -> bool:
-        """The faulty team alone can sign an ack set that meets the
-        delivery rule for mid (for ACT: W_active ∩ F meets the active
-        count; the 3T alternative needs more than t signers)."""
-        return accepts(self.rules(mid), lambda tag: self.faulty)
 
 
 @dataclass
@@ -101,16 +74,17 @@ class _Attack:
 class Adversary:
     """Strategy dispatcher for all faulty processes in one world."""
 
-    def __init__(self, strategy: str, ctx: AdversaryContext,
-                 crash_after: int = 3):
+    def __init__(self, strategy: str, setting: Setting,
+                 faulty: frozenset[int], crash_after: int = 3):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown adversary strategy {strategy!r}")
         self.strategy = strategy
-        self.ctx = ctx
+        self.setting = setting
+        self.faulty = faulty
         self.crash_after = crash_after
-        self._events_handled: dict[int, int] = {p: 0 for p in ctx.faulty}
+        self._events_handled: dict[int, int] = {p: 0 for p in faulty}
         self._shadows: dict[int, ProcessEngine] = {}
-        self._seq: dict[int, int] = {p: 0 for p in ctx.faulty}
+        self._seq: dict[int, int] = {p: 0 for p in faulty}
         self.attacks: dict[MessageId, _Attack] = {}
         # ids an attack was made on, and every id the faulty senders
         # multicast under an attack strategy: the Monte Carlo trials, since
@@ -125,18 +99,24 @@ class Adversary:
     def _shadow(self, pid: int) -> ProcessEngine:
         eng = self._shadows.get(pid)
         if eng is None:
-            eng = self.ctx.make_engine(pid)
+            eng = ProcessEngine(pid, self.setting)
             self._shadows[pid] = eng
         return eng
 
     def _ack(self, proto: str, signer: int, mid: MessageId, dig: bytes,
              sender_sig=None) -> Ack:
-        return build_ack(self.ctx.keychain, proto, signer, mid, dig,
+        return build_ack(self.setting.keychain, proto, signer, mid, dig,
                          sender_sig, caller=ADVERSARY)
 
     def _sign_sender(self, pid: int, mid: MessageId, dig: bytes):
-        return self.ctx.keychain.sign(pid, sender_sig_data(mid, dig),
-                                      caller=ADVERSARY)
+        return self.setting.keychain.sign(pid, sender_sig_data(mid, dig),
+                                          caller=ADVERSARY)
+
+    def _faulty_suffice(self, mid: MessageId) -> bool:
+        """The faulty team alone can sign an ack set that meets the
+        delivery rule for mid (for ACT: W_active ∩ F meets the active
+        count; the 3T alternative needs more than t signers)."""
+        return accepts(self.setting.rules(mid), lambda tag: self.faulty)
 
     def act(self, pid: int, event: tuple, now: int) -> list:
         """Entry point: one event addressed to faulty process pid."""
@@ -210,27 +190,27 @@ class Adversary:
     def _equivocate(self, pid: int, mid: MessageId, payload: bytes) -> list:
         """Send two conflicting messages to everyone in the relevant range,
         alternating which one goes first per destination."""
-        ctx = self.ctx
+        setting = self.setting
         a, b = self._two_messages(mid, payload)
         recovery = []
 
-        if ctx.kind is ProtocolKind.E:
-            targets = range(ctx.n)
+        if setting.kind is ProtocolKind.E:
+            targets = range(setting.params.n)
             ra = WireMessage(PROTO_E, REGULAR, mid, digest=a.digest)
             rb = WireMessage(PROTO_E, REGULAR, mid, digest=b.digest)
             a.acks.append(self._ack(PROTO_E, pid, mid, a.digest))
             b.acks.append(self._ack(PROTO_E, pid, mid, b.digest))
-        elif ctx.kind is ProtocolKind.THREE_T:
-            targets = sorted(ctx.w3t(mid))
+        elif setting.kind is ProtocolKind.THREE_T:
+            targets = sorted(setting.w3t(mid))
             ra = WireMessage(PROTO_3T, REGULAR, mid, digest=a.digest)
             rb = WireMessage(PROTO_3T, REGULAR, mid, digest=b.digest)
-            if pid in ctx.w3t(mid):
+            if pid in setting.w3t(mid):
                 a.acks.append(self._ack(PROTO_3T, pid, mid, a.digest))
                 b.acks.append(self._ack(PROTO_3T, pid, mid, b.digest))
         else:
             a.sender_sig = self._sign_sender(pid, mid, a.digest)
             b.sender_sig = self._sign_sender(pid, mid, b.digest)
-            targets = sorted(ctx.w_active(mid))
+            targets = sorted(setting.w_active(mid))
             ra = WireMessage(PROTO_AV, REGULAR, mid, digest=a.digest,
                              sender_sig=a.sender_sig)
             rb = WireMessage(PROTO_AV, REGULAR, mid, digest=b.digest,
@@ -240,7 +220,7 @@ class Adversary:
             # Concurrent recovery attempt, one side per half of the range,
             # racing the delayed acknowledgments against the alerts.
             recovery = [Send((dst,), ta if i % 2 == 0 else tb)
-                        for i, dst in enumerate(sorted(ctx.w3t(mid)))]
+                        for i, dst in enumerate(sorted(setting.w3t(mid)))]
 
         out = []
         for i, dst in enumerate(targets):
@@ -255,7 +235,7 @@ class Adversary:
         both ack sets can be minted outright and conflicting delivers
         pushed to disjoint halves."""
         a, b = self._two_messages(mid, payload)
-        signers = sorted(self.ctx.w_active(mid) & self.ctx.faulty)
+        signers = sorted(self.setting.w_active(mid) & self.faulty)
         for side in (a, b):
             side.sender_sig = self._sign_sender(pid, mid, side.digest)
             side.acks = [self._ack(PROTO_AV, w, mid, side.digest, side.sender_sig)
@@ -266,12 +246,12 @@ class Adversary:
         db = WireMessage(PROTO_AV, DELIVER, mid, digest=b.digest,
                          body=b.message, acks=tuple(b.acks))
         return [Send((dst,), da if dst % 2 == 0 else db)
-                for dst in range(self.ctx.n)]
+                for dst in range(self.setting.params.n)]
 
     def _collusive_multicast(self, pid: int, mid: MessageId,
                              payload: bytes) -> list:
-        ctx = self.ctx
-        if ctx.kind is ProtocolKind.ACT and ctx.faulty_suffice(mid):
+        if (self.setting.kind is ProtocolKind.ACT
+                and self._faulty_suffice(mid)):
             return self._fabricate_case1(pid, mid, payload)
         # Otherwise an equivocation attempt with collusive helpers.
         return self._equivocate(pid, mid, payload)
@@ -279,30 +259,29 @@ class Adversary:
     def _regime_split(self, pid: int, mid: MessageId, payload: bytes) -> list:
         """Active regime for one message, recovery regime for a conflicting
         one, against a 2t+1 set disjoint from the active witnesses."""
-        ctx = self.ctx
-        assert ctx.kind is ProtocolKind.ACT
-        if ctx.faulty_suffice(mid):
+        assert self.setting.kind is ProtocolKind.ACT
+        if self._faulty_suffice(mid):
             return self._fabricate_case1(pid, mid, payload)
         a, b = self._two_messages(mid, payload)
-        (_, wa, _), (_, w3, need) = ctx.rules(mid)
+        (_, wa, _), (_, w3, need) = self.setting.rules(mid)
 
         a.sender_sig = self._sign_sender(pid, mid, a.digest)
         a.targets = wa
         a.acks = [self._ack(PROTO_AV, w, mid, a.digest, a.sender_sig)
-                  for w in sorted(wa & ctx.faulty)]
+                  for w in sorted(wa & self.faulty)]
         out = [Send(sorted(wa), WireMessage(PROTO_AV, REGULAR, mid,
                                             digest=a.digest,
                                             sender_sig=a.sender_sig))]
 
         pool = w3 - wa
         if len(pool) >= need:
-            s_faulty = sorted(pool & ctx.faulty)
-            s_correct = sorted(pool - ctx.faulty)
+            s_faulty = sorted(pool & self.faulty)
+            s_correct = sorted(pool - self.faulty)
             s = frozenset((s_faulty + s_correct)[:need])
             b.targets = s
             b.acks = [self._ack(PROTO_3T, w, mid, b.digest)
-                      for w in sorted(s & ctx.faulty)]
-            correct = sorted(s - ctx.faulty)
+                      for w in sorted(s & self.faulty)]
+            correct = sorted(s - self.faulty)
             if correct:
                 out.append(Send(correct, WireMessage(PROTO_3T, REGULAR, mid,
                                                      digest=b.digest)))
@@ -312,8 +291,8 @@ class Adversary:
         return out
 
     def _seq_burn(self, pid: int, mid: MessageId, payload: bytes) -> list:
-        ctx = self.ctx
-        if ctx.kind is ProtocolKind.ACT and ctx.faulty_suffice(mid):
+        if (self.setting.kind is ProtocolKind.ACT
+                and self._faulty_suffice(mid)):
             return self._fabricate_case1(pid, mid, payload)
         # Burn the sequence number with an honestly multicast filler.
         return self._honest_multicast(pid, mid, payload)
@@ -358,15 +337,15 @@ class Adversary:
         side.checked = len(side.acks)
         for tag in {a.proto for a in new}:
             side.signers.setdefault(tag, set()).update(valid_signers(
-                new, tag, mid, side.digest, self.ctx.keychain))
-        return accepts(self.ctx.rules(mid),
+                new, tag, mid, side.digest, self.setting.keychain))
+        return accepts(self.setting.rules(mid),
                        lambda tag: side.signers.get(tag, ()))
 
     def _deliver_split(self, mid: MessageId, side: _Side, even: bool) -> list:
-        msg = WireMessage(PROTO_TAG[self.ctx.kind], DELIVER, mid,
+        msg = WireMessage(PROTO_TAG[self.setting.kind], DELIVER, mid,
                           digest=side.digest, body=side.message,
                           acks=tuple(side.acks))
-        n = self.ctx.n
+        n = self.setting.params.n
         if self.attacks[mid].b is None:
             return [Send(range(n), msg)]
         # two sides: each delivers to its own half, even or odd pids

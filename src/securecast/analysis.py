@@ -226,7 +226,8 @@ def monte_carlo_conflict_rate(config, trials: int, parallel: int = 1,
 
     Each trial derives its seeds from the base config seed plus the trial
     index; results are aggregated by count, so the estimate does not depend
-    on worker scheduling.
+    on worker scheduling.  When no message was attacked the estimate says
+    nothing, and the warning says so.
     """
     from .simnet import run_trial_batch
 
@@ -234,7 +235,9 @@ def monte_carlo_conflict_rate(config, trials: int, parallel: int = 1,
     est = conflicts / attacked if attacked else 0.0
     lo, hi = binomial_ci(conflicts, attacked) if attacked else (0.0, 1.0)
     warning = None
-    if bound is not None and attacked:
+    if not attacked:
+        warning = "no message was attacked, so the estimate tests nothing"
+    elif bound is not None:
         # Width the interval would have at the bound itself: if that alone
         # exceeds the bound, the sample cannot resolve the question.
         width_at_bound = 6.0 * math.sqrt(bound * (1 - bound) / attacked)

@@ -107,14 +107,12 @@ def _load_config_file(path: str) -> dict:
 
 
 def _sim_config(args, stability: bool = True) -> SimConfig:
-    """Defaults, then the --config file, then explicit flags."""
-    values = {"protocol": "e", "n": 4, "t": 1, "kappa": 0, "delta": 0,
-              "slack_c": 0, "messages": 1, "adversary": "none",
-              "num_faulty": None, "crash_after": 3, "seed": 0, "p_drop": 0.0,
-              "latency_hi": 5, "stability": stability}
+    """The CLI's own defaults, then the --config file, then explicit
+    flags; SimConfig supplies every other default."""
+    values = {"protocol": "e", "n": 4, "t": 1, "stability": stability}
     if getattr(args, "config", None):
         values.update(_load_config_file(args.config))
-    for key in list(values):
+    for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -195,6 +193,12 @@ def _check_trials(trials: int):
         raise ConfigError("trials", f"need at least one trial, got {trials}")
 
 
+def _mc_verdict(result, bound: float) -> str:
+    """NONE when nothing was attacked, else PASS or FAIL against bound."""
+    return ("NONE" if not result.attacked
+            else "PASS" if result.ci_low <= bound else "FAIL")
+
+
 def cmd_montecarlo(args) -> int:
     try:
         _check_trials(args.trials)
@@ -215,12 +219,12 @@ def cmd_montecarlo(args) -> int:
                                        bound=bound)
     if result.warning:
         print(f"warning: {result.warning}", file=sys.stderr)
-    verdict = "PASS" if result.ci_low <= bound else "FAIL"
+    verdict = _mc_verdict(result, bound)
     print("trials,attacked,conflicts,estimate,ci_low,ci_high,bound,verdict")
     print(f"{args.trials},{result.attacked},{result.conflicts},"
           f"{format_number(result.estimate)},{format_number(result.ci_low)},"
           f"{format_number(result.ci_high)},{format_number(bound)},{verdict}")
-    return EXIT_OK if verdict == "PASS" else EXIT_VIOLATION
+    return EXIT_VIOLATION if verdict == "FAIL" else EXIT_OK
 
 
 # The sweep's variables; a point takes each from the grid, else its flag.
@@ -293,7 +297,7 @@ def cmd_sweep(args) -> int:
                 print(f"warning: n={cfg.n} t={cfg.t} kappa={cfg.kappa} "
                       f"delta={cfg.delta} slack_c={cfg.slack_c}: "
                       f"{mc.warning}", file=sys.stderr)
-            verdict = "PASS" if mc.ci_low <= bound else "FAIL"
+            verdict = _mc_verdict(mc, bound)
             if verdict == "FAIL":
                 exit_code = EXIT_VIOLATION
             row += [format_number(mc.estimate), format_number(mc.ci_low),

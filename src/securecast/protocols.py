@@ -32,13 +32,14 @@ missing the id, and the engine sends to them and forgets the id; an empty
 set (stable everywhere) only forgets it.  Without the oracle nothing
 re-forwards and nothing is kept.
 
-Every process checks a deliver's ack set against the delivery
-rule before it delivers.  The verdict is a pure function of the message,
-its acks and the rule (protocol kind, n, t, witness seed, kappa, slack and
-key chain), so engines that share a verdict memo judge each deliver object
-once: a SimWorld gives one memo to all of its engines and to the
-adversary's shadow engines, and a standalone engine keeps its own.  The
-memo is split by rule, so engines whose rules differ never share a
+An engine takes one Setting, the world's shared part: the protocol kind,
+n and t, the key chain, the seeds, kappa, delta, the slack, the timers and
+the verdict memo.  A SimWorld builds one and gives it to all of its
+engines and to the adversary, whose shadow engines take it too.  Every
+process checks a deliver's ack set against the delivery rule before it
+delivers.  The verdict is a pure function of the message, its acks and
+the setting, so the engines of one world judge each deliver object once;
+engines whose rules differ have different settings, so they never share a
 verdict.  A receiver that has already delivered the id drops the deliver
 without judging it.  A valid verdict is an immutable _Recorded and a
 Deliver action, built once: every engine that delivers on the deliver
@@ -50,7 +51,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Collection, NamedTuple, Optional, Sequence, Union
+from typing import (Collection, Iterator, NamedTuple, Optional, Sequence,
+                    Union)
 
 from .core import (PROTO_3T, PROTO_AV, PROTO_E, PROTO_TAG, Ack, KeyChain,
                    MessageId, MulticastMessage, ProtocolKind, Signature,
@@ -58,10 +60,7 @@ from .core import (PROTO_3T, PROTO_AV, PROTO_E, PROTO_TAG, Ack, KeyChain,
                    sender_sig_data, valid_signers)
 from .quorum import (AckRule, QuorumParams, accepts, ack_rules,
                      check_act_params, sample_peers, sample_witness_subset,
-                     w3t)
-# Only reached through ack_rules here; bound anyway because the benchmark
-# tracer (bench/tracer.py) patches w_active in every module that imports it.
-from .quorum import w_active  # noqa: F401
+                     w3t, w_active)
 
 # Wire message roles.
 REGULAR = "regular"
@@ -183,42 +182,58 @@ class _Probe:
     acked: bool = False
 
 
+@dataclass(frozen=True, eq=False)
+class Setting:
+    """What the engines of one world share (see the module docstring),
+    with ACT's parameter domain checked once, here.  Compared by identity:
+    engines share a memo only by sharing the setting, and
+    dataclasses.replace makes a new one with a memo of its own."""
+    kind: ProtocolKind
+    params: QuorumParams
+    keychain: KeyChain
+    witness_seed: int
+    stream_seed: int
+    kappa: int = 0
+    delta: int = 0
+    slack_c: int = 0
+    timeouts: Timeouts = Timeouts.for_latency(5)
+    # the wire tags engines accept; ACT recovery traffic is 3T
+    protos: frozenset[str] = field(init=False, repr=False)
+    # id(deliver) -> (deliver, (_Recorded(digest), Deliver) if valid else
+    # None); each entry keeps its message alive, so no id is reused
+    verdicts: dict[int, tuple[WireMessage, Optional[_Verdict]]] = field(
+        init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind is ProtocolKind.ACT:
+            check_act_params(self.params.n, self.params.t, self.kappa,
+                             self.delta, self.slack_c)
+        object.__setattr__(self, "protos", frozenset(
+            (PROTO_TAG[self.kind], PROTO_3T) if self.kind is ProtocolKind.ACT
+            else (PROTO_TAG[self.kind],)))
+
+    def rules(self, mid: MessageId, kind: Optional[ProtocolKind] = None
+              ) -> Iterator[AckRule]:
+        return ack_rules(kind or self.kind, mid, self.params,
+                         self.witness_seed, self.kappa, self.slack_c)
+
+    def w3t(self, mid: MessageId) -> frozenset[int]:
+        return w3t(mid, self.params, self.witness_seed)
+
+    def w_active(self, mid: MessageId) -> frozenset[int]:
+        return w_active(mid, self.kappa, self.params, self.witness_seed)
+
+
 class ProcessEngine:
     """One correct process's protocol state machine."""
 
     # Always empty; kept only for bench/tracer.py's state count to read.
     stability = MappingProxyType({})
 
-    def __init__(self, me: int, kind: ProtocolKind, params: QuorumParams,
-                 keychain: KeyChain, witness_seed: int, stream_seed: int,
-                 kappa: int = 0, delta: int = 0, slack_c: int = 0,
-                 timeouts: Timeouts = Timeouts.for_latency(5),
-                 verdicts: Optional[dict] = None):
-        if kind is ProtocolKind.ACT:
-            check_act_params(params.n, params.t, kappa, delta, slack_c)
+    def __init__(self, me: int, setting: Setting):
         self.me = me
-        self.kind = kind
-        self.params = params
-        self.kappa = kappa
-        self.delta = delta
-        self.slack_c = slack_c
-        self.keychain = keychain
-        self.witness_seed = witness_seed
-        self.stream_seed = stream_seed
+        self.setting = setting
         self._rng: Optional[random.Random] = None
-        self.timeouts = timeouts
-        # the wire tags this engine accepts; ACT recovery traffic is 3T
-        self._protos = frozenset((PROTO_TAG[kind], PROTO_3T)
-                                 if kind is ProtocolKind.ACT
-                                 else (PROTO_TAG[kind],))
-        # id(deliver) -> (deliver, (_Recorded(digest), Deliver) if it meets
-        # the rule else None), shared with every engine given the same
-        # verdicts under this rule; each entry keeps its message alive, so
-        # an id is never reused
-        self._verdicts: dict[int, tuple[WireMessage, Optional[_Verdict]]] = (
-            {} if verdicts is None else verdicts.setdefault(
-                (kind, params, witness_seed, kappa, slack_c, keychain), {}))
-        self._keeps_delivered = timeouts.reforward is not None
 
         self.own_seq = 0
         self.delivery: dict[int, int] = {}        # sender -> last delivered seq
@@ -241,16 +256,12 @@ class ProcessEngine:
         seeded Mersenne Twister costs ~2.5 KB and ~10 us."""
         if self._rng is None:
             self._rng = random.Random(
-                keyed_seed(self.stream_seed, b"proc", self.me))
+                keyed_seed(self.setting.stream_seed, b"proc", self.me))
         return self._rng
-
-    def _rules(self, mid: MessageId, kind: Optional[ProtocolKind] = None):
-        return ack_rules(kind or self.kind, mid, self.params,
-                         self.witness_seed, self.kappa, self.slack_c)
 
     def _ack_to(self, proto: str, dst: int, mid: MessageId, dig: bytes,
                 sender_sig: Optional[Signature] = None) -> Send:
-        ack = build_ack(self.keychain, proto, self.me, mid, dig, sender_sig)
+        ack = build_ack(self.setting.keychain, proto, self.me, mid, dig, sender_sig)
         return Send((dst,), WireMessage(proto, ACK, mid, digest=dig, ack=ack,
                                         sender_sig=sender_sig))
 
@@ -283,29 +294,30 @@ class ProcessEngine:
         mid = MessageId(self.me, self.own_seq)
         m = MulticastMessage(mid, payload)
         dig = message_digest(m)
-        rule = next(self._rules(mid))
+        setting = self.setting
+        rule = next(setting.rules(mid))
 
-        if self.kind is ProtocolKind.E:
+        if setting.kind is ProtocolKind.E:
             self.recorded.setdefault(mid, _Recorded(dig))
             self.pending[mid] = _Pending(m, dig, "e", rule)
             msg = WireMessage(PROTO_E, REGULAR, mid, digest=dig)
-            return [Send(range(self.params.n), msg)]
+            return [Send(range(setting.params.n), msg)]
 
-        if self.kind is ProtocolKind.THREE_T:
+        if setting.kind is ProtocolKind.THREE_T:
             self.recorded.setdefault(mid, _Recorded(dig))
             first = frozenset(sample_witness_subset(
                 self.rng, rule.members, rule.count))
             self.pending[mid] = _Pending(m, dig, "3t", rule, contacted=first)
             msg = WireMessage(PROTO_3T, REGULAR, mid, digest=dig)
             return [Send(sorted(first), msg),
-                    SetTimer(("expand", mid), self.timeouts.t3_expand)]
+                    SetTimer(("expand", mid), setting.timeouts.t3_expand)]
 
-        sig = self.keychain.sign(self.me, sender_sig_data(mid, dig))
+        sig = setting.keychain.sign(self.me, sender_sig_data(mid, dig))
         self.recorded.setdefault(mid, _Recorded(dig, sig))
         self.pending[mid] = _Pending(m, dig, "active", rule, sender_sig=sig)
         msg = WireMessage(PROTO_AV, REGULAR, mid, digest=dig, sender_sig=sig)
         return [Send(sorted(rule.members), msg),
-                SetTimer(("recovery", mid), self.timeouts.act_active)]
+                SetTimer(("recovery", mid), setting.timeouts.act_active)]
 
     # -- receiving --------------------------------------------------------
 
@@ -329,12 +341,13 @@ class ProcessEngine:
 
     def on_regular(self, src: int, msg: WireMessage, now: int) -> list[Action]:
         mid = msg.subject
-        if msg.proto not in self._protos or msg.digest is None:
+        setting = self.setting
+        if msg.proto not in setting.protos or msg.digest is None:
             return []
         if src != mid.sender or mid.sender in self.known_faulty:
             return []
         if msg.proto == PROTO_AV:
-            if msg.sender_sig is None or not self.keychain.verify(
+            if msg.sender_sig is None or not setting.keychain.verify(
                     mid.sender, sender_sig_data(mid, msg.digest), msg.sender_sig):
                 return []
         ok, actions = self._record_or_conflict(
@@ -342,10 +355,10 @@ class ProcessEngine:
         if not ok:
             return actions
 
-        if self.kind is ProtocolKind.E:
+        if setting.kind is ProtocolKind.E:
             return [self._ack_to(PROTO_E, src, mid, msg.digest)]
 
-        if self.kind is ProtocolKind.THREE_T:
+        if setting.kind is ProtocolKind.THREE_T:
             return [self._ack_to(PROTO_3T, src, mid, msg.digest)]
 
         # ACT
@@ -353,7 +366,7 @@ class ProcessEngine:
             # Recovery-regime request: hold the ack long enough for any
             # pending equivocation alert to land first.
             return [SetTimer(("delayed_ack", mid, msg.digest, src),
-                             self.timeouts.recovery_ack_delay)]
+                             setting.timeouts.recovery_ack_delay)]
 
         probe = self.probes.get(mid)
         if probe is not None:
@@ -361,21 +374,20 @@ class ProcessEngine:
                 return [self._ack_to(PROTO_AV, src, mid, msg.digest,
                                      probe.sender_sig)]
             return []  # probe already in flight
-        targets = sample_peers(
-            self.rng, w3t(mid, self.params, self.witness_seed), self.me,
-            self.delta)
+        targets = sample_peers(self.rng, setting.w3t(mid), self.me,
+                               setting.delta)
         self.probes[mid] = _Probe(msg.digest, msg.sender_sig, targets)
         inform = WireMessage(PROTO_AV, INFORM, mid, digest=msg.digest,
                              sender_sig=msg.sender_sig)
         return [Send(sorted(targets), inform)]
 
     def on_inform(self, src: int, msg: WireMessage, now: int) -> list[Action]:
-        if self.kind is not ProtocolKind.ACT or msg.proto != PROTO_AV:
+        if self.setting.kind is not ProtocolKind.ACT or msg.proto != PROTO_AV:
             return []
         mid = msg.subject
         if msg.digest is None or mid.sender in self.known_faulty:
             return []
-        if msg.sender_sig is None or not self.keychain.verify(
+        if msg.sender_sig is None or not self.setting.keychain.verify(
                 mid.sender, sender_sig_data(mid, msg.digest), msg.sender_sig):
             return []
         ok, actions = self._record_or_conflict(mid, msg.digest, msg.sender_sig)
@@ -385,7 +397,7 @@ class ProcessEngine:
         return [Send((src,), verify)]
 
     def on_verify(self, src: int, msg: WireMessage, now: int) -> list[Action]:
-        if self.kind is not ProtocolKind.ACT:
+        if self.setting.kind is not ProtocolKind.ACT:
             return []
         mid = msg.subject
         probe = self.probes.get(mid)
@@ -420,25 +432,26 @@ class ProcessEngine:
             return []
         if tag == PROTO_AV and ack.sender_sig != pend.sender_sig:
             return []
-        if not ack_valid(ack, self.keychain):
+        if not ack_valid(ack, self.setting.keychain):
             return []
         pend.acks[ack.signer] = ack
         if len(pend.acks) < count:  # acks holds eligible signers only
             return []
         pend.completed = True
         acks = tuple(pend.acks[s] for s in sorted(pend.acks))
-        deliver = WireMessage(PROTO_TAG[self.kind], DELIVER, mid,
+        deliver = WireMessage(PROTO_TAG[self.setting.kind], DELIVER, mid,
                               digest=pend.digest, body=pend.message, acks=acks)
-        return [Send(range(self.params.n), deliver)]
+        return [Send(range(self.setting.params.n), deliver)]
 
     # -- delivery ---------------------------------------------------------
 
     def _verdict(self, msg: WireMessage) -> Optional[_Verdict]:
         """The record of the body's digest and the Deliver action if the
         deliver's acks meet the delivery rule, else None; judged once per
-        deliver object among the engines that share this engine's verdicts,
+        deliver object among the engines that share this engine's setting,
         which all get the same record and the same Deliver."""
-        hit = self._verdicts.get(id(msg))
+        setting = self.setting
+        hit = setting.verdicts.get(id(msg))
         if hit is not None:
             return hit[1]
         verdict = None
@@ -447,16 +460,16 @@ class ProcessEngine:
             m = msg.body
             mid = m.id
             d = message_digest(m)
-            keychain = self.keychain
-            if accepts(self._rules(mid), lambda tag: valid_signers(
+            keychain = setting.keychain
+            if accepts(setting.rules(mid), lambda tag: valid_signers(
                     acks, tag, mid, d, keychain)):
                 verdict = (_Recorded(d), Deliver(m, acks, d))
-        self._verdicts[id(msg)] = (msg, verdict)
+        setting.verdicts[id(msg)] = (msg, verdict)
         return verdict
 
     def on_deliver(self, src: int, msg: WireMessage, now: int) -> list[Action]:
         m = msg.body
-        if m is None or msg.proto not in self._protos:
+        if m is None or msg.proto not in self.setting.protos:
             return []
         mid = m.id
         last = self.delivery.get(mid.sender, 0)
@@ -492,7 +505,7 @@ class ProcessEngine:
         # no ack or verification is ever signed against it afterwards.
         if mid not in self.recorded:
             self.recorded[mid] = rec
-        if self._keeps_delivered:
+        if self.setting.timeouts.reforward is not None:
             self.delivered_record[mid] = msg
         return [dlv]
 
@@ -503,11 +516,11 @@ class ProcessEngine:
         if ev is None or ev.digest_a == ev.digest_b:
             return []
         mid = ev.subject
-        if not self.keychain.verify(mid.sender, sender_sig_data(mid, ev.digest_a),
-                                    ev.sig_a):
+        if not self.setting.keychain.verify(
+                mid.sender, sender_sig_data(mid, ev.digest_a), ev.sig_a):
             return []
-        if not self.keychain.verify(mid.sender, sender_sig_data(mid, ev.digest_b),
-                                    ev.sig_b):
+        if not self.setting.keychain.verify(
+                mid.sender, sender_sig_data(mid, ev.digest_b), ev.sig_b):
             return []
         self.known_faulty.add(mid.sender)
         self.conflicted.add(mid)
@@ -525,7 +538,7 @@ class ProcessEngine:
         msg = self.delivered_record.pop(mid, None)
         if msg is None:
             return []
-        targets = range(self.params.n) if missing is None else sorted(missing)
+        targets = range(self.setting.params.n) if missing is None else sorted(missing)
         to = [p for p in targets if p != self.me]
         return [Send(to, msg)] if to else []
 
@@ -552,7 +565,7 @@ class ProcessEngine:
             return []
         pend.regime = "recovery"
         pend.acks.clear()
-        pend.rule = next(self._rules(mid, ProtocolKind.THREE_T))
+        pend.rule = next(self.setting.rules(mid, ProtocolKind.THREE_T))
         pend.contacted = pend.rule.members
         msg = WireMessage(PROTO_3T, REGULAR, mid, digest=pend.digest)
         return [Send(sorted(pend.contacted), msg)]

@@ -46,7 +46,7 @@ class QuorumParams:
 
 
 def check_act_params(n: int, t: int, kappa: int, delta: int, slack_c: int):
-    """The ACT parameter domain shared by SimConfig and ProcessEngine."""
+    """The ACT parameter domain shared by SimConfig and Setting."""
     if kappa < 1 or delta < 1:
         raise InvalidParamsError("act needs kappa >= 1 and delta >= 1", "kappa")
     if n - t < kappa * delta:

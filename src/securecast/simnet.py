@@ -68,12 +68,10 @@ import hashlib
 import random
 from array import array
 from dataclasses import dataclass, replace
-from functools import partial
 from heapq import heappop, heappush
 from typing import Iterator, Optional
 
-from .adversary import (ATTACK_STRATEGIES, STRATEGIES, Adversary,
-                        AdversaryContext)
+from .adversary import ATTACK_STRATEGIES, STRATEGIES, Adversary
 from .core import (PROTO_TAG, KeyChain, MessageId, ProtocolKind, _enc, _u64,
                    digest64, keyed_prefix, keyed_seed, u64_fields,
                    valid_signers)
@@ -82,7 +80,7 @@ from .core import (PROTO_TAG, KeyChain, MessageId, ProtocolKind, _enc, _u64,
 from .core import message_digest  # noqa: F401
 from .protocols import (ALERT, ALERT_LATENCY_BOUND, INFORM, REGULAR,
                         SM_NOTIFY, Deliver, ProcessEngine, RaiseAlert, Send,
-                        SetTimer, Timeouts, WireMessage)
+                        SetTimer, Setting, Timeouts, WireMessage)
 from .quorum import InvalidParamsError, QuorumParams, check_act_params
 
 EV_MSG = 0
@@ -322,25 +320,20 @@ class SimWorld:
         # ticks from a correct delivery to the oracle's report of it
         self.stability_lag = 4 * cfg.latency_hi
 
-        # Engines and the adversary's shadow engines share one delivery
-        # verdict memo.  The factory holds the world's parts, not the
-        # world, so a finished world is freed by reference counting.
-        make_engine = partial(
-            ProcessEngine, kind=self.kind, params=self.params,
-            keychain=self.keychain, witness_seed=self.witness_seed,
-            stream_seed=self.world_seed, kappa=cfg.kappa, delta=cfg.delta,
-            slack_c=cfg.slack_c, timeouts=self.timeouts, verdicts={})
+        # One setting for every engine and shadow engine; it holds the world's
+        # parts, not the world, so a finished world is freed by refcounting.
+        self.setting = setting = Setting(
+            self.kind, self.params, self.keychain, self.witness_seed,
+            self.world_seed, cfg.kappa, cfg.delta, cfg.slack_c,
+            self.timeouts)
         self.engines: list[Optional[ProcessEngine]] = [
-            None if p in self.faulty else make_engine(p)
+            None if p in self.faulty else ProcessEngine(p, setting)
             for p in range(cfg.n)
         ]
         self.adversary: Optional[Adversary] = None
         if self.faulty and cfg.adversary != "none":
-            self.adversary = Adversary(cfg.adversary, AdversaryContext(
-                kind=self.kind, params=self.params, kappa=cfg.kappa,
-                delta=cfg.delta, slack_c=cfg.slack_c, keychain=self.keychain,
-                faulty=self.faulty, witness_seed=self.witness_seed,
-                make_engine=make_engine), crash_after=cfg.crash_after)
+            self.adversary = Adversary(cfg.adversary, setting, self.faulty,
+                                       cfg.crash_after)
 
         # per source, None until its first send, then one row: draws made
         # on channel (src, dst) at [dst], its last arrival tick at [n + dst]
@@ -395,7 +388,8 @@ class SimWorld:
                 f"slack={cfg.slack_c};seed={cfg.seed};"
                 f"witness_seed={self.witness_seed};"
                 f"adversary_seed={self.adversary_seed};"
-                f"pdrop={cfg.p_drop};adversary={cfg.adversary};faulty={faulty}")
+                f"pdrop={cfg.p_drop};adversary={cfg.adversary};faulty={faulty}"
+                + ("" if cfg.stability else ";stability=off"))
 
     # -- event machinery -----------------------------------------------------
 

@@ -28,7 +28,10 @@ Checks performed:
 * SM integrity: every "stable" record, the stability oracle's report that
   a delivery has matured, matches an earlier delivery by the process it
   names.
-* Self-delivery and Reliability: only asserted for quiescent runs.
+* Self-delivery and Reliability: only asserted for quiescent runs.  A run
+  without the stability oracle (meta stability=off) re-forwards nothing,
+  so a faulty sender's partial deliver stays partial; there Reliability is
+  asserted only for ids whose sender is correct.
 
 The check is one streaming pass: every line goes through the one line
 scanner (_scan), which validates its fields, and the checks keep state per
@@ -177,6 +180,7 @@ def check_trace(trace: Union[str, Iterable[str]]) -> CheckResult:
         witness_seed = int(meta["witness_seed"])
         faulty = (set() if meta.get("faulty", "none") == "none"
                   else {int(x) for x in meta["faulty"].split(":")})
+        stability = meta.get("stability") != "off"
         params = QuorumParams(n, t)
     except (KeyError, ValueError) as exc:
         for _ in records:  # a malformed later line is still reported first
@@ -278,6 +282,8 @@ def check_trace(trace: Union[str, Iterable[str]]) -> CheckResult:
                     f"correct sender {mid.sender} never delivered its own "
                     f"{mid}"))
         for mid, firsts in sorted(first_line.items()):
+            if not stability and mid.sender not in correct:
+                continue
             missing = [p for p in sorted(correct) if not firsts[p]]
             if missing:
                 bad(Violation(

@@ -214,7 +214,7 @@ def test_incremental_signer_sets_match_full_validation(monkeypatch, strategy,
                 for tag in (PROTO_E, PROTO_3T, PROTO_AV):
                     assert side.signers.get(tag, set()) == full(tag), tag
                 assert side.delivered == accepts(
-                    adv.ctx.rules(ack.subject), full)
+                    adv.setting.rules(ack.subject), full)
             return out
         adv._collect = checked_collect
         assert world.run_to_quiescence().quiescent

@@ -230,6 +230,19 @@ def test_montecarlo_no_adversary_estimates_zero(capsys):
     assert row.split(",")[3] == "0"
 
 
+@pytest.mark.parametrize("extra", [(), ("--adversary", "silent"),
+                                   ("--messages", "0")],
+                         ids=["none", "silent", "no-messages"])
+def test_montecarlo_without_an_attack_reads_none(capsys, extra):
+    # nothing attacked: the row cannot pass or fail, and stderr says why
+    code, out, err = run_cli(capsys, "montecarlo", "--protocol", "act",
+                             "--n", "31", "--t", "10", "--kappa", "3",
+                             "--delta", "5", "--trials", "20", *extra)
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "20,0,0,0,0,1,0.141589,NONE"
+    assert "warning: no message was attacked" in err
+
+
 def test_montecarlo_seq_burner_counts_every_multicast(capsys):
     # The bound is per message, so the burner's fillers are trials too.
     code, out, _ = run_cli(capsys, "montecarlo", "--protocol", "act",
@@ -448,3 +461,18 @@ def test_module_entrypoint_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "conflict_bound" in proc.stdout
+
+
+def test_trace_check_accepts_a_stability_off_run_with_a_faulty_sender(
+        capsys, tmp_path):
+    # nothing re-forwards a collusive sender's partial deliver here, so
+    # only ids of correct senders owe Reliability
+    trace = tmp_path / "off.trace"
+    code, _, _ = run_cli(capsys, "simulate", "--protocol", "3t", "--n", "7",
+                         "--t", "2", "--adversary", "collusive",
+                         "--messages", "3", "--seed", "0", "--no-stability",
+                         "--trace-out", str(trace))
+    assert code == 0
+    assert trace.read_text().split("\n", 1)[0].endswith(";stability=off")
+    code, out, err = run_cli(capsys, "trace-check", str(trace))
+    assert (code, out, err) == (0, "trace clean\n", "")

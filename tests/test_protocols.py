@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from securecast import protocols
@@ -6,19 +8,24 @@ from securecast.core import (PROTO_3T, PROTO_AV, PROTO_E, KeyChain, MessageId,
                              message_digest, sender_sig_data)
 from securecast.protocols import (ACK, DELIVER, INFORM, REGULAR, VERIFY,
                                   Deliver, EvidencePair, ProcessEngine,
-                                  RaiseAlert, Send, SetTimer, Timeouts,
-                                  WireMessage)
+                                  RaiseAlert, Send, SetTimer, Setting,
+                                  Timeouts, WireMessage)
 from securecast.quorum import (InvalidParamsError, QuorumParams, w3t,
                                w_active)
 
 SEED = 11
 
 
-def make_engine(me=0, kind=ProtocolKind.E, n=4, t=1, kappa=0, delta=0,
-                keychain=None, **kw):
+def make_setting(kind=ProtocolKind.E, n=4, t=1, kappa=0, delta=0,
+                 keychain=None, **kw):
     kc = keychain or KeyChain(n, b"unit", faulty=frozenset())
-    return ProcessEngine(me, kind, QuorumParams(n, t), kc, SEED, SEED,
-                         kappa=kappa, delta=delta, **kw)
+    return Setting(kind, QuorumParams(n, t), kc, SEED, SEED, kappa=kappa,
+                   delta=delta, **kw)
+
+
+def make_engine(me=0, **kw):
+    """An engine on a setting of its own."""
+    return ProcessEngine(me, make_setting(**kw))
 
 
 def sends(actions):
@@ -79,7 +86,7 @@ def test_3t_multicast_contacts_2t_plus_1_then_expands():
     eng = make_engine(kind=ProtocolKind.THREE_T, n=31, t=10)
     actions = eng.wan_multicast(b"m")
     mid = MessageId(0, 1)
-    members = w3t(mid, eng.params, SEED)
+    members = w3t(mid, eng.setting.params, SEED)
     [first] = dests(actions)
     assert first == sorted(first)
     assert len(first) == 21 and set(first) <= members
@@ -93,11 +100,11 @@ def test_act_multicast_contacts_active_set_with_signature():
     eng = make_engine(kind=ProtocolKind.ACT, n=13, t=4, kappa=3, delta=3)
     actions = eng.wan_multicast(b"m")
     mid = MessageId(0, 1)
-    wa = w_active(mid, 3, eng.params, SEED)
+    wa = w_active(mid, 3, eng.setting.params, SEED)
     assert dests(actions) == [sorted(wa)]
     assert all(a.msg.sender_sig is not None for a in sends(actions))
     assert timers(actions) == [SetTimer(("recovery", mid),
-                                        eng.timeouts.act_active)]
+                                        eng.setting.timeouts.act_active)]
 
 
 # -- regulars and acks ---------------------------------------------------------
@@ -154,7 +161,7 @@ def test_act_regular_probes_delta_peers():
     out = witness.handle(1, reg, now=1)
     [informs] = [list(a.to) for a in sends(out) if a.msg.role == INFORM]
     assert len(set(informs)) == 5 and informs == sorted(informs)
-    members = w3t(mid, witness.params, SEED)
+    members = w3t(mid, witness.setting.params, SEED)
     assert all(p in members and p != 2 for p in informs)
     # No ack yet: all verifications outstanding.
     assert not any(a.msg.role == ACK for a in sends(out))
@@ -270,7 +277,7 @@ def test_ack_outside_3t_range_ignored():
     sender.wan_multicast(b"m")
     mid = MessageId(0, 1)
     dig = sender.pending[mid].digest
-    members = w3t(mid, sender.params, SEED)
+    members = w3t(mid, sender.setting.params, SEED)
     outsider = next(p for p in range(100) if p not in members)
     ack = build_ack(kc, PROTO_3T, outsider, mid, dig)
     sender.handle(outsider, WireMessage(PROTO_3T, ACK, mid, digest=dig,
@@ -299,7 +306,7 @@ def test_act_ack_threshold_is_whole_active_set():
     sender.wan_multicast(b"m")
     mid = MessageId(0, 1)
     pend = sender.pending[mid]
-    wa = sorted(w_active(mid, 3, sender.params, SEED))
+    wa = sorted(w_active(mid, 3, sender.setting.params, SEED))
     out = []
     for w in wa:
         ack = build_ack(kc, PROTO_AV, w, mid, pend.digest, pend.sender_sig)
@@ -325,7 +332,7 @@ def test_recovery_timeout_falls_back_to_3t():
                                      ack=ack), now=1)
     out = sender.on_timer(("recovery", mid), now=50)
     [targets] = dests(out)
-    assert targets == sorted(w3t(mid, sender.params, SEED))
+    assert targets == sorted(w3t(mid, sender.setting.params, SEED))
     assert len(targets) == 31
     assert pend.regime == "recovery" and pend.acks == {}
     assert all(a.msg.proto == PROTO_3T for a in sends(out))
@@ -380,7 +387,7 @@ def test_delayed_ack_honors_delay_and_conviction():
     out = witness.handle(1, reg3t, now=5)
     assert sends(out) == []
     tmr = timers(out)[0]
-    assert tmr.delay == witness.timeouts.recovery_ack_delay
+    assert tmr.delay == witness.setting.timeouts.recovery_ack_delay
     # Undisturbed, the delayed ack fires.
     fired = witness.on_timer(tmr.timer_id, now=20)
     assert len(sends(fired)) == 1 and sends(fired)[0].msg.role == ACK
@@ -399,7 +406,8 @@ def build_valid_deliver(kc, sender_eng, payload=b"m"):
     sender_eng.wan_multicast(payload)
     mid = MessageId(sender_eng.me, sender_eng.own_seq)
     pend = sender_eng.pending[mid]
-    signers = range(pend.rule.count) if sender_eng.kind is ProtocolKind.E else []
+    signers = (range(pend.rule.count)
+               if sender_eng.setting.kind is ProtocolKind.E else [])
     acks = tuple(build_ack(kc, PROTO_E, s, mid, pend.digest) for s in signers)
     return WireMessage(PROTO_E, DELIVER, mid, digest=pend.digest,
                        body=pend.message, acks=acks)
@@ -647,7 +655,7 @@ def test_every_fan_out_is_one_send_in_per_destination_order():
     three_t = make_engine(kind=ProtocolKind.THREE_T, n=31, t=10)
     out = three_t.wan_multicast(b"m")
     mid = MessageId(0, 1)
-    members = w3t(mid, three_t.params, SEED)
+    members = w3t(mid, three_t.setting.params, SEED)
     first = sorted(three_t.pending[mid].contacted)
     assert dests(out) == [first] and len(first) == 21
     assert dests(three_t.on_timer(("expand", mid), now=20)) == \
@@ -660,19 +668,20 @@ def test_every_fan_out_is_one_send_in_per_destination_order():
     sender, witness = make_engine(me=1, **act), make_engine(me=2, **act)
     out = sender.wan_multicast(b"m")
     mid = MessageId(1, 1)
-    assert dests(out) == [sorted(w_active(mid, 3, sender.params, SEED))]
+    assert dests(out) == [sorted(w_active(mid, 3, sender.setting.params, SEED))]
     out = witness.handle(1, sends(out)[0].msg, now=1)
     assert out == sends(out) and out[0].msg.role == INFORM
     assert dests(out) == [sorted(witness.probes[mid].targets)]
     assert len(out[0].to) == 5
     out = sender.on_timer(("recovery", mid), now=30)
     assert out == sends(out)
-    assert dests(out) == [sorted(w3t(mid, sender.params, SEED))]
+    assert dests(out) == [sorted(w3t(mid, sender.setting.params, SEED))]
     # a re-forward: the sorted missing set minus the re-forwarder
     sender = make_engine(me=0, n=4, t=1, keychain=KeyChain(4, b"unit"))
-    receiver = make_engine(me=2, n=4, t=1, keychain=sender.keychain)
+    receiver = make_engine(me=2, n=4, t=1, keychain=sender.setting.keychain)
     for payload in (b"m1", b"m2", b"m3"):
-        receiver.handle(0, build_valid_deliver(sender.keychain, sender,
+        receiver.handle(0, build_valid_deliver(sender.setting.keychain,
+                                               sender,
                                                payload), now=3)
     assert dests(receiver.reforward(MessageId(0, 1), {3, 2, 1})) == [[1, 3]]
     assert receiver.reforward(MessageId(0, 2), {2}) == []
@@ -768,11 +777,10 @@ def forged_delivers(kc):
 def test_forged_deliver_rejected_at_every_receiver(judged):
     kc = KeyChain(31, b"unit")
     for kind, forged in forged_delivers(kc):
-        verdicts: dict = {}  # one world's memo
         extra = dict(kappa=3, delta=5) if kind is ProtocolKind.ACT else {}
-        group = [make_engine(me=p, kind=kind, n=31, t=10, keychain=kc,
-                             verdicts=verdicts, **extra)
-                 for p in range(2, 31)]
+        # one world's setting, and with it one memo
+        setting = make_setting(kind=kind, n=31, t=10, keychain=kc, **extra)
+        group = [ProcessEngine(p, setting) for p in range(2, 31)]
         before = len(judged)
         for eng in group:
             for now in (3, 4):
@@ -784,9 +792,8 @@ def test_forged_deliver_rejected_at_every_receiver(judged):
 def test_equal_but_distinct_deliver_is_judged_afresh(judged):
     kc = KeyChain(4, b"unit")
     sender = make_engine(me=0, n=4, t=1, keychain=kc)
-    verdicts: dict = {}
-    a, b = (make_engine(me=p, n=4, t=1, keychain=kc, verdicts=verdicts)
-            for p in (2, 3))
+    setting = make_setting(n=4, t=1, keychain=kc)
+    a, b = (ProcessEngine(p, setting) for p in (2, 3))
     msg = build_valid_deliver(kc, sender)
     assert [x for x in a.handle(0, msg, now=3) if isinstance(x, Deliver)]
     assert len(judged) == 1
@@ -796,8 +803,9 @@ def test_equal_but_distinct_deliver_is_judged_afresh(judged):
 
 
 def test_shared_verdicts_never_cross_rules():
-    # The slack case above with one memo shared by both validators: the
-    # verdict of the lenient rule must not answer for the strict one.
+    # The slack case above, the strict setting derived from the lenient
+    # one: the verdict of the lenient rule must not answer for the strict
+    # one, since a new setting starts a memo of its own.
     kc = KeyChain(31, b"unit")
     sender = make_engine(me=0, kind=ProtocolKind.ACT, n=31, t=10, kappa=3,
                          delta=5, slack_c=1, keychain=kc)
@@ -808,11 +816,11 @@ def test_shared_verdicts_never_cross_rules():
                  for w in sorted(pend.rule.members)[:pend.rule.count])
     dmsg = WireMessage(PROTO_AV, DELIVER, mid, digest=pend.digest,
                        body=pend.message, acks=acks)
-    verdicts: dict = {}
-    lenient = make_engine(me=5, kind=ProtocolKind.ACT, n=31, t=10, kappa=3,
-                          delta=5, slack_c=1, keychain=kc, verdicts=verdicts)
-    strict = make_engine(me=6, kind=ProtocolKind.ACT, n=31, t=10, kappa=3,
-                         delta=5, slack_c=0, keychain=kc, verdicts=verdicts)
+    lenient = ProcessEngine(5, make_setting(
+        kind=ProtocolKind.ACT, n=31, t=10, kappa=3, delta=5, slack_c=1,
+        keychain=kc))
+    strict = ProcessEngine(6, replace(lenient.setting, slack_c=0))
+    assert strict.setting.verdicts is not lenient.setting.verdicts
     assert [a for a in lenient.handle(0, dmsg, now=2) if isinstance(a, Deliver)]
     assert strict.handle(0, dmsg, now=2) == []
     assert lenient.handle(0, dmsg, now=3) == []  # duplicate

@@ -18,7 +18,8 @@ from securecast.core import (PROTO_AV, KeyChain, MessageId, ProtocolKind,
 from securecast.protocols import (ALERT, ALERT_LATENCY_BOUND, DELIVER,
                                   INFORM, REGULAR, SM_NOTIFY, VERIFY,
                                   Deliver, EvidencePair, ProcessEngine,
-                                  RaiseAlert, Send, Timeouts, WireMessage)
+                                  RaiseAlert, Send, Setting, Timeouts,
+                                  WireMessage)
 from securecast.quorum import QuorumParams
 from securecast.simnet import (EV_MSG, EV_TIMER, RETRANSMIT_INTERVAL,
                                ConfigError, SimConfig, SimWorld, build_world,
@@ -35,9 +36,10 @@ def test_derived_timers_pinned():
     assert Timeouts.for_latency(5) == Timeouts(30, 20, 15, 40)
     assert Timeouts.for_latency(5, stability=False) == Timeouts(30, 20, 15, None)
     world = build_world(SimConfig(protocol="3t", n=4, t=1, latency_hi=5))
-    engine = ProcessEngine(0, ProtocolKind.THREE_T, QuorumParams(4, 1),
-                           KeyChain(4, b"unit", faulty=frozenset()), 1, 1)
-    assert engine.timeouts == world.timeouts == Timeouts.for_latency(5)
+    engine = ProcessEngine(0, Setting(
+        ProtocolKind.THREE_T, QuorumParams(4, 1),
+        KeyChain(4, b"unit", faulty=frozenset()), 1, 1))
+    assert engine.setting.timeouts == world.timeouts == Timeouts.for_latency(5)
     assert world.stability_lag == 20
 
 
@@ -788,7 +790,7 @@ def test_engines_share_one_record_per_deliver():
         if kind == "recv" and role in (REGULAR, INFORM):
             heard.setdefault(subject, set()).add(int(dst))
     engines = engines_of(world)
-    memo = [verdict[0] for _, verdict in engines[0]._verdicts.values()
+    memo = [verdict[0] for _, verdict in world.setting.verdicts.values()
             if verdict is not None]
     for mid in report.delivered_digests:
         late = [e for e in engines
@@ -808,6 +810,56 @@ def test_engines_share_one_record_per_deliver():
     assert eng.recorded[mid] == (shared.digest, sig)
     assert all(e.recorded[mid] is shared for e in late[1:])
     assert shared.sender_sig is None
+
+
+SHARED_SETTING_WORLDS = [
+    dict(protocol="e", n=13, t=4, adversary="crash", crash_after=20),
+    dict(protocol="3t", n=13, t=4, adversary="equivocate"),
+    dict(protocol="act", n=13, t=4, kappa=2, delta=3, adversary="crash",
+         crash_after=20),
+    dict(protocol="act", n=13, t=4, kappa=2, delta=3, adversary="seq-burner"),
+]
+
+
+@pytest.mark.parametrize("shape", SHARED_SETTING_WORLDS,
+                         ids=lambda s: f"{s['protocol']}-{s['adversary']}")
+def test_engines_and_shadow_engines_share_the_world_setting(shape):
+    world = build_world(SimConfig(messages=3, seed=2, senders="uniform",
+                                  **shape))
+    setting = world.setting
+    assert world.run_to_quiescence().quiescent
+    shadows = list(world.adversary._shadows.values())
+    assert shadows  # the strategy ran its honest part on shadow engines
+    assert world.adversary.setting is setting
+    for eng in engines_of(world) + shadows:
+        assert eng.setting is setting
+        assert eng.setting.verdicts is setting.verdicts
+    # the memo holds the world's delivers
+    assert any(v is not None for _, v in setting.verdicts.values())
+
+
+def test_act_params_checked_a_fixed_number_of_times_per_world(monkeypatch):
+    real = quorum.check_act_params
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (quorum, protocols, simnet):
+        if getattr(module, "check_act_params", None) is real:
+            monkeypatch.setattr(module, "check_act_params", counting)
+    per_world = []
+    for n in (31, 100):
+        calls.clear()
+        world = build_world(SimConfig(protocol="act", n=n, t=10, kappa=3,
+                                      delta=5, adversary="crash",
+                                      messages=2, seed=1, record_trace=False))
+        assert world.run_to_quiescence().quiescent
+        assert world.adversary._shadows
+        per_world.append(len(calls))
+    # SimConfig.validate and the world's one Setting, whatever n is
+    assert per_world == [2, 2]
 
 
 def test_fan_out_is_one_queue_item_per_arrival_tick():

@@ -136,6 +136,29 @@ def test_missing_delivery_in_quiescent_run_flags_reliability():
     assert "SMIntegrity" in props  # its notifications are now unbacked
 
 
+def test_stability_off_still_flags_a_missing_correct_delivery():
+    text = trace_of(protocol="e", n=4, t=1, messages=1, seed=0,
+                    stability=False)
+    lines = text.splitlines()
+    assert lines[0].endswith(";stability=off")
+    dlv = [l.split(" ") for l in lines if l.split(" ")[1] == "appdlv"]
+    sender = dlv[0][6].split(":")[0]
+    victim = next(p[2] for p in dlv if p[2] != sender)
+    thinned = [l for l in lines if l.split(" ")[1:3] != ["appdlv", victim]]
+    result = check_trace("\n".join(thinned) + "\n")
+    assert [v.prop for v in result.violations] == ["Reliability"]
+
+
+def test_faulty_sender_spared_reliability_only_with_stability_off():
+    text = trace_of(protocol="3t", n=7, t=2, adversary="collusive",
+                    messages=3, seed=0, stability=False)
+    assert check_trace(text).ok
+    meta, rest = text.split("\n", 1)
+    claimed_on = meta.replace(";stability=off", "") + "\n" + rest
+    props = {v.prop for v in check_trace(claimed_on).violations}
+    assert props == {"Reliability"}
+
+
 def test_act_conflict_counted_but_not_fatal():
     from securecast.core import MessageId
     from securecast.quorum import w_active
