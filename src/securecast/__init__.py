@@ -8,8 +8,8 @@ from .core import (Ack, ForgeryAttemptError, KeyChain, MessageId,
 from .quorum import (AckRule, InvalidParamsError, QuorumParams, accepts,
                      ack_rules, check_dissemination_properties,
                      dissemination_quorum_size, w3t, w_active)
-from .protocols import (Deliver, ProcessEngine, RaiseAlert, Send, SetTimer,
-                        Setting, Timeouts, WireMessage)
+from .protocols import (Deliver, Multicast, ProcessEngine, RaiseAlert, Send,
+                        SetTimer, Setting, Timeouts, WireMessage)
 from .adversary import Adversary
 from .simnet import (ConfigError, RunReport, SimConfig, SimWorld, build_world,
                      run_world)

@@ -28,9 +28,16 @@ Strategies:
                   active witnesses alone meet the delivery rule, then
                   attacks it.
 
+A strategy reaches the world only through the actions it returns, as a
+correct engine does: one Multicast per version it multicasts (both of a
+two-version attack before any Send), then its sends.  _on_multicast alone
+picks the attack on a multicast.
+
 The adversary reads the delivery rule, the witness sets and the keys from
 the world's Setting.  Its shadow engines, the honest part of crash,
-equivocate and seq-burner, are ProcessEngines on that one setting too.
+equivocate and seq-burner, are ProcessEngines on that one setting too;
+they return their own Multicast, and with stability on each of their
+deliveries arms their own re-forward timer.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from typing import Optional
 from .core import (ADVERSARY, PROTO_3T, PROTO_AV, PROTO_E, PROTO_TAG, Ack,
                    MessageId, MulticastMessage, ProtocolKind, build_ack,
                    message_digest, sender_sig_data, valid_signers)
-from .protocols import (ACK, DELIVER, INFORM, REGULAR, VERIFY,
+from .protocols import (ACK, DELIVER, INFORM, REGULAR, VERIFY, Multicast,
                         ProcessEngine, Send, Setting, WireMessage)
 # w3t and w_active are reached through Setting; bound anyway because the
 # benchmark tracer (bench/tracer.py) patches them in every module.
@@ -59,7 +66,6 @@ class _Side:
     sender_sig: Optional[object]
     acks: list = field(default_factory=list)
     delivered: bool = False
-    targets: frozenset[int] = frozenset()
     # per wire tag, the valid signers among acks[:checked]
     signers: dict[str, set[int]] = field(default_factory=dict)
     checked: int = 0
@@ -92,7 +98,6 @@ class Adversary:
         # seq-burner, whose fillers are trials but not attacks.
         self.attacked_ids: list[MessageId] = []
         self.trial_ids: list[MessageId] = []
-        self.mcast_log: list[tuple[MessageId, bytes]] = []
 
     # -- plumbing ----------------------------------------------------------
 
@@ -141,57 +146,55 @@ class Adversary:
         eng = self._shadow(pid)
         kind = event[0]
         if kind == "multicast":
-            actions = eng.wan_multicast(event[1])
-            mid = MessageId(pid, eng.own_seq)
-            self.mcast_log.append((mid, eng.pending[mid].digest))
-            return actions
+            return eng.wan_multicast(event[1])
         if kind == "message":
             return eng.handle(event[1], event[2], now)
         if kind == "timer":
             return eng.on_timer(event[1], now)
         return []
 
-    def _honest_multicast(self, pid: int, mid: MessageId, payload: bytes) -> list:
-        """Delegate one multicast to the honest shadow, keeping its sequence
-        counter aligned with attacks issued outside of it."""
-        eng = self._shadow(pid)
-        eng.own_seq = mid.seq - 1
-        actions = eng.wan_multicast(payload)
-        self.mcast_log.append((mid, eng.pending[mid].digest))
-        return actions
-
     # -- multicast-time attacks ---------------------------------------------
 
     def _on_multicast(self, pid: int, payload: bytes, now: int) -> list:
+        """Choose the attack on this multicast: where the faulty active
+        witnesses alone meet the delivery rule, collusive, regime-split and
+        seq-burner fabricate both ack sets; otherwise regime-split splits
+        the regimes, seq-burner burns the id with an honest filler, and the
+        rest equivocate."""
         self._seq[pid] += 1
         mid = MessageId(pid, self._seq[pid])
         self.trial_ids.append(mid)
-        if self.strategy == "equivocate":
-            return self._equivocate(pid, mid, payload)
-        if self.strategy == "collusive":
-            return self._collusive_multicast(pid, mid, payload)
-        if self.strategy == "regime-split":
+        strategy = self.strategy
+        if (strategy in ("collusive", "regime-split", "seq-burner")
+                and self.setting.kind is ProtocolKind.ACT
+                and self._faulty_suffice(mid)):
+            return self._fabricate_case1(pid, mid, payload)
+        if strategy == "regime-split":
             return self._regime_split(pid, mid, payload)
-        if self.strategy == "seq-burner":
-            return self._seq_burn(pid, mid, payload)
-        return []
+        if strategy == "seq-burner":
+            # the shadow's counter follows the ids attacked outside of it
+            eng = self._shadow(pid)
+            eng.own_seq = mid.seq - 1
+            return eng.wan_multicast(payload)
+        return self._equivocate(pid, mid, payload)
 
-    def _two_messages(self, mid: MessageId, payload: bytes) -> tuple[_Side, _Side]:
-        """Two conflicting messages for mid, both logged as multicast; mid
-        counts as attacked."""
+    def _two_messages(self, mid: MessageId, payload: bytes
+                      ) -> tuple[_Side, _Side, list]:
+        """Two conflicting messages for mid, and the attack's reply so far:
+        one Multicast per message, ahead of any Send.  mid counts as
+        attacked."""
         ma = MulticastMessage(mid, payload + b"/a")
         mb = MulticastMessage(mid, payload + b"/b")
         a = _Side(ma, message_digest(ma), None)
         b = _Side(mb, message_digest(mb), None)
-        self.mcast_log += [(mid, a.digest), (mid, b.digest)]
         self.attacked_ids.append(mid)
-        return a, b
+        return a, b, [Multicast(mid, a.digest), Multicast(mid, b.digest)]
 
     def _equivocate(self, pid: int, mid: MessageId, payload: bytes) -> list:
         """Send two conflicting messages to everyone in the relevant range,
         alternating which one goes first per destination."""
         setting = self.setting
-        a, b = self._two_messages(mid, payload)
+        a, b, out = self._two_messages(mid, payload)
         recovery = []
 
         if setting.kind is ProtocolKind.E:
@@ -222,19 +225,19 @@ class Adversary:
             recovery = [Send((dst,), ta if i % 2 == 0 else tb)
                         for i, dst in enumerate(sorted(setting.w3t(mid)))]
 
-        out = []
         for i, dst in enumerate(targets):
             first, second = (ra, rb) if i % 2 == 0 else (rb, ra)
             out += [Send((dst,), first), Send((dst,), second)]
         self.attacks[mid] = _Attack(a, b)
-        return out + recovery
+        out += recovery
+        return out
 
     def _fabricate_case1(self, pid: int, mid: MessageId,
                          payload: bytes) -> list:
         """The faulty active witnesses meet the delivery rule on their own:
         both ack sets can be minted outright and conflicting delivers
         pushed to disjoint halves."""
-        a, b = self._two_messages(mid, payload)
+        a, b, out = self._two_messages(mid, payload)
         signers = sorted(self.setting.w_active(mid) & self.faulty)
         for side in (a, b):
             side.sender_sig = self._sign_sender(pid, mid, side.digest)
@@ -245,40 +248,29 @@ class Adversary:
                          body=a.message, acks=tuple(a.acks))
         db = WireMessage(PROTO_AV, DELIVER, mid, digest=b.digest,
                          body=b.message, acks=tuple(b.acks))
-        return [Send((dst,), da if dst % 2 == 0 else db)
+        out += [Send((dst,), da if dst % 2 == 0 else db)
                 for dst in range(self.setting.params.n)]
-
-    def _collusive_multicast(self, pid: int, mid: MessageId,
-                             payload: bytes) -> list:
-        if (self.setting.kind is ProtocolKind.ACT
-                and self._faulty_suffice(mid)):
-            return self._fabricate_case1(pid, mid, payload)
-        # Otherwise an equivocation attempt with collusive helpers.
-        return self._equivocate(pid, mid, payload)
+        return out
 
     def _regime_split(self, pid: int, mid: MessageId, payload: bytes) -> list:
         """Active regime for one message, recovery regime for a conflicting
         one, against a 2t+1 set disjoint from the active witnesses."""
         assert self.setting.kind is ProtocolKind.ACT
-        if self._faulty_suffice(mid):
-            return self._fabricate_case1(pid, mid, payload)
-        a, b = self._two_messages(mid, payload)
+        a, b, out = self._two_messages(mid, payload)
         (_, wa, _), (_, w3, need) = self.setting.rules(mid)
 
         a.sender_sig = self._sign_sender(pid, mid, a.digest)
-        a.targets = wa
         a.acks = [self._ack(PROTO_AV, w, mid, a.digest, a.sender_sig)
                   for w in sorted(wa & self.faulty)]
-        out = [Send(sorted(wa), WireMessage(PROTO_AV, REGULAR, mid,
-                                            digest=a.digest,
-                                            sender_sig=a.sender_sig))]
+        out.append(Send(sorted(wa), WireMessage(PROTO_AV, REGULAR, mid,
+                                                digest=a.digest,
+                                                sender_sig=a.sender_sig)))
 
         pool = w3 - wa
         if len(pool) >= need:
             s_faulty = sorted(pool & self.faulty)
             s_correct = sorted(pool - self.faulty)
             s = frozenset((s_faulty + s_correct)[:need])
-            b.targets = s
             b.acks = [self._ack(PROTO_3T, w, mid, b.digest)
                       for w in sorted(s & self.faulty)]
             correct = sorted(s - self.faulty)
@@ -289,13 +281,6 @@ class Adversary:
         else:
             self.attacks[mid] = _Attack(a, None)
         return out
-
-    def _seq_burn(self, pid: int, mid: MessageId, payload: bytes) -> list:
-        if (self.setting.kind is ProtocolKind.ACT
-                and self._faulty_suffice(mid)):
-            return self._fabricate_case1(pid, mid, payload)
-        # Burn the sequence number with an honestly multicast filler.
-        return self._honest_multicast(pid, mid, payload)
 
     # -- message handling ----------------------------------------------------
 

@@ -95,7 +95,7 @@ def probe_miss_probability(params: AnalysisParams) -> float:
     return (2 * t / (3 * t + 1)) ** d
 
 
-def probe_miss_exact(params: AnalysisParams, exclude_self: bool = True) -> float:
+def probe_miss_exact(params: AnalysisParams) -> float:
     """Hypergeometric miss probability for the production sampler.
 
     The sampler draws delta distinct peers from the 3t+1 range minus the
@@ -104,7 +104,7 @@ def probe_miss_exact(params: AnalysisParams, exclude_self: bool = True) -> float
     <= the with-replacement bound.
     """
     t, d = params.t, params.delta
-    pool = 3 * t + (1 if not exclude_self else 0)
+    pool = 3 * t
     correct = t + 1
     if d == 0:
         return 1.0

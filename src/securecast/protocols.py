@@ -2,10 +2,12 @@
 
 A ProcessEngine owns one process's protocol state.  Every handler consumes
 a single input (a wire message, a timer, or a local multicast request) and
-returns the list of actions it wants performed: sends, application-level
-deliveries, timer requests, and alerts.  A Send names its destinations in
+returns the list of actions it wants performed: multicasts, sends,
+application-level deliveries, timer requests, and alerts; a process
+reaches its world through nothing else.  A Send names its destinations in
 send order, at least one, so a fan-out (a multicast's regular, a widening,
-a probe's informs, a deliver, a re-forward) is one Send.  All
+a probe's informs, a deliver, a re-forward) is one Send.  A multicast's
+first action is a Multicast naming the id and digest.  All
 nondeterminism comes from the engine's own keyed RNG stream, built on
 first use, so a run is a pure function of configuration and seeds.
 
@@ -26,11 +28,13 @@ Protocol summary:
 With the stability oracle on, a process that delivers a message keeps it
 and re-forwards it once, Timeouts.reforward after the delivery, to every
 correct process the oracle has not yet reported as having delivered it.
-The engine arms no timer for this: at that tick a SimWorld calls
+A correct engine arms no timer for this: at that tick a SimWorld calls
 reforward(id, missing) with the oracle's set of correct processes still
 missing the id, and the engine sends to them and forgets the id; an empty
-set (stable everywhere) only forgets it.  Without the oracle nothing
-re-forwards and nothing is kept.
+set (stable everywhere) only forgets it.  An engine of a faulty process
+(an adversary's shadow engine) hears no oracle: its Deliver comes with a
+SetTimer(("reforward", id)), which re-forwards to every other process.
+Without the oracle nothing re-forwards and nothing is kept.
 
 An engine takes one Setting, the world's shared part: the protocol kind,
 n and t, the key chain, the seeds, kappa, delta, the slack, the timers and
@@ -119,7 +123,12 @@ class RaiseAlert(NamedTuple):
     evidence: EvidencePair
 
 
-Action = Union[Send, Deliver, SetTimer, RaiseAlert]
+class Multicast(NamedTuple):     # ahead of the version's first Send
+    id: MessageId
+    digest: bytes
+
+
+Action = Union[Multicast, Send, Deliver, SetTimer, RaiseAlert]
 
 
 # Hard latency bound of the out-of-band alert plane, in ticks.
@@ -170,7 +179,6 @@ class _Pending:
     acks: dict = field(default_factory=dict)   # signer -> Ack
     contacted: frozenset[int] = frozenset()
     sender_sig: Optional[Signature] = None
-    completed: bool = False
 
 
 @dataclass
@@ -296,12 +304,13 @@ class ProcessEngine:
         dig = message_digest(m)
         setting = self.setting
         rule = next(setting.rules(mid))
+        mcast = Multicast(mid, dig)
 
         if setting.kind is ProtocolKind.E:
             self.recorded.setdefault(mid, _Recorded(dig))
             self.pending[mid] = _Pending(m, dig, "e", rule)
             msg = WireMessage(PROTO_E, REGULAR, mid, digest=dig)
-            return [Send(range(setting.params.n), msg)]
+            return [mcast, Send(range(setting.params.n), msg)]
 
         if setting.kind is ProtocolKind.THREE_T:
             self.recorded.setdefault(mid, _Recorded(dig))
@@ -309,14 +318,14 @@ class ProcessEngine:
                 self.rng, rule.members, rule.count))
             self.pending[mid] = _Pending(m, dig, "3t", rule, contacted=first)
             msg = WireMessage(PROTO_3T, REGULAR, mid, digest=dig)
-            return [Send(sorted(first), msg),
+            return [mcast, Send(sorted(first), msg),
                     SetTimer(("expand", mid), setting.timeouts.t3_expand)]
 
         sig = setting.keychain.sign(self.me, sender_sig_data(mid, dig))
         self.recorded.setdefault(mid, _Recorded(dig, sig))
         self.pending[mid] = _Pending(m, dig, "active", rule, sender_sig=sig)
         msg = WireMessage(PROTO_AV, REGULAR, mid, digest=dig, sender_sig=sig)
-        return [Send(sorted(rule.members), msg),
+        return [mcast, Send(sorted(rule.members), msg),
                 SetTimer(("recovery", mid), setting.timeouts.act_active)]
 
     # -- receiving --------------------------------------------------------
@@ -421,7 +430,7 @@ class ProcessEngine:
         if mid.sender != self.me:
             return []
         pend = self.pending.get(mid)
-        if pend is None or pend.completed:
+        if pend is None:
             return []
         if ack.signer != src or ack.signer in pend.acks:
             return []
@@ -437,7 +446,7 @@ class ProcessEngine:
         pend.acks[ack.signer] = ack
         if len(pend.acks) < count:  # acks holds eligible signers only
             return []
-        pend.completed = True
+        del self.pending[mid]   # complete: late acks and timers find nothing
         acks = tuple(pend.acks[s] for s in sorted(pend.acks))
         deliver = WireMessage(PROTO_TAG[self.setting.kind], DELIVER, mid,
                               digest=pend.digest, body=pend.message, acks=acks)
@@ -505,8 +514,13 @@ class ProcessEngine:
         # no ack or verification is ever signed against it afterwards.
         if mid not in self.recorded:
             self.recorded[mid] = rec
-        if self.setting.timeouts.reforward is not None:
+        setting = self.setting
+        delay = setting.timeouts.reforward
+        if delay is not None:
             self.delivered_record[mid] = msg
+            if self.me in setting.keychain.faulty:
+                # a shadow engine hears no oracle: it re-forwards on a timer
+                return [dlv, SetTimer(("reforward", mid), delay)]
         return [dlv]
 
     # -- alerts and re-forwards -------------------------------------------
@@ -533,8 +547,8 @@ class ProcessEngine:
         SimWorld calls this for a correct engine at its re-forward tick
         with the oracle's set of correct processes still missing the id.
         missing=None targets every other process: an adversary's shadow
-        engine hears no oracle, and its re-forward is a timer the world
-        arms at its delivery."""
+        engine hears no oracle, and its re-forward is the timer its own
+        delivery arms."""
         msg = self.delivered_record.pop(mid, None)
         if msg is None:
             return []
@@ -561,7 +575,7 @@ class ProcessEngine:
         witness range.  Active-regime acks are discarded; the regimes do
         not mix."""
         pend = self.pending.get(mid)
-        if pend is None or pend.completed or pend.regime != "active":
+        if pend is None or pend.regime != "active":
             return []
         pend.regime = "recovery"
         pend.acks.clear()
@@ -572,7 +586,7 @@ class ProcessEngine:
 
     def _on_expand(self, mid: MessageId) -> list[Action]:
         pend = self.pending.get(mid)
-        if pend is None or pend.completed or pend.regime != "3t":
+        if pend is None or pend.regime != "3t":
             return []
         rest = pend.rule.members - pend.contacted
         if not rest:

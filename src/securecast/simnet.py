@@ -58,8 +58,13 @@ maturity wake-up of the same tick, so it runs first: the set an engine
 sees is the newest the oracle had reported.  A re-forward with a
 non-empty set writes one timer_fire line; an id stable everywhere costs no
 event, no send and no trace line.  A faulty process's delivery is not
-reported; its re-forward stays a timer that the adversary handles.  Only
-real deliveries are ever reported.
+reported; its shadow engine arms its own re-forward timer, which the
+adversary handles.  Only real deliveries are ever reported.
+
+A process, correct or faulty, reaches the world only through the actions
+it returns, which SimWorld._apply performs in order.  A Multicast action
+writes the mcast trace line, noted "adv" for a faulty process, ahead of
+the version's sends; the world reads no engine or adversary state.
 """
 
 from __future__ import annotations
@@ -79,8 +84,9 @@ from .core import (PROTO_TAG, KeyChain, MessageId, ProtocolKind, _enc, _u64,
 # benchmark tracer (bench/tracer.py) patches message_digest in this module.
 from .core import message_digest  # noqa: F401
 from .protocols import (ALERT, ALERT_LATENCY_BOUND, INFORM, REGULAR,
-                        SM_NOTIFY, Deliver, ProcessEngine, RaiseAlert, Send,
-                        SetTimer, Setting, Timeouts, WireMessage)
+                        SM_NOTIFY, Deliver, Multicast, ProcessEngine,
+                        RaiseAlert, Send, SetTimer, Setting, Timeouts,
+                        WireMessage)
 from .quorum import InvalidParamsError, QuorumParams, check_act_params
 
 EV_MSG = 0
@@ -494,6 +500,11 @@ class SimWorld:
                 self._channel_send(pid, act.to, act.msg, now)
             elif kind is SetTimer:
                 self._set_timer(pid, act.timer_id, act.delay, now)
+            elif kind is Multicast:
+                if self.trace is not None:
+                    self._log(now, "mcast", pid, None, PROTO_TAG[self.kind],
+                              "mcast", act.id, act.digest,
+                              "adv" if pid in self.faulty else None)
             elif kind is RaiseAlert:
                 ev = act.evidence
                 self.alerts_raised += 1
@@ -531,12 +542,7 @@ class SimWorld:
             if correct and acks:
                 note = self._signers_note(acks, mid, dig)
             self._log(now, "appdlv", pid, None, None, "deliver", mid, dig, note)
-        if self._stability:
-            if not correct:
-                # a shadow engine's re-forward stays a timer for the adversary
-                self._set_timer(pid, ("reforward", mid),
-                                self.timeouts.reforward, now)
-                return
+        if correct and self._stability:
             batch = self._delivered.get(now)
             if batch is None:
                 # the tick's first delivery: its maturity, then its re-forward
@@ -600,10 +606,8 @@ class SimWorld:
                 if eng is not None:
                     self._apply(dst, eng.handle(src, msg, time), time)
                 elif self.adversary is not None:
-                    actions = self.adversary.act(dst, ("message", src, msg),
-                                                 time)
-                    self._drain_adv_log(time)
-                    self._apply(dst, actions, time)
+                    self._apply(dst, self.adversary.act(
+                        dst, ("message", src, msg), time), time)
 
         elif kind == EV_TIMER:
             _, pid, tid = item
@@ -622,34 +626,16 @@ class SimWorld:
             self.messages_multicast += 1
             eng = self.engines[sender]
             if eng is not None:
-                actions = eng.wan_multicast(payload)
-                if self.trace is not None:
-                    mid = MessageId(sender, eng.own_seq)
-                    self._log(time, "mcast", sender, None,
-                              PROTO_TAG[self.kind], "mcast", mid,
-                              eng.pending[mid].digest, None)
-                self._apply(sender, actions, time)
+                self._apply(sender, eng.wan_multicast(payload), time)
             elif self.adversary is not None:
-                actions = self.adversary.act(
-                    sender, ("multicast", payload), time)
-                self._drain_adv_log(time)
-                self._apply(sender, actions, time)
+                self._apply(sender, self.adversary.act(
+                    sender, ("multicast", payload), time), time)
 
         elif kind == EV_ORACLE:
             self.stability_oracle_tick(item)
 
         elif kind == EV_REFORWARD:
             self._reforward_tick(item)
-
-    def _drain_adv_log(self, time: int):
-        log = self.adversary.mcast_log
-        if not log:
-            return
-        if self.trace is not None:
-            for mid, dig in log:
-                self._log(time, "mcast", mid.sender, None,
-                          PROTO_TAG[self.kind], "mcast", mid, dig, "adv")
-        log.clear()
 
     def stability_oracle_tick(self, item: tuple):
         """Report the deliveries that mature now: one stable record each,

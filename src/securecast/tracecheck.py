@@ -22,7 +22,8 @@ Checks performed:
   witness range for 3T; for ACT max(|W_active| - C, 1) inside the active
   witness set, else the 3T rule.  A delivery record lists the valid
   signers of each wire tag separately (signers.AV=...;signers.3T=...), and
-  each alternative counts only the signers of its own tag.
+  each alternative counts only the signers of its own tag.  A signer id
+  outside [0, n) fails the rule; a non-integer one is a parse error.
 * No conflicting acks: no correct process signs acks for two different
   digests of one id.
 * SM integrity: every "stable" record, the stability oracle's report that
@@ -149,12 +150,19 @@ def _parse_note(note: str) -> dict[str, str]:
 
 
 def _witness_fault(note: str, rules: Iterable[AckRule], subject: MessageId,
-                   proto: str) -> Optional[str]:
+                   proto: str, n: int, lineno: int) -> Optional[str]:
     """Why the signers a delivery note lists meet none of the rules, or
-    None when they meet one."""
-    signers = {tag[len("signers."):]: {int(s) for s in v.split(":")}
-               for tag, v in _parse_note(note).items()
-               if tag.startswith("signers.") and v}
+    None when they meet one; a signer outside [0, n) meets none."""
+    try:
+        signers = {tag[len("signers."):]: {int(s) for s in v.split(":")}
+                   for tag, v in _parse_note(note).items()
+                   if tag.startswith("signers.") and v}
+    except ValueError as exc:
+        raise TraceParseError(f"line {lineno}: bad signer id: {exc}") from exc
+    unknown = sorted({s for v in signers.values() for s in v if not 0 <= s < n})
+    if unknown:
+        return (f"delivery of {subject} backed by signers "
+                f"{':'.join(map(str, unknown))}, which are no process of n={n}")
     if accepts(rules, lambda tag: signers.get(tag, ())):
         return None
     counts = ", ".join(f"{len(v)} {tag}" for tag, v in sorted(signers.items()))
@@ -246,7 +254,7 @@ def check_trace(trace: Union[str, Iterable[str]]) -> CheckResult:
             if fault is _UNSEEN:
                 fault = witness_faults[verdict] = _witness_fault(
                     note, ack_rules(pkind, subject, params, witness_seed,
-                                    kappa, slack), subject, proto)
+                                    kappa, slack), subject, proto, n, lineno)
             if fault is not None:
                 bad(Violation("WitnessRule", lineno, fault))
 

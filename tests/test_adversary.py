@@ -2,8 +2,9 @@ import pytest
 
 from securecast import adversary
 from securecast.core import (PROTO_3T, PROTO_AV, PROTO_E, KeyChain, MessageId,
-                             valid_signers)
-from securecast.quorum import accepts, w_active
+                             ProtocolKind, valid_signers)
+from securecast.protocols import DELIVER, Multicast, Send, Setting
+from securecast.quorum import QuorumParams, accepts, w_active
 from securecast.simnet import SimConfig, build_world, run_world
 
 
@@ -171,6 +172,44 @@ def test_seq_burner_attacks_only_favorable_ids():
     for mid in adv.attacked_ids:
         wa = w_active(mid, 2, world.params, world.witness_seed)
         assert wa <= world.faulty
+
+
+def test_each_multicast_attack_is_chosen_by_the_faulty_active_witnesses():
+    """On ACT ids whose faulty active witnesses alone meet the delivery
+    rule, collusive, regime-split and seq-burner fabricate both ack sets
+    (conflicting delivers, no regular); on every other id they do not, and
+    equivocate never fabricates.  Each attack names both versions it
+    multicasts before its first send."""
+    faulty = frozenset({1, 4, 7, 9})
+    setting = Setting(ProtocolKind.ACT, QuorumParams(13, 4),
+                      KeyChain(13, b"unit", faulty=faulty), 5, 5, kappa=2,
+                      delta=3, slack_c=1)
+    ids = [MessageId(1, seq) for seq in range(1, 41)]
+    suffice = [accepts(setting.rules(mid), lambda tag: faulty)
+               for mid in ids]
+    assert any(suffice) and not all(suffice)
+    for strategy in adversary.ATTACK_STRATEGIES:
+        adv = adversary.Adversary(strategy, setting, faulty)
+        fabricated = []
+        for mid in ids:
+            out = adv._on_multicast(1, b"p", now=1)
+            kinds = [type(a) for a in out]
+            first_send = kinds.index(Send)
+            assert Multicast in kinds[:first_send]
+            assert Multicast not in kinds[first_send:]
+            assert all(a.id == mid for a in out if type(a) is Multicast)
+            fabricated.append(
+                any(a.msg.role == DELIVER for a in out if type(a) is Send))
+            # each version sent is named, and an attack names two
+            named = [a.digest for a in out if type(a) is Multicast]
+            assert {a.msg.digest for a in out if type(a) is Send} <= set(named)
+            filler = strategy == "seq-burner" and not fabricated[-1]
+            assert len(set(named)) == len(named) == (1 if filler else 2)
+        assert adv.trial_ids == ids
+        if strategy == "equivocate":
+            assert not any(fabricated)
+        else:
+            assert fabricated == suffice, strategy
 
 
 @pytest.mark.parametrize("strategy, proto, extra", [

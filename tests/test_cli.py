@@ -360,6 +360,16 @@ def test_trace_check_parse_error(capsys, tmp_path):
     assert code == 1 and "parse error" in err
 
 
+def test_trace_check_bad_signer_id_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "signers.trace"
+    bad.write_text("0 meta - - E meta - - n=4;t=1;kappa=0;slack=0;"
+                   "witness_seed=1\n"
+                   "1 mcast 0 - E mcast 0:1 abcd -\n"
+                   "2 appdlv 1 - - deliver 0:1 abcd signers.E=1:x\n")
+    code, _, err = run_cli(capsys, "trace-check", str(bad))
+    assert code == 1 and err.startswith("parse error: line 3: ")
+
+
 def test_trace_check_undecodable_file_is_a_parse_error(capsys, tmp_path):
     trace = tmp_path / "clean.trace"
     run_cli(capsys, "simulate", "--protocol", "e", "--n", "4", "--t", "1",

@@ -7,9 +7,9 @@ from securecast.core import (PROTO_3T, PROTO_AV, PROTO_E, KeyChain, MessageId,
                              MulticastMessage, ProtocolKind, build_ack,
                              message_digest, sender_sig_data)
 from securecast.protocols import (ACK, DELIVER, INFORM, REGULAR, VERIFY,
-                                  Deliver, EvidencePair, ProcessEngine,
-                                  RaiseAlert, Send, SetTimer, Setting,
-                                  Timeouts, WireMessage)
+                                  Deliver, EvidencePair, Multicast,
+                                  ProcessEngine, RaiseAlert, Send, SetTimer,
+                                  Setting, Timeouts, WireMessage)
 from securecast.quorum import (InvalidParamsError, QuorumParams, w3t,
                                w_active)
 
@@ -630,6 +630,84 @@ def test_holdback_capacity_bounded():
     assert sorted(receiver.holdback[0]) == list(range(2, cap + 2))
 
 
+def test_multicast_action_leads_every_protocol():
+    """A multicast's first action names its id and digest, before any
+    send or timer."""
+    for kind, extra in ((ProtocolKind.E, {}), (ProtocolKind.THREE_T, {}),
+                        (ProtocolKind.ACT, dict(kappa=3, delta=3))):
+        eng = make_engine(me=2, kind=kind, n=13, t=4, **extra)
+        for seq, payload in ((1, b"m"), (2, b"n")):
+            out = eng.wan_multicast(payload)
+            mid = MessageId(2, seq)
+            dig = message_digest(MulticastMessage(mid, payload))
+            assert out[0] == Multicast(mid, dig), kind
+            assert not any(type(a) is Multicast for a in out[1:]), kind
+
+
+def test_sender_releases_its_pending_entry_at_completion():
+    """Once its ack set is complete the sender keeps no pending entry; a
+    late ack and the 3T widening and ACT recovery timers then do nothing."""
+    kc = KeyChain(31, b"unit")
+    # 3T: complete on 2t+1 acks from the first contacts
+    sender = make_engine(me=0, kind=ProtocolKind.THREE_T, n=31, t=10,
+                         keychain=kc)
+    sender.wan_multicast(b"m")
+    mid = MessageId(0, 1)
+    pend = sender.pending[mid]
+    first = sorted(pend.contacted)
+    late = sorted(pend.rule.members - pend.contacted)[0]
+    out = []
+    for w in first:
+        ack = build_ack(kc, PROTO_3T, w, mid, pend.digest)
+        out = sender.handle(w, WireMessage(PROTO_3T, ACK, mid,
+                                           digest=pend.digest, ack=ack), now=1)
+    [deliver] = delivers_sent(out)
+    assert [type(a) for a in sender.handle(0, deliver.msg, now=2)] == [Deliver]
+    assert mid not in sender.pending
+    ack = build_ack(kc, PROTO_3T, late, mid, pend.digest)
+    assert sender.handle(late, WireMessage(PROTO_3T, ACK, mid,
+                                           digest=pend.digest, ack=ack),
+                         now=3) == []
+    assert sender.on_timer(("expand", mid), now=20) == []
+    assert sender.on_timer(("recovery", mid), now=30) == []
+    # ACT: complete on the active witnesses' acks
+    sender = make_engine(me=0, kind=ProtocolKind.ACT, n=31, t=10, kappa=3,
+                         delta=5, keychain=kc)
+    sender.wan_multicast(b"m")
+    pend = sender.pending[mid]
+    for w in sorted(pend.rule.members):
+        ack = build_ack(kc, PROTO_AV, w, mid, pend.digest, pend.sender_sig)
+        msg = WireMessage(PROTO_AV, ACK, mid, digest=pend.digest, ack=ack)
+        out = sender.handle(w, msg, now=1)
+    [deliver] = delivers_sent(out)
+    assert [type(a) for a in sender.handle(0, deliver.msg, now=2)] == [Deliver]
+    assert sender.pending == {}
+    assert sender.handle(w, msg, now=3) == []
+    assert sender.on_timer(("recovery", mid), now=30) == []
+    assert sender.on_timer(("expand", mid), now=30) == []
+
+
+def test_a_faulty_engine_arms_its_own_reforward():
+    """With stability on, an engine whose process is faulty (an adversary's
+    shadow) follows its Deliver with its own re-forward timer, 8*hi later;
+    a correct engine, or any engine with stability off, only delivers."""
+    kc = KeyChain(4, b"unit", faulty=frozenset({2}))
+    msg = build_valid_deliver(kc, make_engine(me=0, n=4, t=1, keychain=kc))
+    dlv = Deliver(msg.body, msg.acks, message_digest(msg.body))
+    hi = 3
+    for stability in (True, False):
+        setting = make_setting(n=4, t=1, keychain=kc,
+                               timeouts=Timeouts.for_latency(hi, stability))
+        shadow, correct = ProcessEngine(2, setting), ProcessEngine(3, setting)
+        assert shadow.handle(0, msg, now=3) == (
+            [dlv, SetTimer(("reforward", msg.subject), 8 * hi)] if stability
+            else [dlv])
+        assert correct.handle(0, msg, now=3) == [dlv]
+        if stability:  # the timer re-forwards to every other process
+            assert dests(shadow.on_timer(("reforward", msg.subject),
+                                         now=30)) == [[0, 1, 3]]
+
+
 # -- fan-outs -----------------------------------------------------------------
 
 
@@ -642,9 +720,10 @@ def test_every_fan_out_is_one_send_in_per_destination_order():
     kc = KeyChain(7, b"unit")
     e = make_engine(me=3, n=7, t=2, keychain=kc)
     out = e.wan_multicast(b"m")
-    assert out == sends(out) and dests(out) == [list(range(7))]
     mid = MessageId(3, 1)
     dig = e.pending[mid].digest
+    assert out[0] == Multicast(mid, dig)
+    assert out[1:] == sends(out) and dests(out) == [list(range(7))]
     for signer in range(e.pending[mid].rule.count):
         ack = build_ack(kc, PROTO_E, signer, mid, dig)
         out = e.handle(signer, WireMessage(PROTO_E, ACK, mid, digest=dig,

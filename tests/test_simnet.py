@@ -17,9 +17,9 @@ from securecast.core import (PROTO_AV, KeyChain, MessageId, ProtocolKind,
                              sender_sig_data)
 from securecast.protocols import (ALERT, ALERT_LATENCY_BOUND, DELIVER,
                                   INFORM, REGULAR, SM_NOTIFY, VERIFY,
-                                  Deliver, EvidencePair, ProcessEngine,
-                                  RaiseAlert, Send, Setting, Timeouts,
-                                  WireMessage)
+                                  Deliver, EvidencePair, Multicast,
+                                  ProcessEngine, RaiseAlert, Send, Setting,
+                                  Timeouts, WireMessage)
 from securecast.quorum import QuorumParams
 from securecast.simnet import (EV_MSG, EV_TIMER, RETRANSMIT_INTERVAL,
                                ConfigError, SimConfig, SimWorld, build_world,
@@ -976,6 +976,52 @@ def test_each_handler_sends_each_message_in_one_send(monkeypatch):
                     elif not any(out is x for x in interleaved):
                         assert len({id(a.msg) for a in sent}) == len(sent)
     assert fan_outs > 0 and interleaved
+
+
+def test_mcast_lines_are_the_multicast_actions(monkeypatch):
+    """A world's mcast lines are exactly the Multicast actions that its
+    correct engines and its adversary return, in order, noted adv exactly
+    for a faulty process: the world reads no process state to write
+    them."""
+    returned = []
+
+    def recording(owner, name, pid_of):
+        orig = getattr(owner, name)
+
+        def call(self, *args):
+            out = orig(self, *args)
+            pid = pid_of(self, args)
+            # a shadow engine's actions reach the world through act
+            if owner is Adversary or pid not in self.setting.keychain.faulty:
+                returned.extend((pid, a) for a in out if type(a) is Multicast)
+            return out
+        monkeypatch.setattr(owner, name, call)
+    for name in ("handle", "on_timer", "wan_multicast", "reforward"):
+        recording(ProcessEngine, name, lambda eng, args: eng.me)
+    recording(Adversary, "act", lambda adv, args: args[0])
+    kinds = set()
+    for protocol in ("e", "3t", "act"):
+        for adversary in ("none",) + STRATEGIES:
+            if protocol != "act" and adversary in ("regime-split",
+                                                   "seq-burner"):
+                continue
+            for stability in (True, False):
+                returned.clear()
+                world = build_world(SimConfig(
+                    protocol=protocol, n=13, t=4, kappa=2, delta=3,
+                    adversary=adversary, messages=4, seed=1, p_drop=0.2,
+                    stability=stability))
+                world.run_to_quiescence()
+                lines = [line.split(" ")[2:] for line in world.trace
+                         if line.split(" ")[1] == "mcast"]
+                assert lines == [
+                    [str(pid), "-", world.trace[0].split(" ")[4], "mcast",
+                     str(m.id), m.digest[:4].hex(),
+                     "adv" if pid in world.faulty else "-"]
+                    for pid, m in returned], (protocol, adversary)
+                assert all(m.id.sender == pid for pid, m in returned)
+                kinds.update(line[-1] for line in lines)
+    assert kinds == {"adv", "-"}
 
 
 def test_one_deliver_action_per_deliver_and_one_handle_per_recipient(

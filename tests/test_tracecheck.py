@@ -189,6 +189,41 @@ def test_parse_errors():
         check_trace("0 meta - - E meta - - n=4;t=1;slack=0;witness_seed=1\n")
 
 
+FORGED_SIGNERS = """\
+0 meta - - E meta - - n=4;t=1;kappa=0;slack=0;witness_seed=1
+1 mcast 0 - E mcast 0:1 abcd -
+2 appdlv 1 - - deliver 0:1 abcd signers.E={}
+3 end - - - end - - quiescent=false
+"""
+
+
+def test_signer_ids_outside_the_run_fail_the_witness_rule():
+    """A signer that is no process of the run counts toward no rule: its
+    delivery is a WitnessRule violation naming it, even beside enough real
+    signers."""
+    for ids, named in (("7:8:9", "7:8:9"), ("0:1:2:9", "9"),
+                       ("0:1:-1", "-1")):
+        result = check_trace(FORGED_SIGNERS.format(ids))
+        assert [(v.prop, v.lineno, v.detail) for v in result.violations] == [
+            ("WitnessRule", 3, f"delivery of 0:1 backed by signers {named}, "
+             f"which are no process of n=4")], ids
+    assert check_trace(FORGED_SIGNERS.format("0:1:2")).ok
+    # in a real trace, one forged signer id among the real ones
+    lines = _e_lines()
+    dlv = _first(lines, "appdlv")
+    note = dlv.split(" ")[8]
+    result = check_trace(_text([_with_field(l, 8, note + ":4") if l == dlv
+                                else l for l in lines]))
+    assert [(v.prop, v.detail) for v in result.violations] == [
+        ("WitnessRule", "delivery of 2:1 backed by signers 4, which are no "
+         "process of n=4")]
+
+
+def test_non_integer_signer_id_is_a_parse_error_at_its_line():
+    with pytest.raises(TraceParseError, match="^line 3: bad signer id"):
+        check_trace(FORGED_SIGNERS.format("1:x"))
+
+
 # -- exact results -------------------------------------------------------------
 # Each corrupted trace below is checked as text, as a list of lines and as a
 # file, and the whole CheckResult is pinned: every violation's (prop,
