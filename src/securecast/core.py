@@ -53,7 +53,6 @@ class MulticastMessage(NamedTuple):
 
 class Signature(NamedTuple):
     signer: int
-    over: bytes      # digest of the signed data
     key_tag: bytes   # identifies the signing key
     mac: bytes       # the token itself
 
@@ -162,6 +161,13 @@ def ack_sig_data(proto: str, subject: MessageId, dig: bytes,
 _IPAD = bytes(x ^ 0x36 for x in range(256))
 _OPAD = bytes(x ^ 0x5C for x in range(256))
 
+# The most tokens a key chain's verify memo keeps, in two generations of
+# half as many each.  A token looked up again within VERIFY_MEMO_SIZE // 2
+# insertions of its last use is never recomputed, and half of this is
+# ~4x the largest such distance measured (535 insertions, in ACT worlds
+# at n=1000, t=100 with 100 and with 400 messages).
+VERIFY_MEMO_SIZE = 4096
+
 
 class KeyChain:
     """Holds the per-process simulated private keys for one world.
@@ -180,8 +186,12 @@ class KeyChain:
         # process -> _key(process), derived on its first sign or verify:
         # most worlds touch a few of the n keys
         self._keys: dict[int, tuple] = {}
-        # (signer, signed bytes) -> token: the one HMAC cache of a world
+        # (signer, signed bytes) -> token: the one HMAC cache of a world,
+        # bounded by VERIFY_MEMO_SIZE.  New tokens go to the young
+        # generation; when it is full it becomes the old one and the old
+        # one is dropped, and a token found in the old one moves back.
         self._verify_memo: dict[tuple[int, bytes], bytes] = {}
+        self._verify_old: dict[tuple[int, bytes], bytes] = {}
 
     def _key(self, p: int) -> tuple:
         """Process p's (key, tag, inner, outer).  The key is SHA-256 of
@@ -217,8 +227,7 @@ class KeyChain:
         if caller != signer and not (caller == ADVERSARY and signer in self.faulty):
             raise ForgeryAttemptError(
                 f"caller {caller!r} does not hold the key of process {signer}")
-        return Signature(signer, digest(data), self._key(signer)[1],
-                         self._mac(signer, data))
+        return Signature(signer, self._key(signer)[1], self._mac(signer, data))
 
     def verify(self, signer: int, data: bytes, sig: Signature) -> bool:
         if sig is None or sig.signer != signer or not 0 <= signer < self.n:
@@ -226,8 +235,14 @@ class KeyChain:
         key = (signer, data)
         mac = self._verify_memo.get(key)
         if mac is None:
-            mac = self._mac(signer, data)
-            self._verify_memo[key] = mac
+            mac = self._verify_old.get(key)
+            if mac is None:
+                mac = self._mac(signer, data)
+            memo = self._verify_memo
+            if len(memo) >= VERIFY_MEMO_SIZE // 2:
+                self._verify_old = memo
+                memo = self._verify_memo = {}
+            memo[key] = mac
         return hmac.compare_digest(mac, sig.mac)
 
 
@@ -245,8 +260,8 @@ def ack_valid(ack: Ack, keychain: KeyChain) -> bool:
     An AV ack embeds the sender's own signature; it only counts if that
     inner signature verifies too, which is what ties AV ack sets back to an
     actual multicast by the sender.  Nothing is cached here: the key
-    chain's verify keeps one token per (signer, signed bytes), so checking
-    an ack again costs its encodings, not another HMAC.
+    chain's verify keeps each recent token, one per (signer, signed bytes),
+    so checking an ack again costs its encodings, not another HMAC.
     """
     if ack.proto == PROTO_AV:
         if ack.sender_sig is None:

@@ -37,22 +37,29 @@ SetTimer(("reforward", id)), which re-forwards to every other process.
 Without the oracle nothing re-forwards and nothing is kept.
 
 An engine takes one Setting, the world's shared part: the protocol kind,
-n and t, the key chain, the seeds, kappa, delta, the slack, the timers and
-the verdict memo.  A SimWorld builds one and gives it to all of its
-engines and to the adversary, whose shadow engines take it too.  Every
-process checks a deliver's ack set against the delivery rule before it
-delivers.  The verdict is a pure function of the message, its acks and
-the setting, so the engines of one world judge each deliver object once;
-engines whose rules differ have different settings, so they never share a
-verdict.  A receiver that has already delivered the id drops the deliver
-without judging it.  A valid verdict is an immutable _Recorded and a
-Deliver action, built once: every engine that delivers on the deliver
-records that one _Recorded and returns that one Deliver.
+n and t, the key chain, the seeds, kappa, delta, the slack and the timers.
+A SimWorld builds one and gives it to all of its engines and to the
+adversary, whose shadow engines take it too.  Every process checks a
+deliver's ack set against the delivery rule before it delivers.  The
+verdict is a pure function of the message, its acks and the setting, so
+the engines of one world judge each deliver object once: the first to
+judge it caches the verdict on the deliver itself, with the setting it
+was judged under, and the verdict lives exactly as long as the deliver.
+An engine whose setting is not the cached one judges afresh, so engines
+whose rules differ never share a verdict.  A receiver that has already
+delivered the id drops the deliver without judging it.  A valid verdict
+is an immutable _Recorded and a Deliver action, built once: every engine
+that delivers on the deliver records that one _Recorded and returns that
+one Deliver.
+
+An engine's delivery vector is an array of n unsigned ints, built on its
+first delivery, so an engine that never delivers costs no vector.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import (Collection, Iterator, NamedTuple, Optional, Sequence,
@@ -97,6 +104,10 @@ class WireMessage:
     ack: Optional[Ack] = None
     sender_sig: Optional[Signature] = None
     evidence: Optional[EvidencePair] = None
+    # a deliver's (setting, verdict), set by ProcessEngine._verdict on its
+    # first judgement; not part of the message's value
+    judged: Optional[tuple[Setting, Optional[_Verdict]]] = field(
+        default=None, init=False, compare=False, repr=False)
 
 
 # Actions are named tuples, cheap to build: a world dispatches on their
@@ -160,7 +171,7 @@ class Timeouts:
 
 class _Recorded(NamedTuple):
     """What an engine has received for an id; immutable, because engines
-    share the one their verdict memo holds."""
+    share the one their deliver's verdict holds."""
     digest: bytes
     sender_sig: Optional[Signature] = None
 
@@ -194,8 +205,8 @@ class _Probe:
 class Setting:
     """What the engines of one world share (see the module docstring),
     with ACT's parameter domain checked once, here.  Compared by identity:
-    engines share a memo only by sharing the setting, and
-    dataclasses.replace makes a new one with a memo of its own."""
+    engines share verdicts only by sharing the setting, and
+    dataclasses.replace makes a new one that shares none."""
     kind: ProtocolKind
     params: QuorumParams
     keychain: KeyChain
@@ -207,10 +218,6 @@ class Setting:
     timeouts: Timeouts = Timeouts.for_latency(5)
     # the wire tags engines accept; ACT recovery traffic is 3T
     protos: frozenset[str] = field(init=False, repr=False)
-    # id(deliver) -> (deliver, (_Recorded(digest), Deliver) if valid else
-    # None); each entry keeps its message alive, so no id is reused
-    verdicts: dict[int, tuple[WireMessage, Optional[_Verdict]]] = field(
-        init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.kind is ProtocolKind.ACT:
@@ -244,7 +251,8 @@ class ProcessEngine:
         self._rng: Optional[random.Random] = None
 
         self.own_seq = 0
-        self.delivery: dict[int, int] = {}        # sender -> last delivered seq
+        # [sender] -> last delivered seq; None until the first delivery
+        self.delivery: Optional[array] = None
         self.recorded: dict[MessageId, _Recorded] = {}
         self.conflicted: set[MessageId] = set()
         self.pending: dict[MessageId, _Pending] = {}
@@ -460,8 +468,8 @@ class ProcessEngine:
         deliver object among the engines that share this engine's setting,
         which all get the same record and the same Deliver."""
         setting = self.setting
-        hit = setting.verdicts.get(id(msg))
-        if hit is not None:
+        hit = msg.judged
+        if hit is not None and hit[0] is setting:
             return hit[1]
         verdict = None
         acks = msg.acks
@@ -473,7 +481,7 @@ class ProcessEngine:
             if accepts(setting.rules(mid), lambda tag: valid_signers(
                     acks, tag, mid, d, keychain)):
                 verdict = (_Recorded(d), Deliver(m, acks, d))
-        setting.verdicts[id(msg)] = (msg, verdict)
+        object.__setattr__(msg, "judged", (setting, verdict))
         return verdict
 
     def on_deliver(self, src: int, msg: WireMessage, now: int) -> list[Action]:
@@ -481,7 +489,8 @@ class ProcessEngine:
         if m is None or msg.proto not in self.setting.protos:
             return []
         mid = m.id
-        last = self.delivery.get(mid.sender, 0)
+        delivery = self.delivery
+        last = delivery[mid.sender] if delivery is not None else 0
         if mid.seq <= last:
             return []  # duplicate, suppressed whatever its acks
         verdict = self._verdict(msg)
@@ -504,12 +513,19 @@ class ProcessEngine:
 
     def _do_deliver(self, msg: WireMessage, verdict: _Verdict
                     ) -> list[Action]:
-        """Deliver on a valid deliver.  The record and the Deliver are the
-        verdict memo's, one object each for every engine that delivers on
-        this deliver."""
+        """Deliver on a valid deliver.  The record and the Deliver are its
+        verdict's, one object each for every engine that delivers on this
+        deliver."""
         rec, dlv = verdict
         mid = dlv.message.id
-        self.delivery[mid.sender] = mid.seq
+        delivery = self.delivery
+        if delivery is None:
+            # A delivered seq is always the sender's last delivered one
+            # plus 1, so it counts this engine's deliveries from that
+            # sender: 2**32 - 1 of them are more than any world runs, and
+            # the array raises OverflowError rather than wrap.
+            delivery = self.delivery = array("I", [0]) * self.setting.params.n
+        delivery[mid.sender] = mid.seq
         # A delivered message counts as received for conflict detection:
         # no ack or verification is ever signed against it afterwards.
         if mid not in self.recorded:

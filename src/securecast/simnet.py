@@ -72,6 +72,7 @@ from __future__ import annotations
 import hashlib
 import random
 from array import array
+from collections.abc import MutableSet
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import Iterator, Optional
@@ -259,6 +260,58 @@ class SimConfig:
         return keyed_seed(self.seed, label)
 
 
+class PidSet(MutableSet):
+    """A set of process ids in range(n): n bits and a count, where a
+    builtin set of n ints takes ~32 n bytes.  It iterates in ascending
+    order, and compares equal to a builtin set of the same ids.
+    SimWorld._record_delivery sets a bit and the count in place."""
+
+    __slots__ = ("_bits", "_count")
+
+    def __init__(self, n: int):
+        self._bits = bytearray((n + 7) >> 3)
+        self._count = 0
+
+    @classmethod
+    def _from_iterable(cls, it) -> set:
+        # the results of &, |, - and ^ are builtin sets: they have no n
+        return set(it)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __contains__(self, p) -> bool:
+        return (isinstance(p, int) and 0 <= p < len(self._bits) << 3
+                and bool(self._bits[p >> 3] >> (p & 7) & 1))
+
+    def __iter__(self) -> Iterator[int]:
+        for i, byte in enumerate(self._bits):
+            while byte:
+                low = byte & -byte
+                yield (i << 3) + low.bit_length() - 1
+                byte ^= low
+
+    def add(self, p: int):
+        bits = self._bits
+        if not 0 <= p < len(bits) << 3:
+            raise ValueError(f"no process {p} among {len(bits) << 3}")
+        mask = 1 << (p & 7)
+        if not bits[p >> 3] & mask:
+            bits[p >> 3] |= mask
+            self._count += 1
+
+    def discard(self, p: int):
+        if p in self:
+            self._bits[p >> 3] ^= 1 << (p & 7)
+            self._count -= 1
+
+    def __sizeof__(self) -> int:
+        return object.__sizeof__(self) + self._bits.__sizeof__()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)})"
+
+
 @dataclass
 class RunReport:
     protocol: str
@@ -266,7 +319,8 @@ class RunReport:
     t: int
     faulty: frozenset[int]
     deliveries: dict[int, int]
-    delivered_digests: dict[MessageId, dict[bytes, set[int]]]
+    # id -> digest -> the correct processes that delivered it
+    delivered_digests: dict[MessageId, dict[bytes, PidSet]]
     conflict_ids: list[MessageId]
     alerts_raised: int
     access_counts: dict[int, dict[str, int]]
@@ -304,9 +358,6 @@ class SimWorld:
         self.adversary_seed = (cfg.adversary_seed if cfg.adversary_seed is not None
                                else cfg.derived_seed(b"adversary"))
         self.world_seed = cfg.derived_seed(b"world")
-        # the world's process ids: every pid it records a delivery under is
-        # one of these n objects, whichever send produced the delivery
-        self._pids = tuple(range(cfg.n))
         secret = hashlib.sha256(_enc(b"secret", _u64(self.world_seed))).digest()
 
         # The faulty set is a function of the adversary seed alone: chosen
@@ -352,7 +403,7 @@ class SimWorld:
 
         # Aggregates, maintained whether or not the trace is kept.
         self.deliveries: dict[int, int] = {}
-        self.delivered_digests: dict[MessageId, dict[bytes, set[int]]] = {}
+        self.delivered_digests: dict[MessageId, dict[bytes, PidSet]] = {}
         self.alerts_raised = 0
         self.access_counts: dict[int, dict[str, int]] = {}
         self.messages_multicast = 0
@@ -362,7 +413,7 @@ class SimWorld:
         # id -> correct processes whose delivery has not matured yet;
         # dropped once empty
         self._unstable: dict[MessageId, set[int]] = {}
-        self.correct = tuple(p for p in self._pids if p not in self.faulty)
+        self.correct = tuple(p for p in range(cfg.n) if p not in self.faulty)
 
         self._schedule_workload()
         if self.trace is not None:
@@ -513,8 +564,8 @@ class SimWorld:
                               ev.digest_a, f"accused={ev.subject.sender}")
                 alert = WireMessage(PROTO_TAG[self.kind], ALERT, ev.subject,
                                     evidence=ev)
-                self._fast_send(pid, self._pids[:pid] + self._pids[pid + 1:],
-                                alert, now)
+                others = [*range(pid), *range(pid + 1, self.config.n)]
+                self._fast_send(pid, others, alert, now)
 
     def _set_timer(self, pid: int, tid: tuple, delay: int, now: int):
         if self.trace is not None:
@@ -525,18 +576,21 @@ class SimWorld:
     def _record_delivery(self, pid: int, dlv: Deliver, now: int):
         message, acks, dig = dlv
         mid = message.id
-        pid = self._pids[pid]   # the world's own int, whoever sent the deliver
         deliveries = self.deliveries
         deliveries[pid] = deliveries.get(pid, 0) + 1
         correct = pid not in self.faulty
         if correct:
             slot = self.delivered_digests.get(mid)
             if slot is None:
-                self.delivered_digests[mid] = {dig: {pid}}
-            elif dig in slot:
-                slot[dig].add(pid)
-            else:
-                slot[dig] = {pid}
+                slot = self.delivered_digests[mid] = {}
+            pids = slot.get(dig)
+            if pids is None:
+                pids = slot[dig] = PidSet(self.config.n)
+            # PidSet.add, inlined
+            bits, i, mask = pids._bits, pid >> 3, 1 << (pid & 7)
+            if not bits[i] & mask:
+                bits[i] |= mask
+                pids._count += 1
         if self.trace is not None:
             note = None
             if correct and acks:

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from securecast.core import (ADVERSARY, PROTO_3T, PROTO_AV, PROTO_E,
-                             ForgeryAttemptError, KeyChain, MessageId,
-                             MulticastMessage, Signature, _enc, _u64,
+                             VERIFY_MEMO_SIZE, ForgeryAttemptError, KeyChain,
+                             MessageId, MulticastMessage, Signature, _enc, _u64,
                              ack_sig_data, ack_valid,
                              build_ack, digest, keyed_seed, message_digest,
                              sender_sig_data, valid_signers)
@@ -198,6 +198,30 @@ def test_keychain_derives_keys_lazily_and_as_before():
     assert sorted(kc._keys) == [3, 5]
 
 
+def test_verify_memo_is_bounded_and_keeps_recent_tokens(monkeypatch):
+    kc = make_keychain()
+    datas = [b"d%d" % i for i in range(3 * VERIFY_MEMO_SIZE)]
+    sigs = {d: kc.sign(1, d) for d in datas}
+    macs = []
+    real = KeyChain._mac
+    monkeypatch.setattr(KeyChain, "_mac", lambda self, p, data: macs.append(
+        data) or real(self, p, data))
+    hot, rest = datas[0], datas[1:]
+    # a token used again within VERIFY_MEMO_SIZE // 2 insertions of its
+    # last use is never recomputed, however long the world runs
+    reuse = VERIFY_MEMO_SIZE // 2 - 1
+    for i, d in enumerate(rest):
+        assert kc.verify(1, d, sigs[d])
+        if i % reuse == 0:
+            assert kc.verify(1, hot, sigs[hot])
+    assert macs.count(hot) == 1 and len(macs) == len(datas)
+    assert len(kc._verify_memo) + len(kc._verify_old) <= VERIFY_MEMO_SIZE
+    # a token idle for longer is recomputed, and still checked
+    assert kc.verify(1, rest[0], sigs[rest[0]])
+    assert macs.count(rest[0]) == 2
+    assert not kc.verify(1, rest[0], sigs[rest[1]])
+
+
 # widths drawn uniformly, so values past 2**63 are as common as small ones
 _u64s = st.integers(1, 64).flatmap(lambda b: st.integers(0, 2**b - 1))
 # sizes drawn uniformly, as above, so lengths past one byte are covered
@@ -212,7 +236,7 @@ _blobs = st.integers(0, 300).flatmap(lambda k: st.binary(min_size=k,
          mac=b"m" * 256, payload=b"p" * 256)
 def test_struct_encodings_match_enc(proto, sender, seq, dig, mac, payload):
     mid = MessageId(sender, seq)
-    ssig = None if mac is None else Signature(sender, b"", b"", mac)
+    ssig = None if mac is None else Signature(sender, b"", mac)
     assert ack_sig_data(proto, mid, dig, ssig) == _enc(
         b"ack", proto.encode(), _u64(sender), _u64(seq), dig,
         b"" if mac is None else mac)

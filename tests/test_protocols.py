@@ -57,8 +57,14 @@ def regular_for(eng, sender_eng, payload=b"p"):
 
 
 def test_init_delivery_vector_zero():
-    eng = make_engine()
-    assert all(eng.delivery.get(p, 0) == 0 for p in range(4))
+    # no vector until the first delivery; then one zeroed slot per process
+    kc = KeyChain(4, b"unit")
+    eng = make_engine(me=2, n=4, t=1, keychain=kc)
+    assert eng.delivery is None
+    sender = make_engine(me=0, n=4, t=1, keychain=kc)
+    eng.handle(0, build_valid_deliver(kc, sender), now=3)
+    assert eng.delivery.typecode == "I"
+    assert eng.delivery.tolist() == [1, 0, 0, 0]
 
 
 def test_init_act_requires_capacity():
@@ -431,11 +437,11 @@ def test_deliver_out_of_order_held_back():
     second = build_valid_deliver(kc, sender, b"m2")
     out = receiver.handle(0, second, now=3)
     assert not [a for a in out if isinstance(a, Deliver)]
-    assert receiver.delivery.get(0, 0) == 0
+    assert receiver.delivery is None  # nothing delivered from anyone
     out = receiver.handle(0, first, now=4)
     delivered = [a.message.id.seq for a in out if isinstance(a, Deliver)]
     assert delivered == [1, 2]  # the gap fills and the holdback drains
-    assert receiver.delivery[0] == 2
+    assert receiver.delivery.tolist() == [2, 0, 0, 0]
 
 
 def test_deliver_duplicate_suppressed():
@@ -455,7 +461,7 @@ def test_deliver_below_quorum_dropped():
     short = WireMessage(msg.proto, DELIVER, msg.subject, digest=msg.digest,
                         body=msg.body, acks=msg.acks[:2])
     assert receiver.handle(0, short, now=3) == []
-    assert receiver.delivery.get(0, 0) == 0
+    assert receiver.delivery is None  # nothing delivered from anyone
 
 
 def test_deliver_keeps_the_message_for_reforward_and_respects_stability():
@@ -799,7 +805,7 @@ def test_duplicate_deliver_never_reaches_the_predicate(judged):
     msg = build_valid_deliver(kc, sender)
     assert [a for a in receiver.handle(0, msg, now=3) if isinstance(a, Deliver)]
     assert len(judged) == 1
-    # A distinct copy would miss the verdict memo; being a duplicate, it is
+    # A distinct copy would carry no verdict; being a duplicate, it is
     # dropped before any check.
     assert receiver.handle(0, copy_of(msg), now=4) == []
     assert receiver.handle(0, msg, now=5) == []
@@ -857,14 +863,14 @@ def test_forged_deliver_rejected_at_every_receiver(judged):
     kc = KeyChain(31, b"unit")
     for kind, forged in forged_delivers(kc):
         extra = dict(kappa=3, delta=5) if kind is ProtocolKind.ACT else {}
-        # one world's setting, and with it one memo
+        # one world's setting: the deliver is judged once among its engines
         setting = make_setting(kind=kind, n=31, t=10, keychain=kc, **extra)
         group = [ProcessEngine(p, setting) for p in range(2, 31)]
         before = len(judged)
         for eng in group:
             for now in (3, 4):
                 assert eng.handle(forged.subject.sender, forged, now) == []
-            assert eng.delivery == {} and forged.subject not in eng.recorded
+            assert eng.delivery is None and forged.subject not in eng.recorded
         assert len(judged) - before == 1, kind
 
 
@@ -884,7 +890,8 @@ def test_equal_but_distinct_deliver_is_judged_afresh(judged):
 def test_shared_verdicts_never_cross_rules():
     # The slack case above, the strict setting derived from the lenient
     # one: the verdict of the lenient rule must not answer for the strict
-    # one, since a new setting starts a memo of its own.
+    # one, since a deliver's cached verdict names the setting it was
+    # judged under.
     kc = KeyChain(31, b"unit")
     sender = make_engine(me=0, kind=ProtocolKind.ACT, n=31, t=10, kappa=3,
                          delta=5, slack_c=1, keychain=kc)
@@ -899,7 +906,9 @@ def test_shared_verdicts_never_cross_rules():
         kind=ProtocolKind.ACT, n=31, t=10, kappa=3, delta=5, slack_c=1,
         keychain=kc))
     strict = ProcessEngine(6, replace(lenient.setting, slack_c=0))
-    assert strict.setting.verdicts is not lenient.setting.verdicts
+    assert strict.setting is not lenient.setting
     assert [a for a in lenient.handle(0, dmsg, now=2) if isinstance(a, Deliver)]
+    assert dmsg.judged[0] is lenient.setting and dmsg.judged[1] is not None
     assert strict.handle(0, dmsg, now=2) == []
+    assert dmsg.judged == (strict.setting, None)
     assert lenient.handle(0, dmsg, now=3) == []  # duplicate

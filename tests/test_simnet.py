@@ -1,6 +1,7 @@
 import gc
 import heapq
 import random
+import sys
 import tracemalloc
 import weakref
 from array import array
@@ -22,8 +23,8 @@ from securecast.protocols import (ALERT, ALERT_LATENCY_BOUND, DELIVER,
                                   Timeouts, WireMessage)
 from securecast.quorum import QuorumParams
 from securecast.simnet import (EV_MSG, EV_TIMER, RETRANSMIT_INTERVAL,
-                               ConfigError, SimConfig, SimWorld, build_world,
-                               run_world)
+                               ConfigError, PidSet, SimConfig, SimWorld,
+                               build_world, run_world)
 
 
 def test_build_world_minimal():
@@ -184,6 +185,21 @@ def test_stability_oracle_only_reports_real_deliveries():
 
 def engines_of(world):
     return [e for e in world.engines if e is not None]
+
+
+def watch_delivers(monkeypatch):
+    """The deliver messages every ProcessEngine (shadow engines too)
+    handles from now on, each once, by id; the dict keeps them alive."""
+    seen: dict[int, WireMessage] = {}
+    handle = ProcessEngine.handle
+
+    def watching(self, src, msg, now):
+        if msg.role == DELIVER:
+            seen.setdefault(id(msg), msg)
+        return handle(self, src, msg, now)
+
+    monkeypatch.setattr(ProcessEngine, "handle", watching)
+    return seen
 
 
 def watch_reforwards(world):
@@ -778,9 +794,10 @@ def test_channel_state_is_one_row_per_source_whatever_the_run_length():
     assert draws[1] > 3 * draws[0]
 
 
-def test_engines_share_one_record_per_deliver():
+def test_engines_share_one_record_per_deliver(monkeypatch):
     world = build_world(SimConfig(protocol="act", n=31, t=10, kappa=3,
                                   delta=5, messages=2, seed=4))
+    delivers = watch_delivers(monkeypatch)
     report = world.run_to_quiescence()
     assert report.quiescent and len(report.delivered_digests) == 2
     # processes that heard of an id before its deliver recorded it then
@@ -790,8 +807,10 @@ def test_engines_share_one_record_per_deliver():
         if kind == "recv" and role in (REGULAR, INFORM):
             heard.setdefault(subject, set()).add(int(dst))
     engines = engines_of(world)
-    memo = [verdict[0] for _, verdict in world.setting.verdicts.values()
-            if verdict is not None]
+    # the verdicts cached on the world's delivers, all under its setting
+    judged = [msg.judged for msg in delivers.values() if msg.judged]
+    assert judged and all(s is world.setting for s, _ in judged)
+    memo = [verdict[0] for _, verdict in judged if verdict is not None]
     for mid in report.delivered_digests:
         late = [e for e in engines
                 if e.me != mid.sender and e.me not in heard[str(mid)]]
@@ -823,19 +842,23 @@ SHARED_SETTING_WORLDS = [
 
 @pytest.mark.parametrize("shape", SHARED_SETTING_WORLDS,
                          ids=lambda s: f"{s['protocol']}-{s['adversary']}")
-def test_engines_and_shadow_engines_share_the_world_setting(shape):
+def test_engines_and_shadow_engines_share_the_world_setting(monkeypatch,
+                                                            shape):
     world = build_world(SimConfig(messages=3, seed=2, senders="uniform",
                                   **shape))
     setting = world.setting
+    delivers = watch_delivers(monkeypatch)
     assert world.run_to_quiescence().quiescent
     shadows = list(world.adversary._shadows.values())
     assert shadows  # the strategy ran its honest part on shadow engines
     assert world.adversary.setting is setting
     for eng in engines_of(world) + shadows:
         assert eng.setting is setting
-        assert eng.setting.verdicts is setting.verdicts
-    # the memo holds the world's delivers
-    assert any(v is not None for _, v in setting.verdicts.values())
+    # every deliver the engines and shadow engines judged holds its verdict
+    # under the world's setting, and some of them are valid
+    judged = [msg.judged for msg in delivers.values() if msg.judged]
+    assert judged and all(s is setting for s, _ in judged)
+    assert any(verdict is not None for _, verdict in judged)
 
 
 def test_act_params_checked_a_fixed_number_of_times_per_world(monkeypatch):
@@ -1060,11 +1083,12 @@ def test_one_deliver_action_per_deliver_and_one_handle_per_recipient(
         assert all(act is got[0] for act in got)
 
 
-def test_delivered_pids_are_the_worlds_n_int_objects():
-    # Above 256 every int is its own object.  Whichever fan-out delivered a
-    # message (a correct sender's broadcast, or the adversary's when the
-    # faulty set holds a whole active witness set), the world records one
-    # of its n process ids.
+def test_delivered_pids_cost_a_bit_each():
+    # Whichever fan-out delivered a message (a correct sender's broadcast,
+    # or the adversary's when the faulty set holds a whole active witness
+    # set), the world records its correct deliverers one bit each: a record
+    # of up to n=300 processes, deep size included, stays within n/8 bytes
+    # plus a fixed overhead, where a builtin set of them takes ~32 n bytes.
     n, t, kappa, ws = 300, 10, 3, 99
     params = QuorumParams(n, t)
     faulty = {0}.union(*(quorum.w_active(MessageId(0, seq), kappa, params, ws)
@@ -1077,32 +1101,63 @@ def test_delivered_pids_are_the_worlds_n_int_objects():
                    stability=False)
         world = build_world(SimConfig(**{**cfg, **shape}))
         report = world.run_to_quiescence()
-        pids = [p for slot in report.delivered_digests.values()
-                for group in slot.values() for p in group]
-        assert len(pids) > 1.5 * n, shape
-        assert len({id(p) for p in pids + list(report.deliveries)}) <= n
+        records = [group for slot in report.delivered_digests.values()
+                   for group in slot.values()]
+        assert sum(map(len, records)) > 1.5 * n, shape
+        for group in records:
+            assert type(group) is PidSet
+            assert sys.getsizeof(group) <= n // 8 + 160
 
 
 @pytest.mark.parametrize("stability", [True, False])
 def test_retained_bytes_per_message_are_pinned(stability):
-    # A quiesced fault-free ACT n=100 world keeps ~20.2 KB per message, most
-    # of it per-id engine state that is never released; a delivery record
-    # per engine pushes it past the pin.
+    # A quiesced fault-free ACT n=100 world keeps ~8.5 KB per message, most
+    # of it the engines' per-id records and probes, which are never
+    # released.
     def retained(messages):
         cfg = SimConfig(protocol="act", n=100, t=10, kappa=3, delta=5,
                         messages=messages, seed=3, stability=stability,
                         record_trace=False)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            world = build_world(cfg)
-            assert world.run_to_quiescence().quiescent
-            return tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        before = tracemalloc.get_traced_memory()[0]
+        world = build_world(cfg)
+        assert world.run_to_quiescence().quiescent
+        return tracemalloc.get_traced_memory()[0] - before
 
-    per_message = (retained(300) - retained(100)) / 200
-    assert per_message <= 24_000
+    # The bounded witness caches outlive a world.  Traced from before a
+    # warm-up that fills them, each measured world frees as many cache
+    # entries as it adds.
+    tracemalloc.start()
+    try:
+        retained(300)
+        per_message = (retained(300) - retained(100)) / 200
+    finally:
+        tracemalloc.stop()
+    assert per_message <= 10_000, per_message
+
+
+def _live_delivers(strays=()) -> list:
+    """The deliver messages the cycle collector tracks, but strays."""
+    skip = {id(o) for o in strays}
+    return [o for o in gc.get_objects() if type(o) is WireMessage
+            and o.role == DELIVER and id(o) not in skip]
+
+
+@pytest.mark.parametrize("stability", [True, False])
+def test_no_deliver_outlives_quiescence(stability):
+    # A deliver's verdict lives on the deliver, so once the last engine
+    # lets go of it (its delivery without stability, its re-forward with
+    # it), nothing in the world still holds it.
+    strays = _live_delivers()   # other tests'; held, so no id is reused
+    world = build_world(SimConfig(protocol="act", n=31, t=10, kappa=3,
+                                  delta=5, adversary="silent", num_faulty=3,
+                                  messages=20, seed=6, stability=stability,
+                                  record_trace=False))
+    while world.queue and not _live_delivers(strays):
+        world.step()
+    assert _live_delivers(strays)   # the check sees a deliver in flight
+    report = world.run_to_quiescence()
+    assert report.quiescent and len(report.delivered_digests) == 20
+    assert _live_delivers(strays) == []
 
 
 @pytest.mark.parametrize("proto, adversary, extra", [
@@ -1152,14 +1207,20 @@ def test_monte_carlo_worlds_leave_nothing_behind():
     assert growth / measured < 100
 
 
+ACT_N100_SILENT = SimConfig(protocol="act", n=100, t=10, kappa=3, delta=5,
+                           adversary="silent", messages=5, seed=3,
+                           record_trace=False)
+
+
 @pytest.mark.parametrize("cfg, worlds, macs", [
-    (SimConfig(protocol="act", n=100, t=10, kappa=3, delta=5,
-               adversary="silent", messages=5, seed=3, record_trace=False),
-     1, 221),
-    (replace(MC_N31, seed=5 << 32), 200, 7798)])
+    (ACT_N100_SILENT, 1, 221),
+    (replace(MC_N31, seed=5 << 32), 200, 7798),
+    (replace(ACT_N100_SILENT, messages=300), 1, 13879)])
 def test_hmac_work_per_world_is_pinned(monkeypatch, cfg, worlds, macs):
     # Each (signer, signed bytes) is HMACed at most once per world; a cache
-    # cut that makes a world redo that work changes these counts.
+    # cut that makes a world redo that work changes these counts.  The
+    # 300-message world puts 6,075 tokens in the verify memo, past
+    # VERIFY_MEMO_SIZE, and redoes none of them.
     calls = []
     mac = KeyChain._mac
     monkeypatch.setattr(KeyChain, "_mac",
