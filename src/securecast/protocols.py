@@ -52,8 +52,13 @@ is an immutable _Recorded and a Deliver action, built once: every engine
 that delivers on the deliver records that one _Recorded and returns that
 one Deliver.
 
-An engine's delivery vector is an array of n unsigned ints, built on its
-first delivery, so an engine that never delivers costs no vector.
+An engine's delivery vector is an array of unsigned ints over sender
+slots.  The Setting maps each sender to its slot, given at the sender's
+first delivery anywhere in the world, so the slots are dense over the
+senders delivered so far.  An engine's vector reaches only as far as the
+highest slot it has delivered from, so it grows with the senders it
+delivers, not with n; reading a sender that has no slot, or none in this
+vector yet, gives 0 and allocates nothing.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from types import MappingProxyType
 from typing import (Collection, Iterator, NamedTuple, Optional, Sequence,
                     Union)
@@ -148,6 +154,9 @@ ALERT_LATENCY_BOUND = 3
 # Deliveries held per sender while waiting for an earlier sequence number.
 HOLDBACK_CAP = 64
 
+# The delivery vector slot an unseen sender reads: past every vector's end.
+_NO_SLOT = 1 << 62
+
 
 @dataclass(frozen=True)
 class Timeouts:
@@ -218,6 +227,9 @@ class Setting:
     timeouts: Timeouts = Timeouts.for_latency(5)
     # the wire tags engines accept; ACT recovery traffic is 3T
     protos: frozenset[str] = field(init=False, repr=False)
+    # sender -> its slot in every engine's delivery vector, assigned in
+    # order of the sender's first delivery by any engine
+    sender_slots: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind is ProtocolKind.ACT:
@@ -226,6 +238,7 @@ class Setting:
         object.__setattr__(self, "protos", frozenset(
             (PROTO_TAG[self.kind], PROTO_3T) if self.kind is ProtocolKind.ACT
             else (PROTO_TAG[self.kind],)))
+        object.__setattr__(self, "sender_slots", {})
 
     def rules(self, mid: MessageId, kind: Optional[ProtocolKind] = None
               ) -> Iterator[AckRule]:
@@ -251,8 +264,9 @@ class ProcessEngine:
         self._rng: Optional[random.Random] = None
 
         self.own_seq = 0
-        # [sender] -> last delivered seq; None until the first delivery
-        self.delivery: Optional[array] = None
+        # [setting.sender_slots[sender]] -> last delivered seq, as far as
+        # the highest slot delivered from; read it through last_delivered
+        self.delivery = array("I")
         self.recorded: dict[MessageId, _Recorded] = {}
         self.conflicted: set[MessageId] = set()
         self.pending: dict[MessageId, _Pending] = {}
@@ -274,6 +288,12 @@ class ProcessEngine:
             self._rng = random.Random(
                 keyed_seed(self.setting.stream_seed, b"proc", self.me))
         return self._rng
+
+    def last_delivered(self, sender: int) -> int:
+        """The last seq delivered from sender, 0 before its first."""
+        slot = self.setting.sender_slots.get(sender, _NO_SLOT)
+        delivery = self.delivery
+        return delivery[slot] if slot < len(delivery) else 0
 
     def _ack_to(self, proto: str, dst: int, mid: MessageId, dig: bytes,
                 sender_sig: Optional[Signature] = None) -> Send:
@@ -489,26 +509,30 @@ class ProcessEngine:
         if m is None or msg.proto not in self.setting.protos:
             return []
         mid = m.id
-        delivery = self.delivery
-        last = delivery[mid.sender] if delivery is not None else 0
+        last = self.last_delivered(mid.sender)
         if mid.seq <= last:
             return []  # duplicate, suppressed whatever its acks
         verdict = self._verdict(msg)
         if verdict is None:
             return []
+        holdback = self.holdback
         if mid.seq > last + 1:
-            slot = self.holdback.setdefault(mid.sender, {})
-            if mid.seq not in slot and len(slot) < HOLDBACK_CAP:
-                slot[mid.seq] = msg
+            held = holdback.get(mid.sender)
+            if held is None:
+                held = holdback[mid.sender] = {}
+            if mid.seq not in held and len(held) < HOLDBACK_CAP:
+                held[mid.seq] = msg
             return []
         actions = self._do_deliver(msg, verdict)
-        queue = self.holdback.get(mid.sender)
-        if queue:
+        held = holdback.get(mid.sender)
+        if held is not None:
             # held messages were judged valid before they were held
             seq = mid.seq + 1
-            while (cur := queue.pop(seq, None)) is not None:
+            while (cur := held.pop(seq, None)) is not None:
                 actions += self._do_deliver(cur, self._verdict(cur))
                 seq += 1
+            if not held:
+                del holdback[mid.sender]
         return actions
 
     def _do_deliver(self, msg: WireMessage, verdict: _Verdict
@@ -518,14 +542,21 @@ class ProcessEngine:
         deliver."""
         rec, dlv = verdict
         mid = dlv.message.id
+        slots = self.setting.sender_slots
+        slot = slots.get(mid.sender)
+        if slot is None:
+            slot = slots[mid.sender] = len(slots)
+        # A delivered seq is always the sender's last delivered one plus 1,
+        # so it counts this engine's deliveries from that sender: 2**32 - 1
+        # of them are more than any world runs, and the array raises
+        # OverflowError rather than wrap.
         delivery = self.delivery
-        if delivery is None:
-            # A delivered seq is always the sender's last delivered one
-            # plus 1, so it counts this engine's deliveries from that
-            # sender: 2**32 - 1 of them are more than any world runs, and
-            # the array raises OverflowError rather than wrap.
-            delivery = self.delivery = array("I", [0]) * self.setting.params.n
-        delivery[mid.sender] = mid.seq
+        if slot < len(delivery):
+            delivery[slot] = mid.seq
+        else:
+            if slot > len(delivery):  # senders this engine has not delivered
+                delivery.extend(repeat(0, slot - len(delivery)))
+            delivery.append(mid.seq)
         # A delivered message counts as received for conflict detection:
         # no ack or verification is ever signed against it afterwards.
         if mid not in self.recorded:

@@ -10,11 +10,17 @@ Channel randomness is counter based: a channel (src, dst) holds only the
 number of draws it has made, and its draw k is the u64
 keyed_seed(world_seed, b"chan", src, dst, k).  A send takes one draw for
 its latency, lo + u % (hi - lo + 1), then, when p_drop > 0, one more per
-transmission attempt, each a loss while u / 2**64 < p_drop.  The channels
-of one source are one row of 2n unsigned 32-bit ints, built on its first
-send: the draw count per destination, then the last arrival tick per
-destination, which keeps each channel FIFO.  Channel state is thus at
-most 8n^2 bytes (8 MB at n=1000), however long a world runs.  The alert
+transmission attempt, each a loss while u / 2**64 < p_drop.  The draw
+counts of one source are one row of n unsigned 32-bit ints, built on its
+first send, so they take at most 4n^2 bytes (4 MB at n=1000), however
+long a world runs.  Each channel is FIFO: a send never arrives before the
+channel's last arrival.  Those last arrival ticks sit in one world-level
+dict keyed src * n + dst, which needs a channel only while its last
+arrival could still clamp a new send, that is while it lies beyond the
+earliest arrival now + latency_lo of a send made now.  A send records its
+arrival only when it lies beyond that, and the dict is pruned of the
+channels that no longer do whenever it doubles, so it follows the
+messages in flight, not the channels ever used.  The alert
 plane is counter based the same way, under the label b"alert": an alert
 from src to dst takes one draw u of that pair and arrives 1 + u %
 ALERT_LATENCY_BOUND ticks later, so a world that raises no alert draws
@@ -99,9 +105,12 @@ EV_REFORWARD = 4
 # Ticks between a lost transmission and its retry.
 RETRANSMIT_INTERVAL = 8
 
-# The largest latency_hi a world accepts.  Channel rows keep arrival ticks
-# as unsigned 32-bit ints, and under this bound they stay far below 2**32.
+# The largest latency_hi a world accepts, far past the 10**6 ticks
+# run_to_quiescence runs by default.
 MAX_LATENCY = 1 << 24
+
+# The size below which SimWorld._in_flight is never pruned.
+_IN_FLIGHT_MIN = 256
 
 # Who multicasts: "faulty" senders only, "uniform" draws among the correct
 # processes, "auto" picks faulty under an attack strategy, else uniform.
@@ -393,8 +402,12 @@ class SimWorld:
                                        cfg.crash_after)
 
         # per source, None until its first send, then one row: draws made
-        # on channel (src, dst) at [dst], its last arrival tick at [n + dst]
+        # on channel (src, dst) at [dst]
         self._chan_rows: list[Optional[array]] = [None] * cfg.n
+        # per channel, keyed src * n + dst: its last arrival tick, while it
+        # may still clamp a send; pruned at _in_flight_cap entries
+        self._in_flight: dict[int, int] = {}
+        self._in_flight_cap = _IN_FLIGHT_MIN
         self._chan_prefix = keyed_prefix(self.world_seed, b"chan")
         self._latency_span = cfg.latency_hi - cfg.latency_lo + 1
         self._drop_cut = cfg.p_drop * 2.0 ** 64  # a draw below it is a loss
@@ -489,10 +502,12 @@ class SimWorld:
         n = self.config.n
         row = self._chan_rows[src]
         if row is None:
-            row = self._chan_rows[src] = array("I", [0]) * (2 * n)
+            row = self._chan_rows[src] = array("I", [0]) * n
+        in_flight = self._in_flight
+        base = src * n
         prefix = self._chan_prefix
         pack = _CHAN_FIELDS.pack
-        lo = self.config.latency_lo
+        floor = now + self.config.latency_lo  # the earliest arrival
         span = self._latency_span
         cut = self._drop_cut
         arrivals = []
@@ -501,7 +516,7 @@ class SimWorld:
                 self._log(now, "send", src, dst, msg.proto, msg.role,
                           msg.subject, msg.digest, None)
             k = row[dst]
-            arrival = now + lo + digest64(
+            arrival = floor + digest64(
                 prefix + pack(8, src, 8, dst, 8, k)) % span
             k += 1
             if cut:
@@ -515,12 +530,27 @@ class SimWorld:
                 k += 1
             row[dst] = k
             # FIFO per ordered pair: never overtake an earlier message.
-            last = row[n + dst]
+            key = base + dst
+            last = in_flight.get(key, 0)
             if arrival < last:
                 arrival = last
-            row[n + dst] = arrival
+            if arrival > floor:  # else it can clamp no send from now on
+                in_flight[key] = arrival
             arrivals.append(arrival)
+        if len(in_flight) >= self._in_flight_cap:
+            self._prune_in_flight(floor)
         self._push_fan_out(src, dsts, arrivals, msg, "net")
+
+    def _prune_in_flight(self, floor: int):
+        """Keep only the channels whose last arrival lies beyond floor, the
+        earliest arrival of a send made now.  The clock never goes back,
+        so no later send can arrive before a dropped tick, and the clamp
+        it would have made is a no-op.  The next prune waits until the
+        dict has doubled, so each entry costs O(1) pruning work."""
+        kept = {key: last for key, last in self._in_flight.items()
+                if last > floor}
+        self._in_flight = kept
+        self._in_flight_cap = max(_IN_FLIGHT_MIN, 2 * len(kept))
 
     def _fast_send(self, src: int, dsts, msg: WireMessage, now: int):
         """Send msg from src to each process in dsts, in order, on the

@@ -57,14 +57,19 @@ def regular_for(eng, sender_eng, payload=b"p"):
 
 
 def test_init_delivery_vector_zero():
-    # no vector until the first delivery; then one zeroed slot per process
+    # an empty vector until the first delivery, every sender reading 0;
+    # then one slot per sender delivered, the first sender's slot 0
     kc = KeyChain(4, b"unit")
     eng = make_engine(me=2, n=4, t=1, keychain=kc)
-    assert eng.delivery is None
+    assert eng.delivery.typecode == "I" and eng.delivery.tolist() == []
+    assert [eng.last_delivered(p) for p in range(4)] == [0, 0, 0, 0]
+    assert eng.setting.sender_slots == {}
     sender = make_engine(me=0, n=4, t=1, keychain=kc)
     eng.handle(0, build_valid_deliver(kc, sender), now=3)
     assert eng.delivery.typecode == "I"
-    assert eng.delivery.tolist() == [1, 0, 0, 0]
+    assert eng.delivery.tolist() == [1]
+    assert eng.setting.sender_slots == {0: 0}
+    assert [eng.last_delivered(p) for p in range(4)] == [1, 0, 0, 0]
 
 
 def test_init_act_requires_capacity():
@@ -426,7 +431,7 @@ def test_deliver_in_order():
     msg = build_valid_deliver(kc, sender)
     out = receiver.handle(0, msg, now=3)
     assert [a for a in out if isinstance(a, Deliver)]
-    assert receiver.delivery[0] == 1
+    assert receiver.last_delivered(0) == 1
 
 
 def test_deliver_out_of_order_held_back():
@@ -437,11 +442,13 @@ def test_deliver_out_of_order_held_back():
     second = build_valid_deliver(kc, sender, b"m2")
     out = receiver.handle(0, second, now=3)
     assert not [a for a in out if isinstance(a, Deliver)]
-    assert receiver.delivery is None  # nothing delivered from anyone
+    # nothing delivered from anyone
+    assert receiver.delivery.tolist() == [] and receiver.last_delivered(0) == 0
     out = receiver.handle(0, first, now=4)
     delivered = [a.message.id.seq for a in out if isinstance(a, Deliver)]
     assert delivered == [1, 2]  # the gap fills and the holdback drains
-    assert receiver.delivery.tolist() == [2, 0, 0, 0]
+    assert receiver.delivery.tolist() == [2]
+    assert [receiver.last_delivered(p) for p in range(4)] == [2, 0, 0, 0]
 
 
 def test_deliver_duplicate_suppressed():
@@ -461,7 +468,9 @@ def test_deliver_below_quorum_dropped():
     short = WireMessage(msg.proto, DELIVER, msg.subject, digest=msg.digest,
                         body=msg.body, acks=msg.acks[:2])
     assert receiver.handle(0, short, now=3) == []
-    assert receiver.delivery is None  # nothing delivered from anyone
+    # nothing delivered from anyone
+    assert receiver.delivery.tolist() == [] and receiver.last_delivered(0) == 0
+    assert receiver.setting.sender_slots == {}
 
 
 def test_deliver_keeps_the_message_for_reforward_and_respects_stability():
@@ -823,7 +832,7 @@ def test_holdback_chain_released_in_order_with_same_actions(judged):
     out = receiver.handle(0, msgs[0], now=4)
     assert out == [Deliver(m.body, m.acks, message_digest(m.body))
                    for m in msgs]
-    assert receiver.delivery[0] == 4 and receiver.holdback[0] == {}
+    assert receiver.last_delivered(0) == 4 and 0 not in receiver.holdback
     assert receiver.delivered_record == {m.subject: m for m in msgs}
     assert len(judged) == 4  # each held message was judged once, on arrival
 
@@ -870,7 +879,9 @@ def test_forged_deliver_rejected_at_every_receiver(judged):
         for eng in group:
             for now in (3, 4):
                 assert eng.handle(forged.subject.sender, forged, now) == []
-            assert eng.delivery is None and forged.subject not in eng.recorded
+            assert eng.delivery.tolist() == []
+            assert forged.subject not in eng.recorded
+        assert setting.sender_slots == {}
         assert len(judged) - before == 1, kind
 
 

@@ -644,20 +644,18 @@ def test_lossy_adversarial_runs_keep_their_guarantees():
                 assert report.conflicts == 0, (proto, adv)
 
 
-def test_channel_draws_are_keyed_seeds_and_drive_every_send():
-    cfg = SimConfig(protocol="3t", n=13, t=4, adversary="crash", messages=4,
-                    seed=21, message_spacing=1, p_drop=0.2)
-    world = build_world(cfg)
-    assert world.run_to_quiescence().quiescent
-    for src, dst, k in ((0, 1, 0), (12, 3, 9), (5, 5, 2**40)):
-        assert world._chan_draw(src, dst, k) == \
-            keyed_seed(world.world_seed, b"chan", src, dst, k)
-    # Replay every channel from its draws alone: latency from the next
-    # draw, one more draw per transmission attempt, then the FIFO clamp.
+def replay_channels(world):
+    """Replay every network-plane send of a traced world from its channel
+    draws alone: latency from the next draw, one more draw per transmission
+    attempt, then the FIFO clamp against the channel's last arrival, kept
+    forever.  Returns (draws, last, expect, got, clamps, last_send): per
+    (src, dst) the draws made, the last arrival, the replayed and the
+    traced arrival ticks; the sends the clamp moved; the last send tick."""
     c = world.config
     span = c.latency_hi - c.latency_lo + 1
     cut = c.p_drop * 2.0 ** 64
     draws, last, expect, got = {}, {}, {}, {}
+    clamps = last_send = 0
     for line in world.trace:
         tick, kind, src, dst, *_, note = line.split(" ", 8)
         if kind not in ("send", "recv") or note in ("fast", "oracle"):
@@ -666,6 +664,7 @@ def test_channel_draws_are_keyed_seeds_and_drive_every_send():
         if kind == "recv":
             got.setdefault(key, []).append(int(tick))
             continue
+        last_send = int(tick)
         k = draws.get(key, 0)
         arrival = int(tick) + c.latency_lo + world._chan_draw(*key, k) % span
         k += 1
@@ -673,18 +672,84 @@ def test_channel_draws_are_keyed_seeds_and_drive_every_send():
             k += 1
             arrival += RETRANSMIT_INTERVAL
         k += 1
-        arrival = max(arrival, last.get(key, 0))
+        if arrival < last.get(key, 0):
+            arrival = last[key]
+            clamps += 1
         last[key], draws[key] = arrival, k
         expect.setdefault(key, []).append(arrival)
-    assert got == expect
-    # Each source's row holds exactly those draw counts and last arrivals.
+    return draws, last, expect, got, clamps, last_send
+
+
+def assert_channel_state_matches(world, draws, last, last_send):
+    """Each source's row holds exactly its replayed draw counts.  The
+    in-flight dict holds the true last arrival of every channel whose last
+    arrival lies beyond the last send's earliest arrival; any other entry
+    it holds, true or stale, can clamp no send made since."""
+    n = world.config.n
     for src, row in enumerate(world._chan_rows):
-        dsts = [d for (s, d) in draws if s == src]
-        if not dsts:
+        if not any(s == src for (s, _) in draws):
             assert row is None
             continue
-        assert list(row) == [draws.get((src, d), 0) for d in range(c.n)] + \
-            [last.get((src, d), 0) for d in range(c.n)]
+        assert list(row) == [draws.get((src, d), 0) for d in range(n)]
+    in_flight = {(key // n, key % n): tick
+                 for key, tick in world._in_flight.items()}
+    floor = last_send + world.config.latency_lo
+    assert {key: tick for key, tick in last.items() if tick > floor} == \
+        {key: tick for key, tick in in_flight.items() if tick > floor}
+    assert all(max(tick, last[key]) <= floor
+               for key, tick in in_flight.items() if tick != last[key])
+
+
+def test_channel_draws_are_keyed_seeds_and_drive_every_send():
+    cfg = SimConfig(protocol="3t", n=13, t=4, adversary="crash", messages=4,
+                    seed=21, message_spacing=1, p_drop=0.2)
+    world = build_world(cfg)
+    assert world.run_to_quiescence().quiescent
+    for src, dst, k in ((0, 1, 0), (12, 3, 9), (5, 5, 2**40)):
+        assert world._chan_draw(src, dst, k) == \
+            keyed_seed(world.world_seed, b"chan", src, dst, k)
+    # Replay every channel from its draws alone.
+    draws, last, expect, got, _, last_send = replay_channels(world)
+    assert got == expect
+    assert_channel_state_matches(world, draws, last, last_send)
+
+
+def test_pruned_in_flight_channels_keep_every_arrival(monkeypatch):
+    """A run long and lossy enough that the in-flight dict is pruned many
+    times, and drops channels that later send again, still gives every
+    arrival the replay with each channel's last arrival kept forever
+    gives, clamps included."""
+    prunes = []
+    prune = SimWorld._prune_in_flight
+
+    def watched(self, floor):
+        before = dict(self._in_flight)
+        prune(self, floor)
+        assert self._in_flight == {k: v for k, v in before.items()
+                                   if v > floor}
+        prunes.append((self.clock, before.keys() - self._in_flight.keys()))
+    monkeypatch.setattr(SimWorld, "_prune_in_flight", watched)
+    cfg = SimConfig(protocol="3t", n=31, t=10, adversary="crash",
+                    messages=60, seed=9, message_spacing=1, p_drop=0.3,
+                    latency_hi=9)
+    world = build_world(cfg)
+    assert world.run_to_quiescence().quiescent
+    draws, last, expect, got, clamps, last_send = replay_channels(world)
+    assert got == expect
+    assert clamps > 100
+    assert len(prunes) > 5 and all(dropped for _, dropped in prunes)
+    assert len(world._in_flight) < min(len(last), world._in_flight_cap)
+    assert_channel_state_matches(world, draws, last, last_send)
+    # channels that sent again after being pruned
+    n = cfg.n
+    sent_at = {}
+    for line in world.trace:
+        tick, kind, src, dst, _ = line.split(" ", 4)
+        if kind == "send" and not line.endswith(" fast"):
+            sent_at.setdefault(int(src) * n + int(dst), []).append(int(tick))
+    again = {key for now, dropped in prunes for key in dropped
+             if sent_at[key][-1] > now}
+    assert len(again) > 100
 
 
 def test_channel_latency_uniform_and_loss_rate_matches_p_drop():
@@ -754,12 +819,14 @@ def test_world_holds_no_per_channel_or_unused_engine_streams():
     world = build_world(SimConfig(protocol="3t", n=31, t=10, adversary="crash",
                                   messages=3, seed=2, p_drop=0.1))
     assert world.run_to_quiescence().quiescent
-    # A source's channels are one row of 2n unsigned ints, an alert
-    # channel one int; the world holds no stream of its own.
+    # A source's channels are one row of n unsigned ints, a channel in
+    # flight or an alert channel one int; the world holds no stream of its
+    # own.
     rows = [row for row in world._chan_rows if row is not None]
     assert rows and len(world._chan_rows) == world.config.n
     assert all(type(row) is array and row.typecode == "I"
-               and len(row) == 2 * world.config.n for row in rows)
+               and len(row) == world.config.n for row in rows)
+    assert all(type(tick) is int for tick in world._in_flight.values())
     fields = vars(world).values()
     assert not any(isinstance(v, random.Random) for v in fields)
     assert not any(isinstance(v, random.Random)
@@ -776,7 +843,7 @@ def test_world_holds_no_per_channel_or_unused_engine_streams():
 
 
 def test_channel_state_is_one_row_per_source_whatever_the_run_length():
-    sizes, draws = [], []
+    sizes, draws, in_flight = [], [], []
     for messages in (50, 200):
         world = build_world(SimConfig(protocol="3t", n=31, t=10,
                                       adversary="crash", p_drop=0.1,
@@ -786,12 +853,71 @@ def test_channel_state_is_one_row_per_source_whatever_the_run_length():
         n = world.config.n
         assert len(world._chan_rows) == n
         rows = [row for row in world._chan_rows if row is not None]
-        assert all(len(row) == 2 * n and row.itemsize == 4 for row in rows)
+        assert all(len(row) == n and row.itemsize == 4 for row in rows)
         sizes.append(sum(len(row) * row.itemsize for row in rows))
-        draws.append(sum(sum(row[:n]) for row in rows))
+        draws.append(sum(sum(row) for row in rows))
+        in_flight.append(len(world._in_flight))
     # four times the traffic on channel state of the same size
-    assert sizes[0] == sizes[1] <= 8 * n * n
+    assert sizes[0] == sizes[1] <= 4 * n * n
     assert draws[1] > 3 * draws[0]
+    assert max(in_flight) < simnet._IN_FLIGHT_MIN
+
+
+def test_channel_state_at_n1000_is_draw_rows_plus_channels_in_flight(
+        monkeypatch):
+    """At the paper's large point the channel state is at most 4n^2 bytes
+    of draw counts plus the channels in flight: each prune keeps exactly
+    the channels whose last arrival lies beyond the earliest arrival of a
+    send made now, and the dict grows to at most twice what the last prune
+    kept, plus one fan-out, before the next."""
+    prunes = []
+    prune = SimWorld._prune_in_flight
+
+    def watched(self, floor):
+        before = dict(self._in_flight)
+        prune(self, floor)
+        kept = self._in_flight
+        assert kept == {k: v for k, v in before.items() if v > floor}
+        prunes.append((len(before), len(kept)))
+    monkeypatch.setattr(SimWorld, "_prune_in_flight", watched)
+    world = build_world(SimConfig(protocol="act", n=1000, t=100, kappa=4,
+                                  delta=10, adversary="silent", num_faulty=10,
+                                  messages=20, seed=1, stability=False,
+                                  record_trace=False))
+    assert world.run_to_quiescence().quiescent
+    n = world.config.n
+    rows = [row for row in world._chan_rows if row is not None]
+    assert all(len(row) == n and row.itemsize == 4 for row in rows)
+    assert sum(len(row) * row.itemsize for row in rows) <= 4 * n * n
+    assert len(prunes) > 5
+    kept = 0
+    for before, after in prunes:
+        assert before <= max(simnet._IN_FLIGHT_MIN, 2 * kept) + n
+        kept = after
+    assert max(before for before, _ in prunes) < 8 * n
+    assert len(world._in_flight) < world._in_flight_cap < 8 * n
+
+
+def test_delivery_vectors_grow_with_senders_not_n():
+    """Each engine's delivery vector is no longer than the number of
+    distinct senders delivered in the world, and reads each sender's last
+    delivered seq through the world's one slot map."""
+    for proto, extra in (("e", {}), ("act", {"kappa": 3, "delta": 5})):
+        world = build_world(SimConfig(protocol=proto, n=31, t=10, messages=8,
+                                      seed=3, **extra))
+        report = world.run_to_quiescence()
+        assert report.quiescent and not report.conflicts
+        sent = {}
+        for mid in report.delivered_digests:
+            sent[mid.sender] = max(sent.get(mid.sender, 0), mid.seq)
+        assert 1 < len(sent) < world.config.n
+        assert world.setting.sender_slots.keys() == sent.keys()
+        assert sorted(world.setting.sender_slots.values()) == \
+            list(range(len(sent)))
+        for eng in world.engines:
+            assert len(eng.delivery) <= len(sent)
+            assert [eng.last_delivered(p) for p in range(world.config.n)] \
+                == [sent.get(p, 0) for p in range(world.config.n)]
 
 
 def test_engines_share_one_record_per_deliver(monkeypatch):
@@ -898,12 +1024,14 @@ def test_fan_out_is_one_queue_item_per_arrival_tick():
     items = list(world.queue)
     ticks = [tick for tick, _ in items]
     assert len(set(ticks)) == len(ticks) > 1
-    row = world._chan_rows[3]
+    # each arrival past the earliest possible one is the channel's last
+    last = world._in_flight
     sent = []
     for tick, (kind, dsts, src, m, plane) in items:
         assert (kind, src, m, plane) == (EV_MSG, 3, msg, "net")
         assert list(dsts) == sorted(dsts)
-        assert all(row[cfg.n + dst] == tick for dst in dsts)
+        assert all(last.get(3 * cfg.n + dst) ==
+                   (tick if tick > cfg.latency_lo else None) for dst in dsts)
         sent += dsts
     assert sorted(sent) == list(range(cfg.n))
     single = build_world(cfg)
@@ -1337,6 +1465,7 @@ def test_trace_on_and_off_give_equal_reports(shape):
     assert report.quiescent and report.messages_multicast == 4
     assert off.run_to_quiescence() == report
     assert off._chan_rows == on._chan_rows
+    assert off._in_flight == on._in_flight
 
 
 def test_trace_off_world_never_enters_log(monkeypatch):
