@@ -45,9 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import (ADVERSARY, PROTO_3T, PROTO_AV, PROTO_E, PROTO_TAG, Ack,
-                   MessageId, MulticastMessage, ProtocolKind, build_ack,
-                   message_digest, sender_sig_data, valid_signers)
+from .core import (ADVERSARY, PROTO_3T, PROTO_AV, PROTO_TAG, Ack, MessageId,
+                   MulticastMessage, ProtocolKind, build_ack, message_digest,
+                   sign_sender, valid_signers)
 from .protocols import (ACK, DELIVER, INFORM, REGULAR, VERIFY, Multicast,
                         ProcessEngine, Send, Setting, WireMessage)
 # w3t and w_active are reached through Setting; bound anyway because the
@@ -113,14 +113,13 @@ class Adversary:
         return build_ack(self.setting.keychain, proto, signer, mid, dig,
                          sender_sig, caller=ADVERSARY)
 
-    def _sign_sender(self, pid: int, mid: MessageId, dig: bytes):
-        return self.setting.keychain.sign(pid, sender_sig_data(mid, dig),
-                                          caller=ADVERSARY)
+    def _sign_sender(self, mid: MessageId, dig: bytes):
+        return sign_sender(self.setting.keychain, mid, dig, caller=ADVERSARY)
 
     def _faulty_suffice(self, mid: MessageId) -> bool:
         """The faulty team alone can sign an ack set that meets the
-        delivery rule for mid (for ACT: W_active ∩ F meets the active
-        count; the 3T alternative needs more than t signers)."""
+        delivery rule for mid: for ACT, W_active ∩ F meets the active
+        count; E's q and the 3T rule's 2t+1 both exceed t signers."""
         return accepts(self.setting.rules(mid), lambda tag: self.faulty)
 
     def act(self, pid: int, event: tuple, now: int) -> list:
@@ -166,7 +165,6 @@ class Adversary:
         self.trial_ids.append(mid)
         strategy = self.strategy
         if (strategy in ("collusive", "regime-split", "seq-burner")
-                and self.setting.kind is ProtocolKind.ACT
                 and self._faulty_suffice(mid)):
             return self._fabricate_case1(pid, mid, payload)
         if strategy == "regime-split":
@@ -191,45 +189,33 @@ class Adversary:
         return a, b, [Multicast(mid, a.digest), Multicast(mid, b.digest)]
 
     def _equivocate(self, pid: int, mid: MessageId, payload: bytes) -> list:
-        """Send two conflicting messages to everyone in the relevant range,
-        alternating which one goes first per destination."""
+        """Send two conflicting regulars of the sender's first rule to every
+        process it names (all n for E), alternating which one goes first
+        per destination; the sender acks both itself where the rule lets
+        it.  Under ACT, race a recovery attempt against the alerts too."""
         setting = self.setting
         a, b, out = self._two_messages(mid, payload)
-        recovery = []
-
-        if setting.kind is ProtocolKind.E:
-            targets = range(setting.params.n)
-            ra = WireMessage(PROTO_E, REGULAR, mid, digest=a.digest)
-            rb = WireMessage(PROTO_E, REGULAR, mid, digest=b.digest)
-            a.acks.append(self._ack(PROTO_E, pid, mid, a.digest))
-            b.acks.append(self._ack(PROTO_E, pid, mid, b.digest))
-        elif setting.kind is ProtocolKind.THREE_T:
-            targets = sorted(setting.w3t(mid))
-            ra = WireMessage(PROTO_3T, REGULAR, mid, digest=a.digest)
-            rb = WireMessage(PROTO_3T, REGULAR, mid, digest=b.digest)
-            if pid in setting.w3t(mid):
-                a.acks.append(self._ack(PROTO_3T, pid, mid, a.digest))
-                b.acks.append(self._ack(PROTO_3T, pid, mid, b.digest))
-        else:
-            a.sender_sig = self._sign_sender(pid, mid, a.digest)
-            b.sender_sig = self._sign_sender(pid, mid, b.digest)
-            targets = sorted(setting.w_active(mid))
-            ra = WireMessage(PROTO_AV, REGULAR, mid, digest=a.digest,
-                             sender_sig=a.sender_sig)
-            rb = WireMessage(PROTO_AV, REGULAR, mid, digest=b.digest,
-                             sender_sig=b.sender_sig)
-            ta = WireMessage(PROTO_3T, REGULAR, mid, digest=a.digest)
-            tb = WireMessage(PROTO_3T, REGULAR, mid, digest=b.digest)
-            # Concurrent recovery attempt, one side per half of the range,
-            # racing the delayed acknowledgments against the alerts.
-            recovery = [Send((dst,), ta if i % 2 == 0 else tb)
-                        for i, dst in enumerate(sorted(setting.w3t(mid)))]
-
-        for i, dst in enumerate(targets):
+        tag, members, _ = next(setting.rules(mid))
+        if tag == PROTO_AV:
+            a.sender_sig = self._sign_sender(mid, a.digest)
+            b.sender_sig = self._sign_sender(mid, b.digest)
+        elif members is None or pid in members:
+            a.acks.append(self._ack(tag, pid, mid, a.digest))
+            b.acks.append(self._ack(tag, pid, mid, b.digest))
+        ra, rb = (WireMessage(tag, REGULAR, mid, digest=side.digest,
+                              sender_sig=side.sender_sig) for side in (a, b))
+        for i, dst in enumerate(range(setting.params.n) if members is None
+                                else sorted(members)):
             first, second = (ra, rb) if i % 2 == 0 else (rb, ra)
             out += [Send((dst,), first), Send((dst,), second)]
         self.attacks[mid] = _Attack(a, b)
-        out += recovery
+        if tag == PROTO_AV:
+            # one version per half of the range, racing the delayed
+            # recovery acks against the alerts
+            ta, tb = (WireMessage(PROTO_3T, REGULAR, mid, digest=side.digest)
+                      for side in (a, b))
+            out += [Send((dst,), ta if i % 2 == 0 else tb)
+                    for i, dst in enumerate(sorted(setting.w3t(mid)))]
         return out
 
     def _fabricate_case1(self, pid: int, mid: MessageId,
@@ -240,7 +226,7 @@ class Adversary:
         a, b, out = self._two_messages(mid, payload)
         signers = sorted(self.setting.w_active(mid) & self.faulty)
         for side in (a, b):
-            side.sender_sig = self._sign_sender(pid, mid, side.digest)
+            side.sender_sig = self._sign_sender(mid, side.digest)
             side.acks = [self._ack(PROTO_AV, w, mid, side.digest, side.sender_sig)
                          for w in signers]
             side.delivered = True
@@ -259,7 +245,7 @@ class Adversary:
         a, b, out = self._two_messages(mid, payload)
         (_, wa, _), (_, w3, need) = self.setting.rules(mid)
 
-        a.sender_sig = self._sign_sender(pid, mid, a.digest)
+        a.sender_sig = self._sign_sender(mid, a.digest)
         a.acks = [self._ack(PROTO_AV, w, mid, a.digest, a.sender_sig)
                   for w in sorted(wa & self.faulty)]
         out.append(Send(sorted(wa), WireMessage(PROTO_AV, REGULAR, mid,

@@ -246,6 +246,19 @@ class KeyChain:
         return hmac.compare_digest(mac, sig.mac)
 
 
+def sign_sender(keychain: KeyChain, mid: MessageId, dig: bytes,
+                caller: object = None) -> Signature:
+    """mid's sender's signature over (mid, dig), the one an ACT sender
+    puts on its regulars and every AV ack embeds."""
+    return keychain.sign(mid.sender, sender_sig_data(mid, dig), caller=caller)
+
+
+def sender_signed(keychain: KeyChain, mid: MessageId, dig: bytes,
+                  sig: Optional[Signature]) -> bool:
+    """True if sig is sign_sender's signature for (mid, dig)."""
+    return keychain.verify(mid.sender, sender_sig_data(mid, dig), sig)
+
+
 def build_ack(keychain: KeyChain, proto: str, signer: int, subject: MessageId,
               dig: bytes, sender_sig: Optional[Signature] = None,
               caller: object = None) -> Ack:
@@ -264,11 +277,8 @@ def ack_valid(ack: Ack, keychain: KeyChain) -> bool:
     so checking an ack again costs its encodings, not another HMAC.
     """
     if ack.proto == PROTO_AV:
-        if ack.sender_sig is None:
-            return False
-        if not keychain.verify(ack.subject.sender,
-                               sender_sig_data(ack.subject, ack.digest),
-                               ack.sender_sig):
+        if not sender_signed(keychain, ack.subject, ack.digest,
+                             ack.sender_sig):
             return False
     elif ack.sender_sig is not None:
         return False

@@ -25,6 +25,15 @@ Protocol summary:
   sender falls back to the 3T rule over the same range.  Recovery acks are
   delayed so that any pending equivocation alert wins the race.
 
+A sender's regulars all come from its pending id's current AckRule.  E's
+names no members, so E asks every process; 3T asks a random count of its
+members and widens to the rest on timeout; ACT asks its whole active set,
+and at its deadline switches to the 3T rule and asks the whole 3t+1 range
+at once.  Asking 2t+1 first would save nothing there: the range almost
+always holds a faulty process and a recovery ack is held 2hi+5 ticks, so
+in 685 measured fallbacks such a contact always widened, signed as many
+acks and completed 14 to 17 ticks later (README, "Simulation model").
+
 With the stability oracle on, a process that delivers a message keeps it
 and re-forwards it once, Timeouts.reforward after the delivery, to every
 correct process the oracle has not yet reported as having delivered it.
@@ -71,10 +80,10 @@ from types import MappingProxyType
 from typing import (Collection, Iterator, NamedTuple, Optional, Sequence,
                     Union)
 
-from .core import (PROTO_3T, PROTO_AV, PROTO_E, PROTO_TAG, Ack, KeyChain,
-                   MessageId, MulticastMessage, ProtocolKind, Signature,
-                   ack_valid, build_ack, keyed_seed, message_digest,
-                   sender_sig_data, valid_signers)
+from .core import (PROTO_3T, PROTO_AV, PROTO_TAG, Ack, KeyChain, MessageId,
+                   MulticastMessage, ProtocolKind, Signature, ack_valid,
+                   build_ack, keyed_seed, message_digest, sender_signed,
+                   sign_sender, valid_signers)
 from .quorum import (AckRule, QuorumParams, accepts, ack_rules,
                      check_act_params, sample_peers, sample_witness_subset,
                      w3t, w_active)
@@ -194,10 +203,9 @@ _Verdict = tuple[_Recorded, Deliver]
 class _Pending:
     message: MulticastMessage
     digest: bytes
-    regime: str                 # "e" | "3t" | "active" | "recovery"
-    rule: AckRule               # the acks this regime collects
+    rule: AckRule               # the acks being collected, and from whom
     acks: dict = field(default_factory=dict)   # signer -> Ack
-    contacted: frozenset[int] = frozenset()
+    contacted: frozenset[int] = frozenset()    # sent the rule's regular
     sender_sig: Optional[Signature] = None
 
 
@@ -301,6 +309,16 @@ class ProcessEngine:
         return Send((dst,), WireMessage(proto, ACK, mid, digest=dig, ack=ack,
                                         sender_sig=sender_sig))
 
+    def _contact(self, pend: _Pending, to: Collection[int]) -> Send:
+        """The current rule's regular for pend, to the processes in to in
+        pid order; they count as contacted from now on."""
+        pend.contacted = pend.contacted.union(to)
+        tag = pend.rule.tag
+        msg = WireMessage(tag, REGULAR, pend.message.id, digest=pend.digest,
+                          sender_sig=pend.sender_sig if tag == PROTO_AV
+                          else None)
+        return Send(sorted(to), msg)
+
     def _record_or_conflict(self, mid: MessageId, dig: bytes,
                             sender_sig: Optional[Signature]):
         """Returns (ok, actions). ok=False means a conflicting digest was
@@ -332,29 +350,21 @@ class ProcessEngine:
         dig = message_digest(m)
         setting = self.setting
         rule = next(setting.rules(mid))
-        mcast = Multicast(mid, dig)
-
-        if setting.kind is ProtocolKind.E:
-            self.recorded.setdefault(mid, _Recorded(dig))
-            self.pending[mid] = _Pending(m, dig, "e", rule)
-            msg = WireMessage(PROTO_E, REGULAR, mid, digest=dig)
-            return [mcast, Send(range(setting.params.n), msg)]
-
-        if setting.kind is ProtocolKind.THREE_T:
-            self.recorded.setdefault(mid, _Recorded(dig))
-            first = frozenset(sample_witness_subset(
-                self.rng, rule.members, rule.count))
-            self.pending[mid] = _Pending(m, dig, "3t", rule, contacted=first)
-            msg = WireMessage(PROTO_3T, REGULAR, mid, digest=dig)
-            return [mcast, Send(sorted(first), msg),
-                    SetTimer(("expand", mid), setting.timeouts.t3_expand)]
-
-        sig = setting.keychain.sign(self.me, sender_sig_data(mid, dig))
+        tag, members, count = rule
+        sig = (sign_sender(setting.keychain, mid, dig) if tag == PROTO_AV
+               else None)
         self.recorded.setdefault(mid, _Recorded(dig, sig))
-        self.pending[mid] = _Pending(m, dig, "active", rule, sender_sig=sig)
-        msg = WireMessage(PROTO_AV, REGULAR, mid, digest=dig, sender_sig=sig)
-        return [mcast, Send(sorted(rule.members), msg),
-                SetTimer(("recovery", mid), setting.timeouts.act_active)]
+        pend = self.pending[mid] = _Pending(m, dig, rule, sender_sig=sig)
+        mcast = Multicast(mid, dig)
+        if members is None:     # E: every process, nothing to widen
+            return [mcast, self._contact(pend, range(setting.params.n))]
+        if tag == PROTO_AV:     # ACT: the active set, 3T after a deadline
+            return [mcast, self._contact(pend, members),
+                    SetTimer(("recovery", mid), setting.timeouts.act_active)]
+        # 3T: count of the range, the rest after a timeout
+        first = sample_witness_subset(self.rng, members, count)
+        return [mcast, self._contact(pend, first),
+                SetTimer(("expand", mid), setting.timeouts.t3_expand)]
 
     # -- receiving --------------------------------------------------------
 
@@ -383,22 +393,16 @@ class ProcessEngine:
             return []
         if src != mid.sender or mid.sender in self.known_faulty:
             return []
-        if msg.proto == PROTO_AV:
-            if msg.sender_sig is None or not setting.keychain.verify(
-                    mid.sender, sender_sig_data(mid, msg.digest), msg.sender_sig):
-                return []
+        if msg.proto == PROTO_AV and not sender_signed(
+                setting.keychain, mid, msg.digest, msg.sender_sig):
+            return []
         ok, actions = self._record_or_conflict(
             mid, msg.digest, msg.sender_sig if msg.proto == PROTO_AV else None)
         if not ok:
             return actions
 
-        if setting.kind is ProtocolKind.E:
-            return [self._ack_to(PROTO_E, src, mid, msg.digest)]
-
-        if setting.kind is ProtocolKind.THREE_T:
-            return [self._ack_to(PROTO_3T, src, mid, msg.digest)]
-
-        # ACT
+        if setting.kind is not ProtocolKind.ACT:
+            return [self._ack_to(msg.proto, src, mid, msg.digest)]
         if msg.proto == PROTO_3T:
             # Recovery-regime request: hold the ack long enough for any
             # pending equivocation alert to land first.
@@ -424,8 +428,8 @@ class ProcessEngine:
         mid = msg.subject
         if msg.digest is None or mid.sender in self.known_faulty:
             return []
-        if msg.sender_sig is None or not self.setting.keychain.verify(
-                mid.sender, sender_sig_data(mid, msg.digest), msg.sender_sig):
+        if not sender_signed(self.setting.keychain, mid, msg.digest,
+                             msg.sender_sig):
             return []
         ok, actions = self._record_or_conflict(mid, msg.digest, msg.sender_sig)
         if not ok:
@@ -577,11 +581,9 @@ class ProcessEngine:
         if ev is None or ev.digest_a == ev.digest_b:
             return []
         mid = ev.subject
-        if not self.setting.keychain.verify(
-                mid.sender, sender_sig_data(mid, ev.digest_a), ev.sig_a):
-            return []
-        if not self.setting.keychain.verify(
-                mid.sender, sender_sig_data(mid, ev.digest_b), ev.sig_b):
+        keychain = self.setting.keychain
+        if not (sender_signed(keychain, mid, ev.digest_a, ev.sig_a)
+                and sender_signed(keychain, mid, ev.digest_b, ev.sig_b)):
             return []
         self.known_faulty.add(mid.sender)
         self.conflicted.add(mid)
@@ -618,29 +620,25 @@ class ProcessEngine:
         return []
 
     def on_recovery_timeout(self, mid: MessageId, now: int) -> list[Action]:
-        """Active regime deadline: fall back to the 3T rule over the full
-        witness range.  Active-regime acks are discarded; the regimes do
-        not mix."""
+        """Active regime deadline: fall back to the 3T rule, asking the
+        whole 3t+1 range at once (see the module docstring).  Active-regime
+        acks are discarded; the regimes do not mix."""
         pend = self.pending.get(mid)
-        if pend is None or pend.regime != "active":
+        if pend is None or pend.rule.tag != PROTO_AV:
             return []
-        pend.regime = "recovery"
-        pend.acks.clear()
         pend.rule = next(self.setting.rules(mid, ProtocolKind.THREE_T))
-        pend.contacted = pend.rule.members
-        msg = WireMessage(PROTO_3T, REGULAR, mid, digest=pend.digest)
-        return [Send(sorted(pend.contacted), msg)]
+        pend.acks.clear()
+        pend.contacted = frozenset()
+        return self._on_expand(mid)
 
     def _on_expand(self, mid: MessageId) -> list[Action]:
+        """Widen to the rule's members not yet contacted; E's rule has no
+        members to widen to, and ACT's active set is contacted whole."""
         pend = self.pending.get(mid)
-        if pend is None or pend.regime != "3t":
+        if pend is None or pend.rule.members is None:
             return []
         rest = pend.rule.members - pend.contacted
-        if not rest:
-            return []
-        pend.contacted = pend.rule.members
-        msg = WireMessage(PROTO_3T, REGULAR, mid, digest=pend.digest)
-        return [Send(sorted(rest), msg)]
+        return [self._contact(pend, rest)] if rest else []
 
     def _on_delayed_ack(self, mid: MessageId, dig: bytes, dst: int) -> list[Action]:
         if mid.sender in self.known_faulty or mid in self.conflicted:

@@ -8,7 +8,8 @@ ending in /off), the mode of every Monte Carlo run.  It holds the report's quies
 alert counts, final tick, per-process delivery counts, and a hash of its
 delivered digests.  Regenerate with `PYTHONPATH=src python3
 tests/test_outcomes.py` only for a deliberate change to what a run decides,
-and say which entries moved.
+and say which entries moved: the script prints each one, pinned -> new,
+before it rewrites the file.
 """
 
 import hashlib
@@ -93,6 +94,11 @@ def test_fingerprint_covers_alerts_and_conflicts():
 
 
 if __name__ == "__main__":
-    entries = sorted(all_outcomes().items())
+    pinned = json.loads(DATA.read_text()) if DATA.exists() else {}
+    outcomes = all_outcomes()
+    for key in sorted(pinned.keys() | outcomes.keys()):
+        if pinned.get(key) != outcomes.get(key):
+            print(f"{key}: {pinned.get(key)} -> {outcomes.get(key)}")
+    entries = sorted(outcomes.items())
     DATA.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
                                        for k, v in entries) + "\n}\n")

@@ -342,11 +342,35 @@ def test_recovery_timeout_falls_back_to_3t():
         sender.handle(w, WireMessage(PROTO_AV, ACK, mid, digest=pend.digest,
                                      ack=ack), now=1)
     out = sender.on_timer(("recovery", mid), now=50)
+    # one Send to the whole range, unsigned, and no expand timer
+    assert out == sends(out)
     [targets] = dests(out)
     assert targets == sorted(w3t(mid, sender.setting.params, SEED))
     assert len(targets) == 31
-    assert pend.regime == "recovery" and pend.acks == {}
-    assert all(a.msg.proto == PROTO_3T for a in sends(out))
+    assert [(a.msg.proto, a.msg.role, a.msg.sender_sig) for a in out] == [
+        (PROTO_3T, REGULAR, None)]
+    assert pend.rule.tag == PROTO_3T and pend.rule.count == 21
+    assert pend.acks == {} and pend.contacted == frozenset(targets)
+    # a second deadline does nothing
+    assert sender.on_timer(("recovery", mid), now=60) == []
+
+
+@pytest.mark.parametrize("kind, recovered", [
+    (ProtocolKind.E, False), (ProtocolKind.ACT, False),
+    (ProtocolKind.ACT, True)], ids=["e", "act-active", "act-recovery"])
+def test_expand_timer_does_nothing_outside_3t(kind, recovered):
+    """Only 3T widens: E's rule names no members to widen to, and ACT
+    contacts its whole active set, then its whole recovery range."""
+    act = dict(kappa=3, delta=5) if kind is ProtocolKind.ACT else {}
+    sender = make_engine(me=0, kind=kind, n=31, t=10, **act)
+    sender.wan_multicast(b"m")
+    mid = MessageId(0, 1)
+    if recovered:
+        sender.on_timer(("recovery", mid), now=50)
+    pend = sender.pending[mid]
+    before = (pend.rule, pend.contacted)
+    assert sender.on_timer(("expand", mid), now=100) == []
+    assert (pend.rule, pend.contacted) == before and pend.acks == {}
 
 
 def test_recovery_timeout_noop_after_completion():

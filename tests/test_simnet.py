@@ -1082,8 +1082,11 @@ def test_one_alert_is_at_most_alert_latency_bound_queue_items():
 def test_each_handler_sends_each_message_in_one_send(monkeypatch):
     """Every engine handler returns at most one Send, and every Send names
     at least one destination.  The adversary sends one message to a set in
-    one Send too; only its two-version interleavings (_equivocate,
-    _fabricate_case1) send per destination."""
+    one Send too, except in a two-version interleaving, which its content
+    gives away: the reply multicasts two versions of the message's id, and
+    the other version, same tag and role, goes out interleaved with it, one
+    Send of it before the message's last and one after its first, every
+    Send of either naming one destination."""
     replies = []
     for name in ("handle", "on_timer", "wan_multicast", "reforward"):
         def engine_call(*args, _orig=getattr(ProcessEngine, name)):
@@ -1091,13 +1094,6 @@ def test_each_handler_sends_each_message_in_one_send(monkeypatch):
             replies.append((False, out))
             return out
         monkeypatch.setattr(ProcessEngine, name, engine_call)
-    interleaved = []
-    for name in ("_equivocate", "_fabricate_case1"):
-        def interleave(*args, _orig=getattr(Adversary, name)):
-            out = _orig(*args)
-            interleaved.append(out)
-            return out
-        monkeypatch.setattr(Adversary, name, interleave)
     act = Adversary.act
 
     def adversary_call(*args):
@@ -1105,7 +1101,7 @@ def test_each_handler_sends_each_message_in_one_send(monkeypatch):
         replies.append((True, out))
         return out
     monkeypatch.setattr(Adversary, "act", adversary_call)
-    fan_outs = 0
+    fan_outs = interleaved = 0
     for protocol in ("e", "3t", "act"):
         for adversary in ("none",) + STRATEGIES:
             if protocol != "act" and adversary in ("regime-split",
@@ -1124,8 +1120,24 @@ def test_each_handler_sends_each_message_in_one_send(monkeypatch):
                     fan_outs += sum(len(a.to) > 1 for a in sent)
                     if not by_adversary:
                         assert len(sent) <= 1, out
-                    elif not any(out is x for x in interleaved):
-                        assert len({id(a.msg) for a in sent}) == len(sent)
+                        continue
+                    sends_of = {}
+                    for i, a in enumerate(sent):
+                        sends_of.setdefault(id(a.msg), []).append(i)
+                    for at in sends_of.values():
+                        if len(at) == 1:
+                            continue
+                        msg = sent[at[0]].msg
+                        assert len({a.digest for a in out if type(a) is
+                                    Multicast and a.id == msg.subject}) == 2
+                        other = [j for j, a in enumerate(sent)
+                                 if a.msg.digest != msg.digest
+                                 and (a.msg.subject, a.msg.proto, a.msg.role)
+                                 == (msg.subject, msg.proto, msg.role)]
+                        assert all(len(sent[i].to) == 1 for i in at + other)
+                        assert other and min(other) < at[-1] \
+                            and at[0] < max(other), out
+                        interleaved += 1
     assert fan_outs > 0 and interleaved
 
 
