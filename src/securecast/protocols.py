@@ -59,7 +59,12 @@ whose rules differ never share a verdict.  A receiver that has already
 delivered the id drops the deliver without judging it.  A valid verdict
 is an immutable _Recorded and a Deliver action, built once: every engine
 that delivers on the deliver records that one _Recorded and returns that
-one Deliver.
+one Deliver, and nothing else unless it releases held messages.  So a
+deliver fan-out costs each recipient only its own work: on_deliver looks
+up the sender's slot once, reads the cached verdict, and hands both to
+_do_deliver, which writes the slot and records the id; the holdback is
+touched only when something is held.  A SimWorld relies on the shared
+Deliver to record each such delivery in O(1) (see simnet).
 
 An engine's delivery vector is an array of unsigned ints over sender
 slots.  The Setting maps each sender to its slot, given at the sender's
@@ -108,7 +113,9 @@ class EvidencePair(NamedTuple):
     sig_b: Signature
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen: one is built per Send, and a frozen dataclass sets each field
+# through object.__setattr__, three times the cost.  Nothing hashes one.
+@dataclass(slots=True)
 class WireMessage:
     proto: str                  # E / 3T / AV tag
     role: str
@@ -505,50 +512,59 @@ class ProcessEngine:
             if accepts(setting.rules(mid), lambda tag: valid_signers(
                     acks, tag, mid, d, keychain)):
                 verdict = (_Recorded(d), Deliver(m, acks, d))
-        object.__setattr__(msg, "judged", (setting, verdict))
+        msg.judged = (setting, verdict)
         return verdict
 
     def on_deliver(self, src: int, msg: WireMessage, now: int) -> list[Action]:
         m = msg.body
-        if m is None or msg.proto not in self.setting.protos:
+        setting = self.setting
+        if m is None or msg.proto not in setting.protos:
             return []
         mid = m.id
-        last = self.last_delivered(mid.sender)
-        if mid.seq <= last:
+        sender, seq = mid
+        # last_delivered(sender), with the slot kept for _do_deliver
+        slot = setting.sender_slots.get(sender)
+        delivery = self.delivery
+        last = (delivery[slot] if slot is not None and slot < len(delivery)
+                else 0)
+        if seq <= last:
             return []  # duplicate, suppressed whatever its acks
-        verdict = self._verdict(msg)
+        hit = msg.judged     # _verdict's memo, read here
+        verdict = (hit[1] if hit is not None and hit[0] is setting
+                   else self._verdict(msg))
         if verdict is None:
             return []
         holdback = self.holdback
-        if mid.seq > last + 1:
-            held = holdback.get(mid.sender)
+        if seq > last + 1:
+            held = holdback.get(sender)
             if held is None:
-                held = holdback[mid.sender] = {}
-            if mid.seq not in held and len(held) < HOLDBACK_CAP:
-                held[mid.seq] = msg
+                held = holdback[sender] = {}
+            if seq not in held and len(held) < HOLDBACK_CAP:
+                held[seq] = msg
             return []
-        actions = self._do_deliver(msg, verdict)
-        held = holdback.get(mid.sender)
-        if held is not None:
+        actions = self._do_deliver(msg, verdict, slot)
+        if holdback and (held := holdback.get(sender)) is not None:
             # held messages were judged valid before they were held
-            seq = mid.seq + 1
+            slot = setting.sender_slots[sender]
+            seq += 1
             while (cur := held.pop(seq, None)) is not None:
-                actions += self._do_deliver(cur, self._verdict(cur))
+                actions += self._do_deliver(cur, self._verdict(cur), slot)
                 seq += 1
             if not held:
-                del holdback[mid.sender]
+                del holdback[sender]
         return actions
 
-    def _do_deliver(self, msg: WireMessage, verdict: _Verdict
-                    ) -> list[Action]:
-        """Deliver on a valid deliver.  The record and the Deliver are its
-        verdict's, one object each for every engine that delivers on this
-        deliver."""
+    def _do_deliver(self, msg: WireMessage, verdict: _Verdict,
+                    slot: Optional[int]) -> list[Action]:
+        """Deliver on a valid deliver from the sender in slot, None if no
+        engine has delivered from it yet.  The record and the Deliver are
+        its verdict's, one object each for every engine that delivers on
+        this deliver."""
         rec, dlv = verdict
         mid = dlv.message.id
-        slots = self.setting.sender_slots
-        slot = slots.get(mid.sender)
+        setting = self.setting
         if slot is None:
+            slots = setting.sender_slots
             slot = slots[mid.sender] = len(slots)
         # A delivered seq is always the sender's last delivered one plus 1,
         # so it counts this engine's deliveries from that sender: 2**32 - 1
@@ -563,9 +579,7 @@ class ProcessEngine:
             delivery.append(mid.seq)
         # A delivered message counts as received for conflict detection:
         # no ack or verification is ever signed against it afterwards.
-        if mid not in self.recorded:
-            self.recorded[mid] = rec
-        setting = self.setting
+        self.recorded.setdefault(mid, rec)
         delay = setting.timeouts.reforward
         if delay is not None:
             self.delivered_record[mid] = msg

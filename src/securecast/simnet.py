@@ -31,14 +31,25 @@ draws nothing.
 Events run in (time, insertion) order from a TickQueue: one FIFO bucket
 per tick plus a heap of the distinct ticks, so a queue item costs a list
 append and a list pop, and the heap sees each tick once.  A Send names its
-destinations, and on either plane it is pushed as one message item per
-distinct arrival tick, listing that tick's recipients in send order.  The
-items of one send are pushed with nothing in between, each at least a tick
-ahead, so each lands exactly where its recipients' own items would, and
-SimWorld.step, which pops one item and dispatches it to each recipient in
-turn, runs every reception in the same order as one item per recipient
-would.  With the trace off no trace line is formatted and _log is never
-entered.
+destinations, and on either plane one loop draws each destination's
+arrival, clamps it and files the destination under its arrival tick; then
+one message item per distinct tick is pushed, listing that tick's
+recipients in send order.  The items of one send are pushed with nothing
+in between, each at least a tick ahead, so each lands exactly where its
+recipients' own items would, and SimWorld.step, which pops one item and
+dispatches it to each recipient in turn, runs every reception in the same
+order as one item per recipient would.
+
+SimWorld.step resolves what an item's recipients share once per item: the
+role, the trace and stability flags and, with the trace on, the recv
+line's fields.  A deliver's recipients share more: every correct one that
+delivers on it returns the verdict's one Deliver and nothing else, so its
+PidSet in delivered_digests, the tick's stability batch and the appdlv
+fields are found at the first such recipient.  Each recipient then costs
+its own ProcessEngine.handle call plus its own count, bit, batch entry and
+trace lines.  Any other reply, a faulty recipient's above all, goes
+through SimWorld._apply.  This is the one receive path, trace on or off,
+stability on or off.  With the trace off no trace line is formatted.
 
 A lost transmission is retried RETRANSMIT_INTERVAL ticks later.  Alerts
 travel on a separate out-of-band plane with no loss and a hard latency
@@ -75,11 +86,12 @@ the version's sends; the world reads no engine or adversary state.
 
 from __future__ import annotations
 
-import hashlib
 import random
+import struct
 from array import array
 from collections.abc import MutableSet
 from dataclasses import dataclass, replace
+from hashlib import sha256
 from heapq import heappop, heappush
 from typing import Iterator, Optional
 
@@ -121,6 +133,18 @@ _WRITE_CHUNK = 4096
 
 # (src, dst, draw index) in keyed_seed's encoding, after the channel prefix
 _CHAN_FIELDS = u64_fields(3)
+# the same fields, split: src once per send, then (dst, index) per draw
+_CHAN_SRC = u64_fields(1)
+_CHAN_DST_K = u64_fields(2)
+# a SHA-256 digest's first 8 bytes as an unsigned int, as digest64 reads it
+_U64 = struct.Struct(">Q").unpack_from
+
+
+def _fields(proto, role, subject, dig, note) -> str:
+    """The last five fields of a trace line."""
+    return " ".join((proto or "-", role or "-",
+                     "-" if subject is None else str(subject),
+                     dig[:4].hex() if dig else "-", note or "-"))
 
 
 class TickQueue:
@@ -257,6 +281,10 @@ class SimConfig:
                               f"{self.adversary} needs at least one faulty process")
         if self.messages < 0:
             raise ConfigError("messages", "message count must be >= 0")
+        if self.message_spacing < 0:
+            # a multicast would go before the tick of the one ahead of it
+            raise ConfigError("message_spacing",
+                              f"must be >= 0, got {self.message_spacing}")
 
     def effective_num_faulty(self) -> int:
         if self.faulty_set is not None:
@@ -367,7 +395,7 @@ class SimWorld:
         self.adversary_seed = (cfg.adversary_seed if cfg.adversary_seed is not None
                                else cfg.derived_seed(b"adversary"))
         self.world_seed = cfg.derived_seed(b"world")
-        secret = hashlib.sha256(_enc(b"secret", _u64(self.world_seed))).digest()
+        secret = sha256(_enc(b"secret", _u64(self.world_seed))).digest()
 
         # The faulty set is a function of the adversary seed alone: chosen
         # before the witness seed is ever consulted (non-adaptive).
@@ -469,10 +497,7 @@ class SimWorld:
             str(tick), kind,
             "-" if src is None else str(src),
             "-" if dst is None else str(dst),
-            proto or "-", role or "-",
-            "-" if subject is None else str(subject),
-            dig[:4].hex() if dig else "-",
-            note or "-")))
+            _fields(proto, role, subject, dig, note))))
 
     def _chan_draw(self, src: int, dst: int, k: int) -> int:
         """Draw k of channel (src, dst), equal to keyed_seed(world_seed,
@@ -480,55 +505,42 @@ class SimWorld:
         return digest64(self._chan_prefix
                         + _CHAN_FIELDS.pack(8, src, 8, dst, 8, k))
 
-    def _push_fan_out(self, src: int, dsts, arrivals: list, msg: WireMessage,
-                      plane: str):
-        """Push one message item per distinct arrival tick, naming that
-        tick's destinations in send order; arrivals[i] is dsts[i]'s tick."""
-        groups: dict[int, list[int]] = {}
-        for dst, arrival in zip(dsts, arrivals):
-            group = groups.get(arrival)
-            if group is None:
-                groups[arrival] = [dst]
-            else:
-                group.append(dst)
-        push = self._push
-        for arrival, group in groups.items():
-            push(arrival, (EV_MSG, group, src, msg, plane))
-
     def _channel_send(self, src: int, dsts, msg: WireMessage, now: int):
         """Send msg from src to each process in dsts, in order, over the
-        lossy FIFO channels.  Each draw is _chan_draw's, inlined."""
+        lossy FIFO channels, and push one message item per distinct
+        arrival tick, naming that tick's destinations in send order.  Each
+        draw is _chan_draw's, inlined, with src's fields encoded once."""
         trace = self.trace
+        if trace is not None:
+            sent = _fields(msg.proto, msg.role, msg.subject, msg.digest, None)
+            dropped = _fields(msg.proto, msg.role, msg.subject, msg.digest,
+                              "retransmit")
         n = self.config.n
         row = self._chan_rows[src]
         if row is None:
             row = self._chan_rows[src] = array("I", [0]) * n
         in_flight = self._in_flight
         base = src * n
-        prefix = self._chan_prefix
-        pack = _CHAN_FIELDS.pack
+        head = self._chan_prefix + _CHAN_SRC.pack(8, src)
+        pack = _CHAN_DST_K.pack
         floor = now + self.config.latency_lo  # the earliest arrival
         span = self._latency_span
         cut = self._drop_cut
-        arrivals = []
+        groups: dict[int, list[int]] = {}   # arrival tick -> destinations
         for dst in dsts:
             if trace is not None:
-                self._log(now, "send", src, dst, msg.proto, msg.role,
-                          msg.subject, msg.digest, None)
+                trace.append(f"{now} send {src} {dst} {sent}")
             k = row[dst]
-            arrival = floor + digest64(
-                prefix + pack(8, src, 8, dst, 8, k)) % span
-            k += 1
+            arrival = floor + _U64(sha256(head + pack(8, dst, 8, k))
+                                   .digest())[0] % span
             if cut:
-                while digest64(prefix + pack(8, src, 8, dst, 8, k)) < cut:
+                k += 1
+                while _U64(sha256(head + pack(8, dst, 8, k)).digest())[0] < cut:
                     k += 1
                     if trace is not None:
-                        self._log(arrival, "drop", src, dst, msg.proto,
-                                  msg.role, msg.subject, msg.digest,
-                                  "retransmit")
+                        trace.append(f"{arrival} drop {src} {dst} {dropped}")
                     arrival += RETRANSMIT_INTERVAL
-                k += 1
-            row[dst] = k
+            row[dst] = k + 1
             # FIFO per ordered pair: never overtake an earlier message.
             key = base + dst
             last = in_flight.get(key, 0)
@@ -536,10 +548,16 @@ class SimWorld:
                 arrival = last
             if arrival > floor:  # else it can clamp no send from now on
                 in_flight[key] = arrival
-            arrivals.append(arrival)
+            group = groups.get(arrival)
+            if group is None:
+                groups[arrival] = [dst]
+            else:
+                group.append(dst)
         if len(in_flight) >= self._in_flight_cap:
             self._prune_in_flight(floor)
-        self._push_fan_out(src, dsts, arrivals, msg, "net")
+        push = self._push
+        for arrival, group in groups.items():
+            push(arrival, (EV_MSG, group, src, msg, "net"))
 
     def _prune_in_flight(self, floor: int):
         """Keep only the channels whose last arrival lies beyond floor, the
@@ -556,21 +574,30 @@ class SimWorld:
         """Send msg from src to each process in dsts, in order, on the
         lossless alert plane: the latency to dst is 1 plus draw k of alert
         channel (src, dst), keyed_seed(world_seed, b"alert", src, dst, k),
-        modulo ALERT_LATENCY_BOUND."""
+        modulo ALERT_LATENCY_BOUND.  Pushed as _channel_send pushes."""
         trace = self.trace
+        if trace is not None:
+            sent = _fields(msg.proto, msg.role, msg.subject, msg.digest,
+                           "fast")
         n = self.config.n
         draws = self._alert_draws
-        arrivals = []
+        groups: dict[int, list[int]] = {}
         for dst in dsts:
             if trace is not None:
-                self._log(now, "send", src, dst, msg.proto, msg.role,
-                          msg.subject, msg.digest, "fast")
+                trace.append(f"{now} send {src} {dst} {sent}")
             key = src * n + dst
             k = draws.get(key, 0)
             draws[key] = k + 1
-            arrivals.append(now + 1 + keyed_seed(
-                self.world_seed, b"alert", src, dst, k) % ALERT_LATENCY_BOUND)
-        self._push_fan_out(src, dsts, arrivals, msg, "fast")
+            arrival = now + 1 + keyed_seed(
+                self.world_seed, b"alert", src, dst, k) % ALERT_LATENCY_BOUND
+            group = groups.get(arrival)
+            if group is None:
+                groups[arrival] = [dst]
+            else:
+                group.append(dst)
+        push = self._push
+        for arrival, group in groups.items():
+            push(arrival, (EV_MSG, group, src, msg, "fast"))
 
     def _apply(self, pid: int, actions: list, now: int):
         for act in actions:
@@ -604,38 +631,54 @@ class SimWorld:
         self._push(now + delay, (EV_TIMER, pid, tid))
 
     def _record_delivery(self, pid: int, dlv: Deliver, now: int):
-        message, acks, dig = dlv
-        mid = message.id
         deliveries = self.deliveries
         deliveries[pid] = deliveries.get(pid, 0) + 1
-        correct = pid not in self.faulty
-        if correct:
-            slot = self.delivered_digests.get(mid)
-            if slot is None:
-                slot = self.delivered_digests[mid] = {}
-            pids = slot.get(dig)
-            if pids is None:
-                pids = slot[dig] = PidSet(self.config.n)
-            # PidSet.add, inlined
-            bits, i, mask = pids._bits, pid >> 3, 1 << (pid & 7)
-            if not bits[i] & mask:
-                bits[i] |= mask
-                pids._count += 1
+        mid = dlv.message.id
+        if pid in self.faulty:
+            if self.trace is not None:
+                self._log(now, "appdlv", pid, None, None, "deliver", mid,
+                          dlv.digest, None)
+            return
+        pids, batch = self._delivery_sinks(dlv, now)
+        pids.add(pid)
         if self.trace is not None:
-            note = None
-            if correct and acks:
-                note = self._signers_note(acks, mid, dig)
-            self._log(now, "appdlv", pid, None, None, "deliver", mid, dig, note)
-        if correct and self._stability:
-            batch = self._delivered.get(now)
-            if batch is None:
-                # the tick's first delivery: its maturity, then its re-forward
-                batch = self._delivered[now] = []
-                tick = now + self.stability_lag
-                self._push(tick, (EV_ORACLE, None, tick))
-                tick = now + self.timeouts.reforward
-                self._push(tick, (EV_REFORWARD, None, tick))
+            self.trace.append(f"{now} appdlv {pid} - "
+                              + self._delivered_fields(dlv))
+        if batch is not None:
             batch.append((pid, mid))
+
+    def _delivery_sinks(self, dlv: Deliver, now: int
+                        ) -> tuple[PidSet, Optional[list]]:
+        """Where the correct deliveries of dlv at tick now are recorded:
+        the PidSet of dlv's (id, digest) in delivered_digests, and the
+        tick's stability batch, None with stability off.  Both are made on
+        first use, and a new batch pushes the tick's two wake-ups."""
+        message, _, dig = dlv
+        mid = message.id
+        slot = self.delivered_digests.get(mid)
+        if slot is None:
+            slot = self.delivered_digests[mid] = {}
+        pids = slot.get(dig)
+        if pids is None:
+            pids = slot[dig] = PidSet(self.config.n)
+        if not self._stability:
+            return pids, None
+        batch = self._delivered.get(now)
+        if batch is None:
+            # the tick's first delivery: its maturity, then its re-forward
+            batch = self._delivered[now] = []
+            tick = now + self.stability_lag
+            self._push(tick, (EV_ORACLE, None, tick))
+            tick = now + self.timeouts.reforward
+            self._push(tick, (EV_REFORWARD, None, tick))
+        return pids, batch
+
+    def _delivered_fields(self, dlv: Deliver) -> str:
+        """The last five fields of a correct process's appdlv line."""
+        message, acks, dig = dlv
+        mid = message.id
+        return _fields(None, "deliver", mid, dig,
+                       self._signers_note(acks, mid, dig) if acks else None)
 
     def _signers_note(self, acks: tuple, mid: MessageId, dig: bytes
                       ) -> Optional[str]:
@@ -665,7 +708,10 @@ class SimWorld:
     def step(self):
         """Pop one queue item and dispatch it: a message item to each of
         its recipients in order, with one recv line, access count and
-        ProcessEngine.handle (or adversary) call each."""
+        ProcessEngine.handle (or adversary) call each.  What every
+        recipient shares is resolved once per item: the recv line's
+        fields, and for a deliver the Deliver that each correct recipient
+        delivering on it returns alone, with the places that record it."""
         time, item = self.queue.pop()
         self.clock = time
         kind = item[0]
@@ -674,24 +720,51 @@ class SimWorld:
             _, dsts, src, msg, plane = item
             role = msg.role
             trace = self.trace
+            if trace is not None:
+                recv = _fields(msg.proto, role, msg.subject, msg.digest,
+                               plane if plane != "net" else None)
             counted = role == REGULAR or role == INFORM
             engines = self.engines
+            deliveries = self.deliveries
+            dlv = None
             for dst in dsts:
                 if trace is not None:
-                    self._log(time, "recv", src, dst, msg.proto, role,
-                              msg.subject, msg.digest,
-                              plane if plane != "net" else None)
+                    trace.append(f"{time} recv {src} {dst} {recv}")
                 if counted:
                     counts = self.access_counts.get(dst)
                     if counts is None:
                         counts = self.access_counts[dst] = {}
                     counts[role] = counts.get(role, 0) + 1
                 eng = engines[dst]
-                if eng is not None:
-                    self._apply(dst, eng.handle(src, msg, time), time)
-                elif self.adversary is not None:
-                    self._apply(dst, self.adversary.act(
-                        dst, ("message", src, msg), time), time)
+                if eng is None:
+                    if self.adversary is not None:
+                        self._apply(dst, self.adversary.act(
+                            dst, ("message", src, msg), time), time)
+                    continue
+                out = eng.handle(src, msg, time)
+                if not out:
+                    continue
+                act = out[0]
+                if act is not dlv or len(out) > 1:
+                    if len(out) > 1 or type(act) is not Deliver:
+                        self._apply(dst, out, time)
+                        continue
+                    dlv = act
+                    mid = dlv.message.id
+                    pids, batch = self._delivery_sinks(dlv, time)
+                    bits = pids._bits
+                    if trace is not None:
+                        delivered = self._delivered_fields(dlv)
+                # _record_delivery of a correct process, inlined
+                deliveries[dst] = deliveries.get(dst, 0) + 1
+                i, mask = dst >> 3, 1 << (dst & 7)    # PidSet.add
+                if not bits[i] & mask:
+                    bits[i] |= mask
+                    pids._count += 1
+                if trace is not None:
+                    trace.append(f"{time} appdlv {dst} - {delivered}")
+                if batch is not None:
+                    batch.append((dst, mid))
 
         elif kind == EV_TIMER:
             _, pid, tid = item

@@ -96,6 +96,20 @@ def test_config_rejects_negative_crash_after():
               crash_after=0).validate()
 
 
+def test_config_rejects_negative_message_spacing():
+    # at -1 the multicasts would go at ticks 0 and -1, behind the tick-0
+    # meta line; at 0 they all go at tick 1 and the trace stays in order
+    with pytest.raises(ConfigError) as err:
+        build_world(SimConfig(protocol="3t", n=4, t=1, messages=3,
+                              message_spacing=-1))
+    assert err.value.field == "message_spacing"
+    world = build_world(SimConfig(protocol="3t", n=4, t=1, messages=3,
+                                  message_spacing=0))
+    assert world.run_to_quiescence().quiescent
+    ticks = [int(line.split(" ", 1)[0]) for line in world.trace]
+    assert ticks == sorted(ticks)
+
+
 def test_identical_config_identical_trace():
     cfg = SimConfig(protocol="act", n=13, t=4, kappa=2, delta=3,
                     adversary="equivocate", messages=2, seed=123)
@@ -440,13 +454,19 @@ def test_reforward_fires_after_own_delivery_is_reported(hi):
                                 record_trace=False, **extra)
                 world = build_world(cfg)
                 delivered = {}
-                record = world._record_delivery
+                # a correct process delivers only in what its handle returns
+                for eng in world.engines:
+                    if eng is None:
+                        continue
 
-                def record_delivery(pid, dlv, now, _record=record,
-                                    _seen=delivered):
-                    _seen[(pid, dlv.message.id)] = now
-                    _record(pid, dlv, now)
-                world._record_delivery = record_delivery
+                    def handle(src, msg, now, _handle=eng.handle, _me=eng.me,
+                               _seen=delivered):
+                        out = _handle(src, msg, now)
+                        for act in out:
+                            if type(act) is Deliver:
+                                _seen[(_me, act.message.id)] = now
+                        return out
+                    eng.handle = handle
                 calls = watch_reforwards(world)
                 assert world.run_to_quiescence().quiescent
                 assert sorted((t, p, mid) for t, p, mid, _, _ in calls) == \
@@ -1187,6 +1207,55 @@ def test_mcast_lines_are_the_multicast_actions(monkeypatch):
     assert kinds == {"adv", "-"}
 
 
+def _one_item_per_recipient(world):
+    """Make world push each message item as one item per recipient, in the
+    same order and at the same tick: the dispatch that SimWorld.step's
+    pass over a grouped item must reproduce exactly."""
+    push = world._push
+
+    def split(time, item):
+        if item[0] == EV_MSG:
+            _, dsts, src, msg, plane = item
+            for dst in dsts:
+                push(time, (EV_MSG, [dst], src, msg, plane))
+        else:
+            push(time, item)
+    world._push = split
+
+
+@pytest.mark.parametrize("proto, adversary", [
+    (proto, adversary) for proto in ("e", "3t", "act")
+    for adversary in ("none", "crash", "equivocate", "regime-split")
+    if adversary != "regime-split" or proto == "act"])
+def test_grouped_dispatch_equals_one_item_per_recipient(proto, adversary):
+    """A grouped item runs the same receptions as one item per recipient:
+    the same trace and the same report, trace on or off, stability on or
+    off.  Among these worlds, groups hold faulty recipients (crash, ACT
+    equivocate and regime-split), deliveries are held back (3T none, ACT
+    crash) and engines drop traffic from a known faulty sender (ACT
+    equivocate), so those paths run inside groups too."""
+    extra = {"kappa": 2, "delta": 3} if proto == "act" else {}
+    for p_drop in (0.0, 0.3):
+        for stability in (True, False):
+            cfg = SimConfig(protocol=proto, n=13, t=4, messages=8, seed=11,
+                            adversary=adversary, p_drop=p_drop,
+                            stability=stability, message_spacing=1,
+                            **extra)
+            runs = []
+            for record_trace in (True, False):
+                for split in (False, True):
+                    world = build_world(replace(cfg,
+                                                record_trace=record_trace))
+                    if split:
+                        _one_item_per_recipient(world)
+                    report = world.run_to_quiescence()
+                    assert report.quiescent
+                    runs.append((world.trace, report))
+            (grouped, _), (single, _) = runs[:2]
+            assert grouped == single
+            assert all(report == runs[0][1] for _, report in runs)
+
+
 def test_one_deliver_action_per_deliver_and_one_handle_per_recipient(
         monkeypatch):
     """Every engine that delivers on one deliver object returns the one
@@ -1353,14 +1422,14 @@ ACT_N100_SILENT = SimConfig(protocol="act", n=100, t=10, kappa=3, delta=5,
 
 
 @pytest.mark.parametrize("cfg, worlds, macs", [
-    (ACT_N100_SILENT, 1, 221),
-    (replace(MC_N31, seed=5 << 32), 200, 7798),
-    (replace(ACT_N100_SILENT, messages=300), 1, 13879)])
+    (ACT_N100_SILENT, 1, 124),
+    (replace(MC_N31, seed=5 << 32), 200, 3812),
+    (replace(ACT_N100_SILENT, messages=300), 1, 7804)])
 def test_hmac_work_per_world_is_pinned(monkeypatch, cfg, worlds, macs):
-    # Each (signer, signed bytes) is HMACed at most once per world; a cache
-    # cut that makes a world redo that work changes these counts.  The
-    # 300-message world puts 6,075 tokens in the verify memo, past
-    # VERIFY_MEMO_SIZE, and redoes none of them.
+    # Each (signer, signed bytes) is HMACed at most once per world: these
+    # are the counts of distinct pairs, and a cache cut that makes a world
+    # redo that work changes them.  The 300-message world puts 7,804
+    # tokens in the memo, past VERIFY_MEMO_SIZE, and redoes none of them.
     calls = []
     mac = KeyChain._mac
     monkeypatch.setattr(KeyChain, "_mac",
