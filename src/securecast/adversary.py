@@ -22,7 +22,8 @@ Strategies:
                   both ack sets.
 * regime-split  - the cross-regime attack on ACT: one message runs the
                   active regime, a conflicting one runs recovery against a
-                  2t+1 set disjoint from the active witnesses.
+                  2t+1 set disjoint from the active witnesses; it holds
+                  both delivers until both versions are deliverable.
 * seq-burner    - experimental: multicasts filler traffic to advance its
                   sequence number until it reaches an id whose faulty
                   active witnesses alone meet the delivery rule, then
@@ -65,7 +66,7 @@ class _Side:
     digest: bytes
     sender_sig: Optional[object]
     acks: list = field(default_factory=list)
-    delivered: bool = False
+    delivered: bool = False     # deliverable: its deliver sent, or held
     # per wire tag, the valid signers among acks[:checked]
     signers: dict[str, set[int]] = field(default_factory=dict)
     checked: int = 0
@@ -290,16 +291,28 @@ class Adversary:
         return []
 
     def _collect(self, ack: Ack) -> list:
-        atk = self.attacks[ack.subject]
-        out = []
-        for side, even in ((atk.a, True), (atk.b, False)):
-            if side is None or side.delivered or ack.digest != side.digest:
-                continue
-            side.acks.append(ack)
-            if self._deliverable(ack.subject, side):
-                side.delivered = True
-                out += self._deliver_split(ack.subject, side, even)
-        return out
+        """Add an ack to the side of its digest; once that side meets the
+        delivery rule, send its deliver.  A two-sided regime-split attack is
+        patient: it holds the first deliverable side until the other side is
+        deliverable too, then sends A's deliver and B's: a correct process
+        that delivered one version would close the id and refuse the other
+        its acks.  A side that never becomes deliverable holds the other
+        for ever."""
+        mid = ack.subject
+        atk = self.attacks[mid]
+        side = atk.a if ack.digest == atk.a.digest else atk.b
+        if side is None or side.delivered or ack.digest != side.digest:
+            return []
+        side.acks.append(ack)
+        if not self._deliverable(mid, side):
+            return []
+        side.delivered = True
+        if atk.b is None or self.strategy != "regime-split":
+            return self._deliver_split(mid, side, side is atk.a)
+        if not (atk.a.delivered and atk.b.delivered):
+            return []
+        return (self._deliver_split(mid, atk.a, True)
+                + self._deliver_split(mid, atk.b, False))
 
     def _deliverable(self, mid: MessageId, side: _Side) -> bool:
         """Validate only the acks appended since the last check, so an

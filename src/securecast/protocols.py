@@ -57,14 +57,27 @@ was judged under, and the verdict lives exactly as long as the deliver.
 An engine whose setting is not the cached one judges afresh, so engines
 whose rules differ never share a verdict.  A receiver that has already
 delivered the id drops the deliver without judging it.  A valid verdict
-is an immutable _Recorded and a Deliver action, built once: every engine
-that delivers on the deliver records that one _Recorded and returns that
-one Deliver, and nothing else unless it releases held messages.  So a
-deliver fan-out costs each recipient only its own work: on_deliver looks
-up the sender's slot once, reads the cached verdict, and hands both to
-_do_deliver, which writes the slot and records the id; the holdback is
-touched only when something is held.  A SimWorld relies on the shared
-Deliver to record each such delivery in O(1) (see simnet).
+is a Deliver action, built once: every engine that delivers on the
+deliver returns that one Deliver, and nothing else unless it releases held
+messages.  So a deliver fan-out costs each recipient only its own work:
+on_deliver looks up the sender's slot once, reads the cached verdict, and
+hands both to _do_deliver, which writes the slot and closes the id; the
+holdback is touched only when something is held.  A SimWorld relies on the
+shared Deliver to record each such delivery in O(1) (see simnet).
+
+Delivery closes an id.  A correct process vouches for at most one value
+per id (Bracha's one-value-per-instance rule), so once it has delivered an
+id it signs no ack, verify or delayed ack for it again, for any digest.
+_do_deliver drops the id's record and probe; on_regular and on_inform
+refuse every id at or below the sender's slot in the delivery vector, a
+delayed ack or a verify then finds no record or probe and is refused, and
+the sender's own pending entry went when it completed.  So a late
+conflicting regular or inform raises no alert from a process that has
+delivered: only one that arrives before the delivery does, while the
+record still holds the first sender signature.  Alerts other processes
+raise are still heard.  Apart from the delivery vector, a correct engine
+keeps nothing for an id it has delivered but the deliver it will
+re-forward, and that only until the re-forward.
 
 An engine's delivery vector is an array of unsigned ints over sender
 slots.  The Setting maps each sender to its slot, given at the sender's
@@ -128,7 +141,7 @@ class WireMessage:
     evidence: Optional[EvidencePair] = None
     # a deliver's (setting, verdict), set by ProcessEngine._verdict on its
     # first judgement; not part of the message's value
-    judged: Optional[tuple[Setting, Optional[_Verdict]]] = field(
+    judged: Optional[tuple[Setting, Optional[Deliver]]] = field(
         default=None, init=False, compare=False, repr=False)
 
 
@@ -195,15 +208,9 @@ class Timeouts:
 
 
 class _Recorded(NamedTuple):
-    """What an engine has received for an id; immutable, because engines
-    share the one their deliver's verdict holds."""
+    """What an engine has received for an id it has not delivered."""
     digest: bytes
     sender_sig: Optional[Signature] = None
-
-
-# A valid deliver's verdict: the record every engine that delivers on it
-# stores, and the one Deliver action they all return.
-_Verdict = tuple[_Recorded, Deliver]
 
 
 @dataclass
@@ -337,7 +344,6 @@ class ProcessEngine:
             return True, []
         if rec.digest == dig:
             if rec.sender_sig is None and sender_sig is not None:
-                # the record may be shared: replace it, never mutate it
                 self.recorded[mid] = _Recorded(dig, sender_sig)
             return True, []
         self.conflicted.add(mid)
@@ -400,6 +406,8 @@ class ProcessEngine:
             return []
         if src != mid.sender or mid.sender in self.known_faulty:
             return []
+        if mid.seq <= self.last_delivered(mid.sender):
+            return []   # closed: delivered, its record dropped
         if msg.proto == PROTO_AV and not sender_signed(
                 setting.keychain, mid, msg.digest, msg.sender_sig):
             return []
@@ -435,6 +443,8 @@ class ProcessEngine:
         mid = msg.subject
         if msg.digest is None or mid.sender in self.known_faulty:
             return []
+        if mid.seq <= self.last_delivered(mid.sender):
+            return []   # closed: delivered, its record dropped
         if not sender_signed(self.setting.keychain, mid, msg.digest,
                              msg.sender_sig):
             return []
@@ -493,11 +503,10 @@ class ProcessEngine:
 
     # -- delivery ---------------------------------------------------------
 
-    def _verdict(self, msg: WireMessage) -> Optional[_Verdict]:
-        """The record of the body's digest and the Deliver action if the
-        deliver's acks meet the delivery rule, else None; judged once per
-        deliver object among the engines that share this engine's setting,
-        which all get the same record and the same Deliver."""
+    def _verdict(self, msg: WireMessage) -> Optional[Deliver]:
+        """The Deliver action if the deliver's acks meet the delivery rule,
+        else None; judged once per deliver object among the engines that
+        share this engine's setting, which all get the same Deliver."""
         setting = self.setting
         hit = msg.judged
         if hit is not None and hit[0] is setting:
@@ -511,7 +520,7 @@ class ProcessEngine:
             keychain = setting.keychain
             if accepts(setting.rules(mid), lambda tag: valid_signers(
                     acks, tag, mid, d, keychain)):
-                verdict = (_Recorded(d), Deliver(m, acks, d))
+                verdict = Deliver(m, acks, d)
         msg.judged = (setting, verdict)
         return verdict
 
@@ -554,13 +563,11 @@ class ProcessEngine:
                 del holdback[sender]
         return actions
 
-    def _do_deliver(self, msg: WireMessage, verdict: _Verdict,
+    def _do_deliver(self, msg: WireMessage, dlv: Deliver,
                     slot: Optional[int]) -> list[Action]:
         """Deliver on a valid deliver from the sender in slot, None if no
-        engine has delivered from it yet.  The record and the Deliver are
-        its verdict's, one object each for every engine that delivers on
-        this deliver."""
-        rec, dlv = verdict
+        engine has delivered from it yet.  dlv is its verdict, one object
+        for every engine that delivers on this deliver."""
         mid = dlv.message.id
         setting = self.setting
         if slot is None:
@@ -577,9 +584,11 @@ class ProcessEngine:
             if slot > len(delivery):  # senders this engine has not delivered
                 delivery.extend(repeat(0, slot - len(delivery)))
             delivery.append(mid.seq)
-        # A delivered message counts as received for conflict detection:
-        # no ack or verification is ever signed against it afterwards.
-        self.recorded.setdefault(mid, rec)
+        # Delivery closes the id: its record and probe go, and on_regular
+        # and on_inform refuse it from now on, so no ack, verify or delayed
+        # ack is ever signed for it again, for this digest or another.
+        self.recorded.pop(mid, None)
+        self.probes.pop(mid, None)
         delay = setting.timeouts.reforward
         if delay is not None:
             self.delivered_record[mid] = msg

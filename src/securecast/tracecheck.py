@@ -26,6 +26,8 @@ Checks performed:
   outside [0, n) fails the rule; a non-integer one is a parse error.
 * No conflicting acks: no correct process signs acks for two different
   digests of one id.
+* No ack against a delivery: once a correct process has delivered an id,
+  it sends no ack for any other digest of it.
 * SM integrity: every "stable" record, the stability oracle's report that
   a delivery has matured, matches an earlier delivery by the process it
   names.
@@ -204,8 +206,11 @@ def check_trace(trace: Union[str, Iterable[str]]) -> CheckResult:
     multicast: dict[MessageId, set[str]] = {}
     # id -> line of each correct process's first delivery, 0 for none
     first_line: dict[MessageId, array] = {}
-    # id -> digests delivered by correct processes
-    digests_of: dict[MessageId, set[str]] = {}
+    # id -> digests delivered by correct processes, the first one first
+    digests_of: dict[MessageId, list[str]] = {}
+    # id -> correct process -> the digest it delivered, kept only where
+    # that is not the id's first
+    other_digest: dict[MessageId, dict[int, str]] = {}
     # id -> correct signer -> digests it signed acks for
     acks_signed: dict[MessageId, dict[int, tuple[str, ...]]] = {}
     # (id, signers note) -> WitnessRule detail, None when the rule is met;
@@ -228,6 +233,12 @@ def check_trace(trace: Union[str, Iterable[str]]) -> CheckResult:
                             f"process {src} signed acks for two digests of "
                             f"{subject}"))
                     signed[src] = seen + (digest,)
+                if delivered(src, subject) and digest != other_digest.get(
+                        subject, {}).get(src, digests_of[subject][0]):
+                    bad(Violation(
+                        "NoAckAgainstDelivery", lineno,
+                        f"process {src} acked digest {digest} of {subject} "
+                        f"after delivering another"))
 
         elif kind == "appdlv":
             if subject is None or src not in correct:
@@ -242,7 +253,13 @@ def check_trace(trace: Union[str, Iterable[str]]) -> CheckResult:
                     f"(first at line {firsts[src]})"))
             else:
                 firsts[src] = lineno
-                digests_of.setdefault(subject, set()).add(digest)
+                digs = digests_of.get(subject)
+                if digs is None:
+                    digests_of[subject] = [digest]
+                elif digest != digs[0]:
+                    if digest not in digs:
+                        digs.append(digest)
+                    other_digest.setdefault(subject, {})[src] = digest
             if subject.sender in correct:
                 if digest not in multicast.get(subject, ()):
                     bad(Violation(

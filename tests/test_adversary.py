@@ -127,6 +127,20 @@ def test_regime_splitter_with_slack_meets_its_bound():
     assert rate >= floor - 3 * (floor * (1 - floor) / attacked) ** 0.5
 
 
+def test_regime_split_conflict_counts_are_pinned():
+    # The C3 rows (n=31, t=10, kappa=3, delta=5, 2,000 worlds from seed 7,
+    # C=0, 1, 2): the patient adversary against engines that close each
+    # delivered id.  An adversary that delivers a side as soon as it can
+    # lets the first delivery close the id at recovery witnesses, and
+    # lands fewer conflicts.
+    from securecast.simnet import run_trial_batch
+    rows = [run_trial_batch(SimConfig(
+        protocol="act", n=31, t=10, kappa=3, delta=5, slack_c=c,
+        adversary="regime-split", messages=1, seed=7, record_trace=False,
+        stability=False), 2000) for c in (0, 1, 2)]
+    assert rows == [(2000, 86), (2000, 530), (2000, 1409)]
+
+
 def test_faulty_set_is_nonadaptive():
     # Same adversary seed, different witness seed: same faulty set.
     a = build_world(SimConfig(protocol="e", n=10, t=3, adversary="silent",

@@ -14,12 +14,14 @@ before it rewrites the file.
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from securecast.adversary import ATTACK_STRATEGIES, STRATEGIES
-from securecast.simnet import SimConfig, run_world
+from securecast.simnet import SimConfig, build_world, run_world
+from securecast.tracecheck import check_trace
 
 DATA = Path(__file__).parent / "data" / "outcomes.json"
 
@@ -76,6 +78,21 @@ def test_stability_off_outcomes_match_the_pinned_fingerprint(proto,
     for seed in SEEDS:
         key = _key(proto, adversary, seed, stability=False)
         assert outcome(proto, adversary, seed, False) == pinned[key], key
+
+
+@pytest.mark.parametrize("proto, adversary", list(_shapes()))
+def test_outcome_worlds_check_clean(proto, adversary):
+    """Every pinned world, in both stability modes, rerun with the trace
+    on, passes trace-check: in particular no correct process acks another
+    digest of an id it has delivered."""
+    for seed in SEEDS:
+        for on in (True, False):
+            world = build_world(replace(_config(proto, adversary, seed, on),
+                                        record_trace=True))
+            world.run_to_quiescence()
+            result = check_trace(world.trace_text())
+            assert result.ok, (_key(proto, adversary, seed, on),
+                               [str(v) for v in result.violations[:3]])
 
 
 def test_fingerprint_covers_alerts_and_conflicts():

@@ -609,7 +609,7 @@ def test_alert_idempotent_and_shuns_traffic():
 
 def test_delivered_message_counts_as_received_for_conflicts():
     # A process that learned m only from a deliver must refuse to back a
-    # conflicting recovery request for the same id.
+    # conflicting recovery request for the same id: delivery closes the id.
     kc = KeyChain(31, b"unit")
     sender = make_engine(me=0, kind=ProtocolKind.ACT, n=31, t=10, kappa=3,
                          delta=5, keychain=kc)
@@ -627,7 +627,15 @@ def test_delivered_message_counts_as_received_for_conflicts():
     conflicting = message_digest(MulticastMessage(mid, b"other"))
     reg = WireMessage(PROTO_3T, REGULAR, mid, digest=conflicting)
     assert receiver.handle(0, reg, now=4) == []
-    assert mid in receiver.conflicted
+    assert mid not in receiver.recorded
+    assert receiver.on_timer(("delayed_ack", mid, conflicting, 0), now=20) == []
+    # A conflict that arrives after delivery raises no alert, even with the
+    # sender's signature on it.
+    sig = kc.sign(0, sender_sig_data(mid, conflicting))
+    inform = WireMessage(PROTO_AV, INFORM, mid, digest=conflicting,
+                         sender_sig=sig)
+    assert receiver.handle(9, inform, now=21) == []
+    assert 0 not in receiver.known_faulty
 
 
 def test_act_slack_accepts_short_active_set():

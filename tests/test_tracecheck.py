@@ -112,6 +112,22 @@ def test_conflicting_ack_by_correct_process_flagged():
     assert any(v.prop == "NoConflictingAcks" for v in result.violations)
 
 
+def test_ack_against_own_delivery_flagged():
+    # Process 0's ack line, repeated after its delivery: the same digest is
+    # no violation, another digest is one; before any delivery the other
+    # digest breaks only NoConflictingAcks.
+    lines = _e_lines()
+    ack = next(l for l in lines if l.split(" ")[1] == "send"
+               and l.split(" ")[5] == "ack" and l.split(" ")[2] == "0")
+    other = _with_field(ack, 7, "beefbeef")
+    assert check_trace(_text(lines + [ack])).ok
+    after = check_trace(_text(lines + [other]))
+    assert [v.prop for v in after.violations] == [
+        "NoConflictingAcks", "NoAckAgainstDelivery"]
+    before = check_trace(_text(lines[:1] + [other] + lines[1:]))
+    assert [v.prop for v in before.violations] == ["NoConflictingAcks"]
+
+
 def test_bogus_sm_notification_flagged():
     text = trace_of(protocol="e", n=4, t=1, messages=1, seed=0)
     lines = text.splitlines()
@@ -364,8 +380,13 @@ EXPECTED = {
                           [], True),
     "thinned-act": (_witness(range(108, 169, 2), "30:1", "no", "AV"),
                     [], True),
+    # Changed: the injected ack follows process 0's delivery, so
+    # NoAckAgainstDelivery, a later rule, flags it too.
     "conflicting-ack": ([("NoConflictingAcks", 36, "process 0 signed acks "
-                          "for two digests of 2:1")], [], True),
+                          "for two digests of 2:1"),
+                         ("NoAckAgainstDelivery", 36, "process 0 acked "
+                          "digest beefbeef of 2:1 after delivering "
+                          "another")], [], True),
     "bogus-stable-id": ([("SMIntegrity", 36, "stability record claims 0 "
                           "delivered 0:9 without a matching delivery")],
                         [], True),
