@@ -109,8 +109,8 @@ def keyed_prefix(seed: int, label: bytes) -> bytes:
 
 def keyed_seed(seed: int, label: bytes, *ints: int) -> int:
     """A u64 hashed from (label, seed, ints), each int taken modulo 2**64:
-    what every keyed random stream of a world is seeded with, and each
-    channel draw itself."""
+    what every keyed random stream of a world is seeded with.  A send's
+    channel draws are SHAKE-128 of the same bytes (simnet.send_draws)."""
     args = []
     for i in ints:
         args += (8, i & _MASK64)

@@ -6,27 +6,26 @@ insertion order, and per-pair channels are FIFO with probabilistic loss plus
 automatic retransmission, so delivery probability approaches one as time
 passes.
 
-Channel randomness is counter based: a channel (src, dst) holds only the
-number of draws it has made, and its draw k is the u64
-keyed_seed(world_seed, b"chan", src, dst, k).  A send takes one draw for
-its latency, lo + u % (hi - lo + 1), then, when p_drop > 0, one more per
-transmission attempt, each a loss while u / 2**64 < p_drop.  The draw
-counts of one source are one row of n unsigned 32-bit ints, built on its
-first send, so they take at most 4n^2 bytes (4 MB at n=1000), however
-long a world runs.  Each channel is FIFO: a send never arrives before the
-channel's last arrival.  Those last arrival ticks sit in one world-level
-dict keyed src * n + dst, which needs a channel only while its last
-arrival could still clamp a new send, that is while it lies beyond the
-earliest arrival now + latency_lo of a send made now.  A send records its
-arrival only when it lies beyond that, and the dict is pruned of the
-channels that no longer do whenever it doubles, so it follows the
-messages in flight, not the channels ever used.  The alert
-plane is counter based the same way, under the label b"alert": an alert
-from src to dst takes one draw u of that pair and arrives 1 + u %
-ALERT_LATENCY_BOUND ticks later, so a world that raises no alert draws
-nothing for it.  Processes use Mersenne Twister streams seeded the same
-keyed way, each built only when the process first samples.  The oracle
-draws nothing.
+Channel randomness is keyed per send: send number j of src on a plane
+(one counter per source and plane, counted from 0) reads the u64 draws of
+send_draws, the SHAKE-128 output of keyed_seed's hash input for
+(world_seed, label, src, j), label b"chan" on the network and b"alert" on
+the alert plane.  A network send takes its draws in destination order: one
+for the latency, lo + u % (hi - lo + 1), then, when p_drop > 0, one per
+transmission attempt until one is not lost, a loss being u / 2**64 <
+p_drop.  A fan-out to n draws every arrival from one hash call, and the
+draws need no state beyond the send counters, 2n ints.  Each channel is
+FIFO: a send never arrives before the channel's last arrival.  Those last
+arrival ticks sit in one world-level dict keyed src * n + dst, which needs
+a channel only while its last arrival could still clamp a new send, that
+is while it lies beyond the earliest arrival now + latency_lo of a send
+made now.  A send records its arrival only when it lies beyond that, and
+the dict is pruned of the channels that no longer do whenever it doubles,
+so it follows the messages in flight, not the channels ever used.
+An alert to dst takes one draw u and arrives 1 + u % ALERT_LATENCY_BOUND
+ticks later, so a world that raises no alert draws nothing for the plane.
+Processes use Mersenne Twister streams seeded the keyed way, each built
+only when the process first samples.  The oracle draws nothing.
 
 Events run in (time, insertion) order from a TickQueue: one FIFO bucket
 per tick plus a heap of the distinct ticks, so a queue item costs a list
@@ -87,18 +86,17 @@ the version's sends; the world reads no engine or adversary state.
 from __future__ import annotations
 
 import random
-import struct
+import sys
 from array import array
 from collections.abc import MutableSet
 from dataclasses import dataclass, replace
-from hashlib import sha256
+from hashlib import sha256, shake_128
 from heapq import heappop, heappush
 from typing import Iterator, Optional
 
 from .adversary import ATTACK_STRATEGIES, STRATEGIES, Adversary
 from .core import (PROTO_TAG, KeyChain, MessageId, ProtocolKind, _enc, _u64,
-                   digest64, keyed_prefix, keyed_seed, u64_fields,
-                   valid_signers)
+                   keyed_prefix, keyed_seed, u64_fields, valid_signers)
 # Unused here since Deliver carries its digest; bound anyway because the
 # benchmark tracer (bench/tracer.py) patches message_digest in this module.
 from .core import message_digest  # noqa: F401
@@ -131,13 +129,30 @@ SENDER_MODES = ("auto", "uniform", "faulty")
 # Trace lines write_trace joins into one write.
 _WRITE_CHUNK = 4096
 
-# (src, dst, draw index) in keyed_seed's encoding, after the channel prefix
-_CHAN_FIELDS = u64_fields(3)
-# the same fields, split: src once per send, then (dst, index) per draw
-_CHAN_SRC = u64_fields(1)
-_CHAN_DST_K = u64_fields(2)
-# a SHA-256 digest's first 8 bytes as an unsigned int, as digest64 reads it
-_U64 = struct.Struct(">Q").unpack_from
+# The most signer notes a traced world keeps, in two generations of half as
+# many each, as KeyChain keeps its tokens.  A note asked for again within
+# NOTE_MEMO_SIZE // 2 insertions is not rebuilt; the largest such distance
+# measured is 12 at message_spacing 3 and 45 at message_spacing 1 (3T at
+# n=100 and ACT at n=31, 200 and 300 messages).
+NOTE_MEMO_SIZE = 128
+
+# (src, send number) in keyed_seed's encoding, after the plane's prefix
+_SEND_FIELDS = u64_fields(2)
+# an array("Q") is native-endian; a draw is read big-endian
+_SWAP = sys.byteorder == "little"
+
+
+def send_draws(prefix: bytes, src: int, j: int, count: int) -> array:
+    """The first count draws of send j of src on the plane whose
+    keyed_prefix(world_seed, label) is prefix: SHAKE-128 of the bytes
+    keyed_seed(world_seed, label, src, j) hashes, read as big-endian u64s,
+    as digest64 reads SHA-256.  A SHAKE output is a prefix of any longer
+    one, so more draws of a send are the same draws followed by new ones."""
+    draws = array("Q", shake_128(prefix + _SEND_FIELDS.pack(8, src, 8, j))
+                  .digest(8 * count))
+    if _SWAP:
+        draws.byteswap()
+    return draws
 
 
 def _fields(proto, role, subject, dig, note) -> str:
@@ -387,8 +402,10 @@ class SimWorld:
         self._push = self.queue.push
         self.trace: Optional[list[str]] = [] if cfg.record_trace else None
         if cfg.record_trace:
-            # (id(acks), id, digest) -> (acks, signers note); see _signers_note
+            # (id(acks), id, digest) -> (acks, signers note), young and old
+            # generations; see _signers_note
             self._notes: dict[tuple, tuple[tuple, Optional[str]]] = {}
+            self._notes_old: dict[tuple, tuple[tuple, Optional[str]]] = {}
 
         self.witness_seed = (cfg.witness_seed if cfg.witness_seed is not None
                              else cfg.derived_seed(b"witness"))
@@ -429,18 +446,20 @@ class SimWorld:
             self.adversary = Adversary(cfg.adversary, setting, self.faulty,
                                        cfg.crash_after)
 
-        # per source, None until its first send, then one row: draws made
-        # on channel (src, dst) at [dst]
-        self._chan_rows: list[Optional[array]] = [None] * cfg.n
+        # per source: the sends it has made on the network and alert planes
+        self._sends = [0] * cfg.n
+        self._alert_sends = [0] * cfg.n
         # per channel, keyed src * n + dst: its last arrival tick, while it
         # may still clamp a send; pruned at _in_flight_cap entries
         self._in_flight: dict[int, int] = {}
         self._in_flight_cap = _IN_FLIGHT_MIN
         self._chan_prefix = keyed_prefix(self.world_seed, b"chan")
+        self._alert_prefix = keyed_prefix(self.world_seed, b"alert")
         self._latency_span = cfg.latency_hi - cfg.latency_lo + 1
         self._drop_cut = cfg.p_drop * 2.0 ** 64  # a draw below it is a loss
-        # per alert channel, keyed src * n + dst: draws made
-        self._alert_draws: dict[int, int] = {}
+        # draws first taken per destination: the latency, and with loss
+        # 1 / (1 - p_drop) attempts on average, with a margin
+        self._draw_budget = 1 + 1.25 / (1 - cfg.p_drop) if cfg.p_drop else 1
 
         # Aggregates, maintained whether or not the trace is kept.
         self.deliveries: dict[int, int] = {}
@@ -499,30 +518,24 @@ class SimWorld:
             "-" if dst is None else str(dst),
             _fields(proto, role, subject, dig, note))))
 
-    def _chan_draw(self, src: int, dst: int, k: int) -> int:
-        """Draw k of channel (src, dst), equal to keyed_seed(world_seed,
-        b"chan", src, dst, k) with the (seed, label) bytes encoded once."""
-        return digest64(self._chan_prefix
-                        + _CHAN_FIELDS.pack(8, src, 8, dst, 8, k))
-
     def _channel_send(self, src: int, dsts, msg: WireMessage, now: int):
         """Send msg from src to each process in dsts, in order, over the
-        lossy FIFO channels, and push one message item per distinct
-        arrival tick, naming that tick's destinations in send order.  Each
-        draw is _chan_draw's, inlined, with src's fields encoded once."""
+        lossy FIFO channels, drawing from src's next send_draws on the
+        network plane, and push one message item per distinct arrival
+        tick, naming that tick's destinations in send order."""
         trace = self.trace
         if trace is not None:
             sent = _fields(msg.proto, msg.role, msg.subject, msg.digest, None)
             dropped = _fields(msg.proto, msg.role, msg.subject, msg.digest,
                               "retransmit")
-        n = self.config.n
-        row = self._chan_rows[src]
-        if row is None:
-            row = self._chan_rows[src] = array("I", [0]) * n
+        j = self._sends[src]
+        self._sends[src] = j + 1
+        prefix = self._chan_prefix
+        draws = send_draws(prefix, src, j,
+                           int(len(dsts) * self._draw_budget) + 1)
+        i = 0
         in_flight = self._in_flight
-        base = src * n
-        head = self._chan_prefix + _CHAN_SRC.pack(8, src)
-        pack = _CHAN_DST_K.pack
+        base = src * self.config.n
         floor = now + self.config.latency_lo  # the earliest arrival
         span = self._latency_span
         cut = self._drop_cut
@@ -530,17 +543,18 @@ class SimWorld:
         for dst in dsts:
             if trace is not None:
                 trace.append(f"{now} send {src} {dst} {sent}")
-            k = row[dst]
-            arrival = floor + _U64(sha256(head + pack(8, dst, 8, k))
-                                   .digest())[0] % span
-            if cut:
-                k += 1
-                while _U64(sha256(head + pack(8, dst, 8, k)).digest())[0] < cut:
-                    k += 1
-                    if trace is not None:
-                        trace.append(f"{arrival} drop {src} {dst} {dropped}")
-                    arrival += RETRANSMIT_INTERVAL
-            row[dst] = k + 1
+            arrival = floor + draws[i] % span
+            i += 1
+            while cut:
+                if i + 1 >= len(draws):  # keep a draw for the next latency
+                    draws = send_draws(prefix, src, j, 2 * len(draws))
+                u = draws[i]
+                i += 1
+                if u >= cut:
+                    break
+                if trace is not None:
+                    trace.append(f"{arrival} drop {src} {dst} {dropped}")
+                arrival += RETRANSMIT_INTERVAL
             # FIFO per ordered pair: never overtake an earlier message.
             key = base + dst
             last = in_flight.get(key, 0)
@@ -572,24 +586,21 @@ class SimWorld:
 
     def _fast_send(self, src: int, dsts, msg: WireMessage, now: int):
         """Send msg from src to each process in dsts, in order, on the
-        lossless alert plane: the latency to dst is 1 plus draw k of alert
-        channel (src, dst), keyed_seed(world_seed, b"alert", src, dst, k),
-        modulo ALERT_LATENCY_BOUND.  Pushed as _channel_send pushes."""
+        lossless alert plane: the latency to each is 1 plus its draw, in
+        destination order, of src's next send_draws on the plane, modulo
+        ALERT_LATENCY_BOUND.  Pushed as _channel_send pushes."""
         trace = self.trace
         if trace is not None:
             sent = _fields(msg.proto, msg.role, msg.subject, msg.digest,
                            "fast")
-        n = self.config.n
-        draws = self._alert_draws
+        j = self._alert_sends[src]
+        self._alert_sends[src] = j + 1
+        draws = send_draws(self._alert_prefix, src, j, len(dsts))
         groups: dict[int, list[int]] = {}
-        for dst in dsts:
+        for dst, u in zip(dsts, draws):
             if trace is not None:
                 trace.append(f"{now} send {src} {dst} {sent}")
-            key = src * n + dst
-            k = draws.get(key, 0)
-            draws[key] = k + 1
-            arrival = now + 1 + keyed_seed(
-                self.world_seed, b"alert", src, dst, k) % ALERT_LATENCY_BOUND
+            arrival = now + 1 + u % ALERT_LATENCY_BOUND
             group = groups.get(arrival)
             if group is None:
                 groups[arrival] = [dst]
@@ -688,20 +699,28 @@ class SimWorld:
         note is built once per tuple.  The memo is keyed by the tuple's
         identity, since hashing a few hundred acks costs more than the
         note; each entry keeps its tuple alive, so an identity is never
-        reused while its entry exists."""
+        reused while its entry exists.  New and reused entries go to the
+        young generation; when it holds NOTE_MEMO_SIZE // 2 it becomes the
+        old one and the old one is dropped.  A note is a function of its
+        tuple alone, so what the memo forgets changes no trace byte."""
         key = (id(acks), mid, dig)
         hit = self._notes.get(key)
         if hit is not None:
             return hit[1]
-        fields = []
-        for tag in sorted({a.proto for a in acks}):
-            signers = valid_signers(acks, tag, mid, dig, self.keychain)
-            if signers:
-                fields.append(f"signers.{tag}=" + ":".join(
-                    str(s) for s in sorted(signers)))
-        note = ";".join(fields) or None
-        self._notes[key] = (acks, note)
-        return note
+        hit = self._notes_old.get(key)
+        if hit is None:
+            fields = []
+            for tag in sorted({a.proto for a in acks}):
+                signers = valid_signers(acks, tag, mid, dig, self.keychain)
+                if signers:
+                    fields.append(f"signers.{tag}=" + ":".join(
+                        str(s) for s in sorted(signers)))
+            hit = (acks, ";".join(fields) or None)
+        if len(self._notes) >= NOTE_MEMO_SIZE // 2:
+            self._notes_old = self._notes
+            self._notes = {}
+        self._notes[key] = hit
+        return hit[1]
 
     # -- dispatch -------------------------------------------------------------
 

@@ -139,6 +139,13 @@ def test_regime_split_conflict_counts_are_pinned():
         adversary="regime-split", messages=1, seed=7, record_trace=False,
         stability=False), 2000) for c in (0, 1, 2)]
     assert rows == [(2000, 86), (2000, 530), (2000, 1409)]
+    # The paper's n=100 point: 1,000 worlds from seed 900 at C=0.  Any
+    # change to scheduling or to the channel law that moves a count printed
+    # at that point shows here.
+    assert run_trial_batch(SimConfig(
+        protocol="act", n=100, t=10, kappa=3, delta=5,
+        adversary="regime-split", messages=1, seed=900, record_trace=False,
+        stability=False), 1000) == (1000, 1)
 
 
 def test_faulty_set_is_nonadaptive():

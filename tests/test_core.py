@@ -137,8 +137,9 @@ def test_valid_signers_same_answer_for_equal_tuples():
 
 
 def test_keyed_seed_pinned_values():
-    # Pins the keyed encoding behind every world's streams, channel draws
-    # and witness sets; a change here regenerates every golden trace.
+    # Pins the keyed encoding behind every world's streams, the channel
+    # draws of each send (SHAKE-128 of the same bytes) and witness sets; a
+    # change here regenerates every golden trace.
     assert keyed_seed(0, b"world") == 13881911104740999529
     assert keyed_seed(12345, b"x") == 10562458856057898409
     assert keyed_seed(7, b"chan", 1, 2, 3) == 6932571836939742470

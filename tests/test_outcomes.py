@@ -9,7 +9,8 @@ alert counts, final tick, per-process delivery counts, and a hash of its
 delivered digests.  Regenerate with `PYTHONPATH=src python3
 tests/test_outcomes.py` only for a deliberate change to what a run decides,
 and say which entries moved: the script prints each one, pinned -> new,
-before it rewrites the file.
+then how many moved in all and in each field, naming every entry whose
+conflict or alert count moved, before it rewrites the file.
 """
 
 import hashlib
@@ -110,12 +111,31 @@ def test_fingerprint_covers_alerts_and_conflicts():
                    if k.split("/")[1] in ATTACK_STRATEGIES)
 
 
+# The fields of an outcome, in order, as the regeneration summary names them
+FIELDS = ("quiescent", "conflicts", "alerts", "tick", "deliveries", "hash")
+
+
+def moved_fields(pinned, new) -> list[str]:
+    """The fields in which outcome new differs from pinned; every field
+    when either entry is missing."""
+    if pinned is None or new is None:
+        return list(FIELDS)
+    return [f for f, a, b in zip(FIELDS, pinned, new) if a != b]
+
+
 if __name__ == "__main__":
     pinned = json.loads(DATA.read_text()) if DATA.exists() else {}
     outcomes = all_outcomes()
+    moved = {}
     for key in sorted(pinned.keys() | outcomes.keys()):
         if pinned.get(key) != outcomes.get(key):
             print(f"{key}: {pinned.get(key)} -> {outcomes.get(key)}")
+            moved[key] = moved_fields(pinned.get(key), outcomes.get(key))
+    print(f"{len(moved)} of {len(outcomes)} entries moved: " + ", ".join(
+        f"{f} {sum(f in fs for fs in moved.values())}" for f in FIELDS))
+    for f in ("conflicts", "alerts"):
+        for key in (k for k, fs in moved.items() if f in fs):
+            print(f"  {f} moved: {key}")
     entries = sorted(outcomes.items())
     DATA.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
                                        for k, v in entries) + "\n}\n")

@@ -6,6 +6,7 @@ import tracemalloc
 import weakref
 from array import array
 from dataclasses import replace
+from hashlib import shake_128
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 from securecast import protocols, quorum, simnet
 from securecast.adversary import STRATEGIES, Adversary
-from securecast.core import keyed_seed
 from securecast.core import (PROTO_AV, KeyChain, MessageId, ProtocolKind,
-                             sender_sig_data, sign_sender)
+                             digest64, keyed_prefix, keyed_seed,
+                             sender_sig_data, sign_sender, u64_fields)
 from securecast.protocols import (ALERT, ALERT_LATENCY_BOUND, DELIVER,
                                   INFORM, REGULAR, SM_NOTIFY, VERIFY,
                                   Deliver, EvidencePair, Multicast,
@@ -24,7 +25,7 @@ from securecast.protocols import (ALERT, ALERT_LATENCY_BOUND, DELIVER,
 from securecast.quorum import QuorumParams
 from securecast.simnet import (EV_MSG, EV_TIMER, RETRANSMIT_INTERVAL,
                                ConfigError, PidSet, SimConfig, SimWorld,
-                               build_world, run_world)
+                               build_world, run_world, send_draws)
 
 
 def test_build_world_minimal():
@@ -646,6 +647,35 @@ def test_signers_note_built_once_per_delivered_ack_set(monkeypatch):
     assert not hasattr(off, "_notes") and len(calls) == len(world._notes)
 
 
+def test_signers_note_memo_stays_within_its_bound(monkeypatch):
+    """A long traced run keeps at most NOTE_MEMO_SIZE signer notes while
+    delivering more ack sets than that, and still builds each set's note
+    once; a memo of two notes writes the same trace bytes."""
+    calls, sizes = [], []
+    real = simnet.valid_signers
+    monkeypatch.setattr(simnet, "valid_signers", lambda acks, *rest:
+                        calls.append(1) or real(acks, *rest))
+    note = SimWorld._signers_note
+
+    def watched(self, *args):
+        out = note(self, *args)
+        sizes.append(len(self._notes) + len(self._notes_old))
+        return out
+    monkeypatch.setattr(SimWorld, "_signers_note", watched)
+    cfg = SimConfig(protocol="3t", n=13, t=4, messages=200, seed=4,
+                    adversary="crash", p_drop=0.1)
+    world = build_world(cfg)
+    report = world.run_to_quiescence()
+    assert max(sizes) <= simnet.NOTE_MEMO_SIZE
+    assert len(calls) == len(report.delivered_digests) > simnet.NOTE_MEMO_SIZE
+    monkeypatch.setattr(simnet, "NOTE_MEMO_SIZE", 2)
+    small = build_world(cfg)
+    first = len(sizes)
+    small.run_to_quiescence()
+    assert max(sizes[first:]) <= 2
+    assert small.trace_text() == world.trace_text()
+
+
 def test_lossy_adversarial_runs_keep_their_guarantees():
     # 25% per-attempt loss with retransmission under every adversary.
     # E and 3T keep absolute agreement; ACT conflicts are permitted (and
@@ -664,81 +694,132 @@ def test_lossy_adversarial_runs_keep_their_guarantees():
                 assert report.conflicts == 0, (proto, adv)
 
 
-def replay_channels(world):
-    """Replay every network-plane send of a traced world from its channel
-    draws alone: latency from the next draw, one more draw per transmission
-    attempt, then the FIFO clamp against the channel's last arrival, kept
-    forever.  Returns (draws, last, expect, got, clamps, last_send): per
-    (src, dst) the draws made, the last arrival, the replayed and the
-    traced arrival ticks; the sends the clamp moved; the last send tick."""
+PLANE_LABELS = {"net": b"chan", "fast": b"alert"}
+
+
+def record_sends(monkeypatch):
+    """Record every send of either plane, in call order, as (plane, src,
+    destinations, tick): where one send ends and the next begins, which
+    the trace does not show."""
+    sends = []
+    for name, plane in (("_channel_send", "net"), ("_fast_send", "fast")):
+        def recorded(self, src, dsts, msg, now,
+                     _real=getattr(SimWorld, name), _plane=plane):
+            sends.append((_plane, src, list(dsts), now))
+            return _real(self, src, dsts, msg, now)
+        monkeypatch.setattr(SimWorld, name, recorded)
+    return sends
+
+
+def replay_sends(world, sends):
+    """Replay the recorded sends of a world from send_draws alone.  Send j
+    of src on a plane reads its draws in destination order, from a digest
+    longer than any send needs.  On the network: the latency from the next
+    draw, then one draw per transmission attempt until one is not lost,
+    then the FIFO clamp against the channel's last arrival, kept forever.
+    On the alert plane: 1 + draw % ALERT_LATENCY_BOUND.  Returns (counts,
+    arrivals, drops, last, clamps): per plane, each source's sends; per
+    (plane, src, dst) the arrival ticks and the ticks of the lost attempts;
+    per network channel its last arrival; the arrivals the clamp moved."""
     c = world.config
     span = c.latency_hi - c.latency_lo + 1
     cut = c.p_drop * 2.0 ** 64
-    draws, last, expect, got = {}, {}, {}, {}
-    clamps = last_send = 0
+    counts = {plane: [0] * c.n for plane in PLANE_LABELS}
+    arrivals, drops, last = {}, {}, {}
+    clamps = 0
+    for plane, src, dsts, now in sends:
+        j = counts[plane][src]
+        counts[plane][src] += 1
+        prefix = keyed_prefix(world.world_seed, PLANE_LABELS[plane])
+        draw = iter(send_draws(prefix, src, j, 64 * len(dsts))).__next__
+        for dst in dsts:
+            key = (plane, src, dst)
+            if plane == "fast":
+                arrival = now + 1 + draw() % ALERT_LATENCY_BOUND
+            else:
+                arrival = now + c.latency_lo + draw() % span
+                while cut and draw() < cut:
+                    drops.setdefault(key, []).append(arrival)
+                    arrival += RETRANSMIT_INTERVAL
+                if arrival < last.get((src, dst), 0):
+                    arrival = last[src, dst]
+                    clamps += 1
+                last[src, dst] = arrival
+            arrivals.setdefault(key, []).append(arrival)
+    return counts, arrivals, drops, last, clamps
+
+
+def assert_replayed(world, sends):
+    """Every recv and drop line of a traced world, on both planes, is where
+    the replay puts it, each network channel's in send order, and the
+    world's send counters are the replay's.  The in-flight dict holds the
+    true last arrival of every channel whose last arrival lies beyond the
+    last send's earliest arrival; any other entry it holds, true or stale,
+    can clamp no send made since.  Returns the replay."""
+    replay = counts, arrivals, drops, last, _ = replay_sends(world, sends)
+    got, dropped = {}, {}
     for line in world.trace:
         tick, kind, src, dst, *_, note = line.split(" ", 8)
-        if kind not in ("send", "recv") or note in ("fast", "oracle"):
-            continue
-        key = (int(src), int(dst))
-        if kind == "recv":
-            got.setdefault(key, []).append(int(tick))
-            continue
-        last_send = int(tick)
-        k = draws.get(key, 0)
-        arrival = int(tick) + c.latency_lo + world._chan_draw(*key, k) % span
-        k += 1
-        while world._chan_draw(*key, k) < cut:
-            k += 1
-            arrival += RETRANSMIT_INTERVAL
-        k += 1
-        if arrival < last.get(key, 0):
-            arrival = last[key]
-            clamps += 1
-        last[key], draws[key] = arrival, k
-        expect.setdefault(key, []).append(arrival)
-    return draws, last, expect, got, clamps, last_send
-
-
-def assert_channel_state_matches(world, draws, last, last_send):
-    """Each source's row holds exactly its replayed draw counts.  The
-    in-flight dict holds the true last arrival of every channel whose last
-    arrival lies beyond the last send's earliest arrival; any other entry
-    it holds, true or stale, can clamp no send made since."""
+        if kind in ("recv", "drop"):
+            key = ("fast" if note == "fast" else "net", int(src), int(dst))
+            seen = got if kind == "recv" else dropped
+            seen.setdefault(key, []).append(int(tick))
+    assert {k: sorted(v) for k, v in got.items()} == \
+        {k: sorted(v) for k, v in arrivals.items()}
+    assert all(got[key] == ticks for key, ticks in arrivals.items()
+               if key[0] == "net")
+    assert dropped == drops
+    assert (world._sends, world._alert_sends) == (counts["net"],
+                                                  counts["fast"])
     n = world.config.n
-    for src, row in enumerate(world._chan_rows):
-        if not any(s == src for (s, _) in draws):
-            assert row is None
-            continue
-        assert list(row) == [draws.get((src, d), 0) for d in range(n)]
     in_flight = {(key // n, key % n): tick
                  for key, tick in world._in_flight.items()}
+    last_send = max(now for plane, _, _, now in sends if plane == "net")
     floor = last_send + world.config.latency_lo
     assert {key: tick for key, tick in last.items() if tick > floor} == \
         {key: tick for key, tick in in_flight.items() if tick > floor}
     assert all(max(tick, last[key]) <= floor
                for key, tick in in_flight.items() if tick != last[key])
+    return replay
 
 
-def test_channel_draws_are_keyed_seeds_and_drive_every_send():
-    cfg = SimConfig(protocol="3t", n=13, t=4, adversary="crash", messages=4,
-                    seed=21, message_spacing=1, p_drop=0.2)
-    world = build_world(cfg)
-    assert world.run_to_quiescence().quiescent
-    for src, dst, k in ((0, 1, 0), (12, 3, 9), (5, 5, 2**40)):
-        assert world._chan_draw(src, dst, k) == \
-            keyed_seed(world.world_seed, b"chan", src, dst, k)
-    # Replay every channel from its draws alone.
-    draws, last, expect, got, _, last_send = replay_channels(world)
-    assert got == expect
-    assert_channel_state_matches(world, draws, last, last_send)
+def test_channel_draws_are_keyed_seeds_and_drive_every_send(monkeypatch):
+    """Send j of src reads the SHAKE-128 output of the bytes keyed_seed
+    hashes for (world_seed, label, src, j) as big-endian u64s, a longer
+    read starting with a shorter one; and those draws alone give every
+    arrival and every lost attempt of a lossy world, on both planes."""
+    prefix = keyed_prefix(77, b"chan")
+    for src, j in ((0, 0), (12, 9), (5, 2**40)):
+        data = prefix + u64_fields(2).pack(8, src, 8, j)
+        assert digest64(data) == keyed_seed(77, b"chan", src, j)
+        out = shake_128(data).digest(80)
+        assert list(send_draws(prefix, src, j, 10)) == [
+            int.from_bytes(out[i:i + 8], "big") for i in range(0, 80, 8)]
+        assert list(send_draws(prefix, src, j, 3)) == \
+            list(send_draws(prefix, src, j, 10))[:3]
+    sends = record_sends(monkeypatch)
+    for cfg in (SimConfig(protocol="3t", n=13, t=4, adversary="crash",
+                          messages=4, seed=21, message_spacing=1,
+                          p_drop=0.2),
+                SimConfig(protocol="act", n=13, t=4, kappa=2, delta=3,
+                          adversary="equivocate", messages=4, seed=2,
+                          p_drop=0.2)):
+        sends.clear()
+        world = build_world(cfg)
+        report = world.run_to_quiescence()
+        assert report.quiescent
+        _, arrivals, drops, _, _ = assert_replayed(world, sends)
+        assert drops and {plane for plane, *_ in arrivals} == \
+            ({"net", "fast"} if report.alerts_raised else {"net"})
+    assert report.alerts_raised
 
 
 def test_pruned_in_flight_channels_keep_every_arrival(monkeypatch):
     """A run long and lossy enough that the in-flight dict is pruned many
     times, and drops channels that later send again, still gives every
     arrival the replay with each channel's last arrival kept forever
-    gives, clamps included."""
+    gives, clamps included; and sends that outrun their first digest take
+    a longer one of the same stream."""
     prunes = []
     prune = SimWorld._prune_in_flight
 
@@ -749,24 +830,28 @@ def test_pruned_in_flight_channels_keep_every_arrival(monkeypatch):
                                    if v > floor}
         prunes.append((self.clock, before.keys() - self._in_flight.keys()))
     monkeypatch.setattr(SimWorld, "_prune_in_flight", watched)
+    digests = []
+    draws = simnet.send_draws
+    monkeypatch.setattr(simnet, "send_draws", lambda prefix, src, j, count:
+                        digests.append((src, j)) or draws(prefix, src, j,
+                                                          count))
+    sends = record_sends(monkeypatch)
     cfg = SimConfig(protocol="3t", n=31, t=10, adversary="crash",
                     messages=60, seed=9, message_spacing=1, p_drop=0.3,
                     latency_hi=9)
     world = build_world(cfg)
     assert world.run_to_quiescence().quiescent
-    draws, last, expect, got, clamps, last_send = replay_channels(world)
-    assert got == expect
+    _, _, _, last, clamps = assert_replayed(world, sends)
     assert clamps > 100
+    assert len(digests) - len(set(digests)) > 100   # longer digests taken
     assert len(prunes) > 5 and all(dropped for _, dropped in prunes)
     assert len(world._in_flight) < min(len(last), world._in_flight_cap)
-    assert_channel_state_matches(world, draws, last, last_send)
     # channels that sent again after being pruned
     n = cfg.n
     sent_at = {}
-    for line in world.trace:
-        tick, kind, src, dst, _ = line.split(" ", 4)
-        if kind == "send" and not line.endswith(" fast"):
-            sent_at.setdefault(int(src) * n + int(dst), []).append(int(tick))
+    for plane, src, dsts, now in sends:
+        for dst in dsts * (plane == "net"):
+            sent_at.setdefault(src * n + dst, []).append(now)
     again = {key for now, dropped in prunes for key in dropped
              if sent_at[key][-1] > now}
     assert len(again) > 100
@@ -800,54 +885,102 @@ def test_channel_latency_uniform_and_loss_rate_matches_p_drop():
     assert abs(lost / attempts - cfg.p_drop) <= 3 * sigma
 
 
-def test_alert_draws_are_keyed_seeds_and_drive_every_alert():
-    """Alert k from src to dst arrives 1 + keyed_seed(world_seed, b"alert",
-    src, dst, k) % ALERT_LATENCY_BOUND ticks after it is sent, and a world
-    that raises no alert draws nothing for the plane."""
-    sent = 0
+def _within_3_sigma(hits, trials, p):
+    return abs(hits - trials * p) <= 3 * (trials * p * (1 - p)) ** 0.5
+
+
+def test_draws_are_uniform_and_independent_on_both_planes():
+    """51,005 destination draws on each plane of a lossy world: 5 rounds,
+    1,000 ticks apart so that no FIFO clamp applies, of every source
+    sending to all n on both planes.  Each network latency in [lo, hi] and
+    each alert latency in [1, ALERT_LATENCY_BOUND] occurs within 3 sigma
+    of uniform, and the per-attempt loss rate lies within 3 sigma of
+    p_drop.  Two latencies that must come from different draws, the next
+    destination's in the same send and the same destination's in the
+    source's next send, are equal at chance rate, 1 / span, within 3
+    sigma: a draw reused for two destinations or two sends fails this."""
+    cfg = SimConfig(protocol="e", n=101, t=1, messages=0, seed=8, p_drop=0.3,
+                    latency_lo=2, latency_hi=7)
+    n, rounds = cfg.n, 5
+    world = build_world(cfg)
+    msg = WireMessage("E", REGULAR, None)
+    for r in range(rounds):
+        for src in range(n):
+            world._channel_send(src, range(n), msg, 1000 * r)
+            world._fast_send(src, range(n), msg, 1000 * r)
+    drops = {}
+    for line in world.trace:
+        tick, kind, src, dst, _ = line.split(" ", 4)
+        if kind == "drop":
+            key = (int(tick) // 1000, int(src), int(dst))
+            drops[key] = drops.get(key, 0) + 1
+    latency = {plane: [[[None] * n for _ in range(n)] for _ in range(rounds)]
+               for plane in ("net", "fast")}
+    for tick, (_, dsts, src, _, plane) in world.queue:
+        r = tick // 1000
+        for dst in dsts:
+            lost = drops.get((r, src, dst), 0) if plane == "net" else 0
+            latency[plane][r][src][dst] = (tick - 1000 * r
+                                           - RETRANSMIT_INTERVAL * lost)
+    draws = rounds * n * n
+    lost = sum(drops.values())
+    assert _within_3_sigma(lost, lost + draws, cfg.p_drop)
+    for plane, values in (("net", range(cfg.latency_lo, cfg.latency_hi + 1)),
+                          ("fast", range(1, ALERT_LATENCY_BOUND + 1))):
+        lat = latency[plane]
+        flat = [x for rows in lat for row in rows for x in row]
+        assert len(flat) == draws and set(flat) == set(values), plane
+        p = 1 / len(values)
+        for v in values:
+            assert _within_3_sigma(flat.count(v), draws, p), (plane, v)
+        next_dst = [row[d] == row[d + 1] for rows in lat for row in rows
+                    for d in range(n - 1)]
+        assert _within_3_sigma(sum(next_dst), len(next_dst), p), plane
+        next_send = [lat[r][s][d] == lat[r + 1][s][d]
+                     for r in range(rounds - 1) for s in range(n)
+                     for d in range(n)]
+        assert _within_3_sigma(sum(next_send), len(next_send), p), plane
+
+
+def test_alert_draws_are_keyed_seeds_and_drive_every_alert(monkeypatch):
+    """Each alert-plane send reads its source's next stream under b"alert",
+    one draw per destination, and arrives 1 + draw % ALERT_LATENCY_BOUND
+    ticks after it is sent; a world that raises no alert draws nothing for
+    the plane."""
+    sends = record_sends(monkeypatch)
+    alerts = 0
     for seed in range(6):
+        sends.clear()
         world = build_world(SimConfig(protocol="act", n=13, t=4, kappa=2,
                                       delta=3, adversary="equivocate",
                                       messages=2, seed=seed))
         assert world.run_to_quiescence().quiescent
-        draws, expect, got = {}, {}, {}
-        for line in world.trace:
-            tick, kind, src, dst, *_, note = line.split(" ", 8)
-            if note != "fast":
-                continue
-            key = (int(src), int(dst))
-            if kind == "recv":
-                got.setdefault(key, []).append(int(tick))
-                continue
-            k = draws.get(key, 0)
-            draws[key] = k + 1
-            expect.setdefault(key, []).append(int(tick) + 1 + keyed_seed(
-                world.world_seed, b"alert", *key, k) % ALERT_LATENCY_BOUND)
-        assert {k: sorted(v) for k, v in got.items()} == \
-            {k: sorted(v) for k, v in expect.items()}
-        assert world._alert_draws == {s * 13 + d: k
-                                      for (s, d), k in draws.items()}
-        sent += sum(draws.values())
-    assert sent > 0
+        counts, *_ = assert_replayed(world, sends)
+        alerts += sum(counts["fast"])
+    assert alerts > 0
     quiet = build_world(SimConfig(protocol="act", n=13, t=4, kappa=2,
                                   delta=3, messages=2, seed=0))
     assert quiet.run_to_quiescence().alerts_raised == 0
-    assert quiet._alert_draws == {}
+    assert quiet._alert_sends == [0] * 13
 
 
 def test_world_holds_no_per_channel_or_unused_engine_streams():
     world = build_world(SimConfig(protocol="3t", n=31, t=10, adversary="crash",
                                   messages=3, seed=2, p_drop=0.1))
     assert world.run_to_quiescence().quiescent
-    # A source's channels are one row of n unsigned ints, a channel in
-    # flight or an alert channel one int; the world holds no stream of its
-    # own.
-    rows = [row for row in world._chan_rows if row is not None]
-    assert rows and len(world._chan_rows) == world.config.n
-    assert all(type(row) is array and row.typecode == "I"
-               and len(row) == world.config.n for row in rows)
+    # A source's channel state is one send counter per plane, a channel in
+    # flight one int; the world holds no array, no per-channel table and
+    # no stream of its own.
+    n = world.config.n
+    for counters in (world._sends, world._alert_sends):
+        assert type(counters) is list and len(counters) == n
+        assert all(type(count) is int for count in counters)
+    assert sum(world._sends) > 0
     assert all(type(tick) is int for tick in world._in_flight.values())
     fields = vars(world).values()
+    assert not any(isinstance(v, array) for v in fields)
+    assert not any(isinstance(v, (list, dict)) and len(v) >= n * n
+                   and v is not world.trace for v in fields)
     assert not any(isinstance(v, random.Random) for v in fields)
     assert not any(isinstance(v, random.Random)
                    for d in fields if isinstance(d, dict) for v in d.values())
@@ -863,7 +996,9 @@ def test_world_holds_no_per_channel_or_unused_engine_streams():
 
 
 def test_channel_state_is_one_row_per_source_whatever_the_run_length():
-    sizes, draws, in_flight = [], [], []
+    """The channel state is one row of send counters per plane, n ints,
+    however many messages a world runs."""
+    sizes, sends, in_flight = [], [], []
     for messages in (50, 200):
         world = build_world(SimConfig(protocol="3t", n=31, t=10,
                                       adversary="crash", p_drop=0.1,
@@ -871,25 +1006,25 @@ def test_channel_state_is_one_row_per_source_whatever_the_run_length():
                                       record_trace=False))
         assert world.run_to_quiescence().quiescent
         n = world.config.n
-        assert len(world._chan_rows) == n
-        rows = [row for row in world._chan_rows if row is not None]
-        assert all(len(row) == n and row.itemsize == 4 for row in rows)
-        sizes.append(sum(len(row) * row.itemsize for row in rows))
-        draws.append(sum(sum(row) for row in rows))
+        rows = (world._sends, world._alert_sends)
+        assert [len(row) for row in rows] == [n, n]
+        sizes.append(sum(sys.getsizeof(row) for row in rows))
+        sends.append(sum(world._sends))
         in_flight.append(len(world._in_flight))
     # four times the traffic on channel state of the same size
-    assert sizes[0] == sizes[1] <= 4 * n * n
-    assert draws[1] > 3 * draws[0]
+    assert sizes[0] == sizes[1] <= 2 * sys.getsizeof([0] * n)
+    assert sends[1] > 3 * sends[0]
     assert max(in_flight) < simnet._IN_FLIGHT_MIN
 
 
-def test_channel_state_at_n1000_is_draw_rows_plus_channels_in_flight(
+def test_channel_state_at_n1000_is_send_counters_plus_channels_in_flight(
         monkeypatch):
-    """At the paper's large point the channel state is at most 4n^2 bytes
-    of draw counts plus the channels in flight: each prune keeps exactly
-    the channels whose last arrival lies beyond the earliest arrival of a
-    send made now, and the dict grows to at most twice what the last prune
-    kept, plus one fan-out, before the next."""
+    """At the paper's large point the channel state is one send counter
+    per source and plane, 2n ints, plus the channels in flight: each prune
+    keeps exactly the channels whose last arrival lies beyond the earliest
+    arrival of a send made now, and the dict grows to at most twice what
+    the last prune kept, plus one fan-out, before the next.  No other
+    container of the world comes near n^2 entries."""
     prunes = []
     prune = SimWorld._prune_in_flight
 
@@ -906,9 +1041,9 @@ def test_channel_state_at_n1000_is_draw_rows_plus_channels_in_flight(
                                   record_trace=False))
     assert world.run_to_quiescence().quiescent
     n = world.config.n
-    rows = [row for row in world._chan_rows if row is not None]
-    assert all(len(row) == n and row.itemsize == 4 for row in rows)
-    assert sum(len(row) * row.itemsize for row in rows) <= 4 * n * n
+    assert len(world._sends) == len(world._alert_sends) == n
+    assert all(type(count) is int
+               for count in world._sends + world._alert_sends)
     assert len(prunes) > 5
     kept = 0
     for before, after in prunes:
@@ -916,6 +1051,9 @@ def test_channel_state_at_n1000_is_draw_rows_plus_channels_in_flight(
         kept = after
     assert max(before for before, _ in prunes) < 8 * n
     assert len(world._in_flight) < world._in_flight_cap < 8 * n
+    assert not any(isinstance(v, array) for v in vars(world).values())
+    assert all(len(v) < 8 * n for v in vars(world).values()
+               if isinstance(v, (list, dict, tuple)))
 
 
 def test_delivery_vectors_grow_with_senders_not_n():
@@ -1034,48 +1172,55 @@ def test_act_params_checked_a_fixed_number_of_times_per_world(monkeypatch):
     assert per_world == [2, 2]
 
 
-def test_fan_out_is_one_queue_item_per_arrival_tick():
+def test_fan_out_is_one_queue_item_per_arrival_tick(monkeypatch):
     """A Send to all n from a fresh source pushes one queue item per
-    distinct arrival tick, listing its recipients in send order; a send to
-    one destination pushes one item for it.  The recipients dispatch in
-    the order, and at the ticks, of one send per destination."""
+    distinct arrival tick, listing its recipients in send order, and its
+    recipients dispatch in (tick, send order), the order of one item per
+    recipient, at the ticks the send's draws give.  n sends of one
+    destination each push one item each, at the ticks their own sends'
+    draws give."""
     cfg = SimConfig(protocol="e", n=101, t=1, messages=0, seed=5, p_drop=0.3,
                     latency_lo=2, latency_hi=7, record_trace=False)
     msg = WireMessage("E", DELIVER, None)
-    world = build_world(cfg)
-    world._apply(3, [Send(range(cfg.n), msg)], 0)
+    sends = record_sends(monkeypatch)
+    worlds = []
+    for batch in ([range(cfg.n)], [(dst,) for dst in range(cfg.n)]):
+        sends.clear()
+        world = build_world(cfg)
+        world._apply(3, [Send(dsts, msg) for dsts in batch], 0)
+        _, arrivals, drops, _, _ = replay_sends(world, sends)
+        assert drops
+        assert [(tick, dst) for tick, item in world.queue
+                for dst in item[1]] == \
+            sorted((arrivals["net", 3, dst][0], dst) for dst in range(cfg.n))
+        worlds.append(world)
+    world, single = worlds
     items = list(world.queue)
     ticks = [tick for tick, _ in items]
     assert len(set(ticks)) == len(ticks) > 1
     # each arrival past the earliest possible one is the channel's last
     last = world._in_flight
-    sent = []
     for tick, (kind, dsts, src, m, plane) in items:
         assert (kind, src, m, plane) == (EV_MSG, 3, msg, "net")
         assert list(dsts) == sorted(dsts)
         assert all(last.get(3 * cfg.n + dst) ==
                    (tick if tick > cfg.latency_lo else None) for dst in dsts)
-        sent += dsts
-    assert sorted(sent) == list(range(cfg.n))
-    single = build_world(cfg)
-    for dst in range(cfg.n):
-        single._apply(3, [Send((dst,), msg)], 0)
+    assert world._sends[3] == 1 and single._sends[3] == cfg.n
     assert len(single.queue) == cfg.n
     assert all(len(dsts) == 1 for _, (_, dsts, *_) in single.queue)
-    assert [(tick, dst) for tick, item in single.queue for dst in item[1]] \
-        == [(tick, dst) for tick, item in world.queue for dst in item[1]]
     single._fast_send(3, (7,), msg, 0)
     assert [item[1:] for _, item in single.queue if item[4] == "fast"] == \
         [([7], 3, msg, "fast")]
 
 
-def test_one_alert_is_at_most_alert_latency_bound_queue_items():
+def test_one_alert_is_at_most_alert_latency_bound_queue_items(monkeypatch):
     """A RaiseAlert reaches every other process on the alert plane in at
     most ALERT_LATENCY_BOUND queue items, one per arrival tick, and its
-    recipients dispatch in the (tick, recipient) order of one alert-plane
-    send per destination."""
+    recipients dispatch in (tick, recipient) order, the order of one item
+    per recipient, at the ticks the alert send's draws give."""
     cfg = SimConfig(protocol="act", n=31, t=10, kappa=3, delta=5,
                     messages=0, seed=5)
+    sends = record_sends(monkeypatch)
     world = build_world(cfg)
     mid = MessageId(1, 1)
     da, db = b"a" * 32, b"b" * 32
@@ -1089,17 +1234,16 @@ def test_one_alert_is_at_most_alert_latency_bound_queue_items():
     [alert] = {id(item[3]): item[3] for _, item in items}.values()
     assert (alert.role, alert.subject, alert.evidence) == (ALERT, mid, ev)
     assert all(item[2] == 4 and item[4] == "fast" for _, item in items)
-    single = build_world(cfg)
-    for dst in range(cfg.n):
-        if dst != 4:
-            single._fast_send(4, (dst,), alert, 10)
-    assert len(single.queue) == cfg.n - 1
-    assert [(tick, dst) for tick, item in single.queue for dst in item[1]] \
-        == [(tick, dst) for tick, item in items for dst in item[1]]
+    others = [d for d in range(cfg.n) if d != 4]
+    assert sends == [("fast", 4, others, 10)]
+    _, arrivals, *_ = replay_sends(world, sends)
+    assert [(tick, dst) for tick, item in items for dst in item[1]] == \
+        sorted((arrivals["fast", 4, dst][0], dst) for dst in others)
+    assert world._alert_sends[4] == 1
     # one send line per recipient, in send order, as before
     sends = [line.split(" ")[3] for line in world.trace
              if line.split(" ")[1] == "send"]
-    assert sends == [str(d) for d in range(cfg.n) if d != 4]
+    assert sends == [str(d) for d in others]
 
 
 def test_each_handler_sends_each_message_in_one_send(monkeypatch):
@@ -1457,7 +1601,7 @@ ACT_N100_SILENT = SimConfig(protocol="act", n=100, t=10, kappa=3, delta=5,
 
 @pytest.mark.parametrize("cfg, worlds, macs", [
     (ACT_N100_SILENT, 1, 124),
-    (replace(MC_N31, seed=5 << 32), 200, 3812),
+    (replace(MC_N31, seed=5 << 32), 200, 3811),
     (replace(ACT_N100_SILENT, messages=300), 1, 7804)])
 def test_hmac_work_per_world_is_pinned(monkeypatch, cfg, worlds, macs):
     # Each (signer, signed bytes) is HMACed at most once per world: these
@@ -1579,7 +1723,7 @@ def test_trace_on_and_off_give_equal_reports(shape):
     report = on.run_to_quiescence()
     assert report.quiescent and report.messages_multicast == 4
     assert off.run_to_quiescence() == report
-    assert off._chan_rows == on._chan_rows
+    assert (off._sends, off._alert_sends) == (on._sends, on._alert_sends)
     assert off._in_flight == on._in_flight
 
 

@@ -363,45 +363,47 @@ def _witness(lines, subject, counts, proto):
 # What the checker returned before it streamed, except where noted.  Line
 # numbers were re-derived, details unchanged, when re-forward checks that
 # find their id stable everywhere stopped writing timer lines; malformed-deep
-# now breaks line 32 of the shorter trace (was 40).
+# now breaks line 32 of the shorter trace (was 40).  Line numbers and the
+# process named first were re-derived, rules unchanged, when channel draws
+# became one keyed stream per send.
 EXPECTED = {
     "clean": ([], [], True),
-    "duplicated-appdlv": ([("Integrity", 36, "process 0 delivered 2:1 twice "
-                            "(first at line 23)")], [], True),
+    "duplicated-appdlv": ([("Integrity", 36, "process 2 delivered 2:1 twice "
+                            "(first at line 24)")], [], True),
     "foreign-digest": ([
-        ("Integrity", 23, "delivery of 2:1 does not match any multicast by "
+        ("Integrity", 24, "delivery of 2:1 does not match any multicast by "
          "correct sender 2"),
         ("Agreement", 35, "correct processes delivered 2 different digests "
          "for 2:1")], [(2, 1)], True),
     "thinned-3t": (_witness(range(120, 181, 2), "30:1", "5 3T", "3T"),
                    [], True),
-    "thinned-e": (_witness((23, 26, 28, 30), "2:1", "2 E", "E"), [], True),
-    "thinned-act-slack": (_witness(range(49, 74, 2), "10:1", "no", "AV"),
-                          [], True),
+    "thinned-e": (_witness((24, 26, 28, 30), "2:1", "2 E", "E"), [], True),
+    "thinned-act-slack": (_witness((47, 49, *range(53, 72, 2), 74), "10:1",
+                                   "no", "AV"), [], True),
     "thinned-act": (_witness(range(108, 169, 2), "30:1", "no", "AV"),
                     [], True),
     # Changed: the injected ack follows process 0's delivery, so
     # NoAckAgainstDelivery, a later rule, flags it too.
-    "conflicting-ack": ([("NoConflictingAcks", 36, "process 0 signed acks "
+    "conflicting-ack": ([("NoConflictingAcks", 36, "process 3 signed acks "
                           "for two digests of 2:1"),
-                         ("NoAckAgainstDelivery", 36, "process 0 acked "
+                         ("NoAckAgainstDelivery", 36, "process 3 acked "
                           "digest beefbeef of 2:1 after delivering "
                           "another")], [], True),
-    "bogus-stable-id": ([("SMIntegrity", 36, "stability record claims 0 "
+    "bogus-stable-id": ([("SMIntegrity", 36, "stability record claims 2 "
                           "delivered 0:9 without a matching delivery")],
                         [], True),
     "bogus-stable-process": ([("SMIntegrity", 36, "stability record claims "
                                "9 delivered 2:1 without a matching "
                                "delivery")], [], True),
     "dropped-delivery": ([
-        ("SMIntegrity", 31, "stability record claims 3 delivered 2:1 without "
+        ("SMIntegrity", 33, "stability record claims 3 delivered 2:1 without "
          "a matching delivery"),
         ("Reliability", 34, "2:1 was delivered by some correct processes but "
          "not by [3]")], [], True),
-    "blank-lines": ([("Integrity", 40, "process 0 delivered 2:1 twice "
-                      "(first at line 27)")], [], True),
-    "crlf": ([("Integrity", 36, "process 0 delivered 2:1 twice (first at "
-               "line 23)")], [], True),
+    "blank-lines": ([("Integrity", 40, "process 2 delivered 2:1 twice "
+                      "(first at line 28)")], [], True),
+    "crlf": ([("Integrity", 36, "process 2 delivered 2:1 twice (first at "
+               "line 24)")], [], True),
     "malformed-deep": "line 32: expected 9 fields, got 8",
     "bad-subject-deep":
         "line 34: not enough values to unpack (expected 2, got 1)",
@@ -415,7 +417,7 @@ EXPECTED = {
     # instead of parsing the rest first ("line 12: expected 9 fields").
     "no-meta-then-malformed": "trace must start with a meta record",
     "foreign-digest-trailing-blanks": ([
-        ("Integrity", 23, "delivery of 2:1 does not match any multicast by "
+        ("Integrity", 24, "delivery of 2:1 does not match any multicast by "
          "correct sender 2"),
         ("Agreement", 35, "correct processes delivered 2 different digests "
          "for 2:1")], [(2, 1)], True),
@@ -449,7 +451,7 @@ def test_parse_trace_skips_blank_lines_but_counts_them():
     assert records[0].kind == "meta" and records[0].subject is None
     dlv = next(r for r in records if r.kind == "appdlv")
     assert (dlv.lineno, dlv.src, dlv.dst, tuple(dlv.subject)) == \
-        (27, 0, None, (2, 1))
+        (28, 2, None, (2, 1))
 
 
 def test_check_trace_file_memory_does_not_grow_with_the_trace(tmp_path):
